@@ -54,13 +54,15 @@ stress:
 		-run 'Parallel|Incremental|ComputeStats|WarmStart|InterimCache|VoteMatrix|Chunks|For|Normalize|SEU' \
 		./internal/par/ ./internal/lf/ ./internal/labelmodel/ ./internal/textproc/ ./internal/core/ ./internal/sampler/
 
-# 30 seconds of coverage-guided fuzzing per target on the two parsers
-# that face untrusted input: LLM completions and raw text. `go test
-# -fuzz` accepts a single target per invocation, hence one run each.
+# 30 seconds of coverage-guided fuzzing per target on the inputs that
+# cross a trust boundary: LLM completions, raw text and label request
+# bodies. `go test -fuzz` accepts a single target per invocation, hence
+# one run each.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzParseResponse$$' -fuzztime 30s ./internal/prompt/
 	$(GO) test -run XXX -fuzz '^FuzzSelfConsistency$$' -fuzztime 30s ./internal/prompt/
 	$(GO) test -run XXX -fuzz '^FuzzTokenize$$' -fuzztime 30s ./internal/textproc/
+	$(GO) test -run XXX -fuzz '^FuzzGatewayLabel$$' -fuzztime 30s ./internal/registry/
 
 # total-coverage regression gate: fail if statement coverage drops below
 # the recorded pre-PR baseline

@@ -24,13 +24,14 @@
 // The daemon is one replica of a shardable fleet: with -replicas N and
 // -replica-index I it answers only the tenants a consistent-hash ring
 // assigns to shard I and redirects the rest with 421 + a shard hint
-// (-peers advertises replica addresses in the hint). Incoming texts are
-// coalesced into micro-batches (-max-batch, -max-wait) behind a bounded
-// admission queue (-queue-depth; overload sheds 429 instead of
-// queueing without bound), at most -max-resident tenant servers stay
-// mapped at once, and /metrics exposes the serve_* counters,
-// histograms and gauges — dimensional by tenant, outcome code and
-// route — in Prometheus text format. /v1/stats reports per-tenant SLO
+// (-peers advertises replica addresses in the hint). Incoming requests
+// wait in a bounded admission queue (-queue-depth; overload sheds 429
+// instead of queueing without bound), and each micro-batch takes
+// whatever is queued when the previous one finishes, up to -max-batch
+// texts, so no request waits on a timer. At most -max-resident tenant
+// servers stay mapped at once, and /metrics exposes the serve_*
+// counters, histograms and gauges — dimensional by tenant, outcome code
+// and route — in Prometheus text format. /v1/stats reports per-tenant SLO
 // windows (latency quantiles, error rate, availability burn) plus
 // runtime health; -access-log, -trace-sample/-trace-slow and
 // -slo-objective tune the per-request observability pipeline.
@@ -80,7 +81,6 @@ type config struct {
 	addr          string
 
 	maxBatch    int
-	maxWait     time.Duration
 	parallelism int
 	queueDepth  int
 
@@ -119,7 +119,6 @@ func main() {
 	flag.StringVar(&cfg.defaultTenant, "default-tenant", "default", "tenant the bare /v1/label alias routes to")
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "max texts per micro-batch")
-	flag.DurationVar(&cfg.maxWait, "max-wait", 2*time.Millisecond, "max time the first text of a batch waits for company")
 	flag.IntVar(&cfg.parallelism, "parallelism", 0, "featurize/predict worker goroutines per batch (0 = GOMAXPROCS, 1 = sequential; results identical)")
 	flag.IntVar(&cfg.queueDepth, "queue-depth", 0, "max texts waiting in the coalescer queue before requests shed with 429 (0 = 16*max-batch)")
 	flag.IntVar(&cfg.maxResident, "max-resident", 8, "max tenants with a mapped server at once (LRU evicts beyond this)")
@@ -196,7 +195,6 @@ func run(cfg config) (err error) {
 		ShadowAgreement: cfg.shadowAgreement,
 		Serve: serve.Options{
 			MaxBatch:   cfg.maxBatch,
-			MaxWait:    cfg.maxWait,
 			Workers:    cfg.parallelism,
 			QueueDepth: cfg.queueDepth,
 		},

@@ -47,7 +47,6 @@ type loadConfig struct {
 	batchSize   int
 	explainFrac float64
 	maxBatch    int
-	maxWait     time.Duration
 	queueDepth  int
 	seed        int64
 	traceOut    string
@@ -113,7 +112,6 @@ func main() {
 	flag.IntVar(&cfg.batchSize, "batch-size", 8, "texts per batch request")
 	flag.Float64Var(&cfg.explainFrac, "explain-frac", 0.1, "fraction of requests asking for explanations")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "daemon max-batch (in-process mode)")
-	flag.DurationVar(&cfg.maxWait, "max-wait", 2*time.Millisecond, "daemon max-wait (in-process mode)")
 	flag.IntVar(&cfg.queueDepth, "queue-depth", 0, "daemon queue depth (in-process mode; 0 = default)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "traffic rng seed")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "stream sampled JSONL spans here (in-process mode)")
@@ -277,7 +275,6 @@ func runLoad(cfg loadConfig) (*report, error) {
 			"batch_frac":  cfg.batchFrac,
 			"batch_size":  cfg.batchSize,
 			"max_batch":   cfg.maxBatch,
-			"max_wait_ms": float64(cfg.maxWait.Microseconds()) / 1000,
 			"in_process":  cfg.bundlePath != "",
 			"seed":        cfg.seed,
 		},
@@ -330,7 +327,6 @@ func startLoopback(cfg loadConfig) (shutdown func(), base string, err error) {
 		MaxResident: cfg.tenants,
 		Serve: serve.Options{
 			MaxBatch:   cfg.maxBatch,
-			MaxWait:    cfg.maxWait,
 			QueueDepth: cfg.queueDepth,
 		},
 	})

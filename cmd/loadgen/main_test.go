@@ -54,7 +54,6 @@ func TestLoadgenEndToEnd(t *testing.T) {
 		batchSize:   4,
 		explainFrac: 0.25,
 		maxBatch:    16,
-		maxWait:     time.Millisecond,
 		seed:        1,
 	}
 	rep, err := runLoad(cfg)

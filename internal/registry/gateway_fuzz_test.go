@@ -1,0 +1,87 @@
+package registry_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"datasculpt/internal/obs"
+	"datasculpt/internal/registry"
+	"datasculpt/internal/serve"
+)
+
+// FuzzGatewayLabel posts arbitrary bodies to /v1/label, the serving
+// trust boundary. Whatever arrives, the gateway must answer below 500
+// with JSON that is either the predictions, exactly one per input text,
+// or the uniform error envelope. The body cap matches the golden-error
+// gateway's, and the small MaxBatch and QueueDepth let short bodies
+// reach request splitting and oversized admission.
+func FuzzGatewayLabel(f *testing.F) {
+	_, _, path := trained(f)
+	r, mreg := newRegistry(f, registry.Options{Serve: serve.Options{MaxBatch: 4, QueueDepth: 8}})
+	if err := r.Register("t", path); err != nil {
+		f.Fatal(err)
+	}
+	h := registry.NewGateway(r, obs.New(nil, mreg, nil),
+		registry.GatewayOptions{DefaultTenant: "t", MaxLabelBytes: 64}).Handler()
+
+	for _, c := range goldenCases {
+		if c.method == http.MethodPost && strings.HasSuffix(c.path, "/label") {
+			f.Add([]byte(c.body))
+		}
+	}
+	f.Add([]byte(`{"text": "check out my channel"}`))
+	f.Add([]byte(`{"texts": ["a", "", "c", "d", "e", "f", "g", "h", "i"]}`))
+	f.Add([]byte(`{"texts": ["subscribe"], "explain": true}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/label", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			var env struct {
+				Error *struct {
+					Code    string `json:"code"`
+					Message string `json:"message"`
+				} `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil ||
+				env.Error.Code == "" || env.Error.Message == "" {
+				t.Fatalf("status %d: body is not the error envelope (%v): %s", rec.Code, err, rec.Body)
+			}
+			return
+		}
+		var out struct {
+			Prediction  *serve.Prediction  `json:"prediction"`
+			Predictions []serve.Prediction `json:"predictions"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("200 body does not decode: %v: %s", err, rec.Body)
+		}
+		// The gateway accepted the body, so it decodes as a label request.
+		var req struct {
+			Text    string   `json:"text"`
+			Texts   []string `json:"texts"`
+			Explain bool     `json:"explain"`
+		}
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("accepted body %q does not decode: %v", body, err)
+		}
+		want := len(req.Texts)
+		if req.Text != "" {
+			want = 1
+		}
+		got := len(out.Predictions)
+		if out.Prediction != nil {
+			got++
+		}
+		if got != want {
+			t.Fatalf("body %q: %d predictions for %d texts", body, got, want)
+		}
+	})
+}

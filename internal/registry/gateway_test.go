@@ -121,6 +121,23 @@ type goldenCase struct {
 	body    string
 }
 
+// goldenCases are the requests TestGatewayGoldenErrors pins, one per
+// failure mode; the label bodies also seed FuzzGatewayLabel.
+var goldenCases = []goldenCase{
+	{name: "bad-json", method: "POST", path: "/v1/label", body: `{not json`},
+	{name: "unknown-field", method: "POST", path: "/v1/label", body: `{"txt": "hi"}`},
+	{name: "neither-text-nor-texts", method: "POST", path: "/v1/label", body: `{"explain": true}`},
+	{name: "both-text-and-texts", method: "POST", path: "/v1/label", body: `{"text": "a", "texts": ["b"]}`},
+	{name: "body-too-large", method: "POST", path: "/v1/label",
+		body: `{"text": "` + strings.Repeat("spam and eggs ", 8) + `"}`},
+	{name: "unknown-tenant", method: "POST", path: "/v1/tenants/ghost/label", body: `{"text": "hi"}`},
+	{name: "method-not-allowed", method: "GET", path: "/v1/label"},
+	{name: "unknown-route", method: "GET", path: "/v1/nope"},
+	{name: "rollback-no-previous", method: "POST", path: "/v1/bundles/t/rollback"},
+	{name: "bad-bundle", method: "POST", path: "/v1/bundles/t", body: `{"format": "not-a-bundle", "version": 1}`},
+	{name: "wrong-shard", sharded: true, method: "POST", path: "/v1/tenants/globex/label", body: `{"text": "hi"}`},
+}
+
 // TestGatewayGoldenErrors pins the uniform error envelope — status,
 // headers, and body — for every failure mode of the /v1 surface.
 func TestGatewayGoldenErrors(t *testing.T) {
@@ -133,23 +150,8 @@ func TestGatewayGoldenErrors(t *testing.T) {
 		Peers:     []string{"127.0.0.1:7000", "127.0.0.1:7001", "127.0.0.1:7002"},
 	})
 
-	cases := []goldenCase{
-		{name: "bad-json", method: "POST", path: "/v1/label", body: `{not json`},
-		{name: "unknown-field", method: "POST", path: "/v1/label", body: `{"txt": "hi"}`},
-		{name: "neither-text-nor-texts", method: "POST", path: "/v1/label", body: `{"explain": true}`},
-		{name: "both-text-and-texts", method: "POST", path: "/v1/label", body: `{"text": "a", "texts": ["b"]}`},
-		{name: "body-too-large", method: "POST", path: "/v1/label",
-			body: `{"text": "` + strings.Repeat("spam and eggs ", 8) + `"}`},
-		{name: "unknown-tenant", method: "POST", path: "/v1/tenants/ghost/label", body: `{"text": "hi"}`},
-		{name: "method-not-allowed", method: "GET", path: "/v1/label"},
-		{name: "unknown-route", method: "GET", path: "/v1/nope"},
-		{name: "rollback-no-previous", method: "POST", path: "/v1/bundles/t/rollback"},
-		{name: "bad-bundle", method: "POST", path: "/v1/bundles/t", body: `{"format": "not-a-bundle", "version": 1}`},
-		{name: "wrong-shard", sharded: true, method: "POST", path: "/v1/tenants/globex/label", body: `{"text": "hi"}`},
-	}
-
 	var buf bytes.Buffer
-	for _, c := range cases {
+	for _, c := range goldenCases {
 		base := ts.URL
 		if c.sharded {
 			base = shardTS.URL

@@ -27,7 +27,7 @@ var (
 // trained runs the pipeline once per test binary, saves the bundle to a
 // temp file, and hands every test the same artifact. Tests that need a
 // private bundle object load a fresh copy from the saved path.
-func trained(t *testing.T) (*bundle.Bundle, *dataset.Dataset, string) {
+func trained(t testing.TB) (*bundle.Bundle, *dataset.Dataset, string) {
 	t.Helper()
 	trainOnce.Do(func() {
 		d, err := dataset.Load("youtube", 11, 0.4)
@@ -79,7 +79,7 @@ func freshCopy(t *testing.T) *bundle.Bundle {
 	return b
 }
 
-func newRegistry(t *testing.T, opts registry.Options) (*registry.Registry, *obs.Registry) {
+func newRegistry(t testing.TB, opts registry.Options) (*registry.Registry, *obs.Registry) {
 	t.Helper()
 	if opts.Serve.Workers == 0 {
 		opts.Serve.Workers = 1

@@ -37,6 +37,52 @@ func waitCounter(t *testing.T, read func() float64, want float64, what string) {
 	t.Fatalf("%s: got %v, want %v", what, read(), want)
 }
 
+// waitQueued waits until the queue holds exactly n admitted texts.
+func waitQueued(t *testing.T, reg *obs.Registry, n int) {
+	t.Helper()
+	waitCounter(t, func() float64 { return gaugeValue(reg, "serve_queue_depth") },
+		float64(n), "serve_queue_depth while loop held")
+}
+
+// loopHold parks a server's batch loop at the head of its first batch
+// and records the size of every batch the loop runs.
+type loopHold struct {
+	held    chan struct{} // closed once the loop is parked
+	release chan struct{} // close to let the loop go
+	mu      sync.Mutex
+	sizes   []int
+}
+
+func holdLoop(s *serve.Server) *loopHold {
+	h := &loopHold{held: make(chan struct{}), release: make(chan struct{})}
+	var once sync.Once
+	s.SetBeforeBatch(func(size int) {
+		h.mu.Lock()
+		h.sizes = append(h.sizes, size)
+		h.mu.Unlock()
+		once.Do(func() {
+			close(h.held)
+			<-h.release
+		})
+	})
+	return h
+}
+
+// assertSizes checks the batches run so far had exactly the given sizes.
+func (h *loopHold) assertSizes(t *testing.T, want ...int) {
+	t.Helper()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.sizes) != len(want) {
+		t.Fatalf("batch sizes %v, want %v", h.sizes, want)
+	}
+	for i := range want {
+		if h.sizes[i] != want[i] {
+			t.Fatalf("batch sizes %v, want %v", h.sizes, want)
+		}
+	}
+}
+
 // TestServeLoadShed is the admission-control contract, run under -race
 // by `make race`: with the batch loop held still, the queue admits
 // exactly QueueDepth texts, every request beyond that is shed with
@@ -45,17 +91,8 @@ func waitCounter(t *testing.T, read func() float64, want float64, what string) {
 // the loop resumes.
 func TestServeLoadShed(t *testing.T) {
 	const depth = 4
-	s, reg, d := newServer(t, serve.Options{MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: depth})
-
-	held := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.SetBeforeBatch(func() {
-		once.Do(func() {
-			close(held)
-			<-release
-		})
-	})
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 1, QueueDepth: depth})
+	h := holdLoop(s)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, depth+1)
@@ -68,15 +105,14 @@ func TestServeLoadShed(t *testing.T) {
 	// First request seeds a batch and parks the loop inside the hook.
 	wg.Add(1)
 	go label()
-	<-held
+	<-h.held
 
 	// Fill the queue to exactly its bound.
 	for i := 0; i < depth; i++ {
 		wg.Add(1)
 		go label()
 	}
-	waitCounter(t, func() float64 { return gaugeValue(reg, "serve_queue_depth") },
-		depth, "serve_queue_depth while loop held")
+	waitQueued(t, reg, depth)
 
 	// Admission control: one more single and one batch both shed
 	// immediately instead of queueing or blocking.
@@ -94,7 +130,7 @@ func TestServeLoadShed(t *testing.T) {
 	}
 
 	// Resume: every admitted request must be answered.
-	close(release)
+	close(h.release)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -120,31 +156,36 @@ func TestServeLoadShed(t *testing.T) {
 	}
 }
 
-// TestServeCancelledDropped: a client that disconnects before its
-// micro-batch fires does not consume batch capacity — its queued texts
-// are dropped (serve_dropped_total), while a live request sharing the
-// batch is answered with the exact offline prediction.
+// TestServeCancelledDropped: a client that disconnects before its batch
+// runs does not consume batch capacity — its queued text is dropped
+// (serve_dropped_total), while a live request sharing the batch is
+// answered with the exact offline prediction.
 func TestServeCancelledDropped(t *testing.T) {
-	s, reg, d := newServer(t, serve.Options{MaxBatch: 2, MaxWait: 300 * time.Millisecond})
+	s, reg, d := newServer(t, serve.Options{})
 	b, _ := trained(t)
 	texts, probas, labels := offlineExpected(b, d)
+	h := holdLoop(s)
 
+	first := labelAsync(t, s, texts[2:3])
+	<-h.held
+
+	// Queued behind the held loop: the cancelled request returns at once,
+	// leaving its text in the queue.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Label(ctx, []string{texts[0]}, false); err == nil {
+	if _, err := s.Label(ctx, texts[:1], false); err == nil {
 		t.Fatal("cancelled request returned no error")
 	}
+	live := labelAsync(t, s, texts[1:2])
+	waitQueued(t, reg, 2)
 
-	// The live request joins (or follows) the stale item's batch and
-	// must be answered bit-identically to the offline path.
-	preds, err := s.Label(context.Background(), []string{texts[1]}, false)
-	if err != nil {
-		t.Fatal(err)
+	close(h.release)
+	first()
+	assertPrediction(t, live()[0], probas[1], labels[1], texts[1])
+	h.assertSizes(t, 1, 2)
+	if got := reg.CounterValue("serve_dropped_total"); got != 1 {
+		t.Errorf("serve_dropped_total = %v, want 1", got)
 	}
-	assertPrediction(t, preds[0], probas[1], labels[1], texts[1])
-
-	waitCounter(t, func() float64 { return reg.CounterValue("serve_dropped_total") },
-		1, "serve_dropped_total")
 	if got := reg.CounterValue("serve_shed_total"); got != 0 {
 		t.Errorf("serve_shed_total = %v, want 0", got)
 	}

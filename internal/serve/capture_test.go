@@ -21,7 +21,7 @@ func TestServeCaptureHook(t *testing.T) {
 		captured []string
 	)
 	s, _, d := newServer(t, serve.Options{
-		MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: depth,
+		MaxBatch: 1, QueueDepth: depth,
 		Capture: func(texts []string) {
 			mu.Lock()
 			captured = append(captured, texts...)
@@ -29,15 +29,7 @@ func TestServeCaptureHook(t *testing.T) {
 		},
 	})
 
-	held := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.SetBeforeBatch(func() {
-		once.Do(func() {
-			close(held)
-			<-release
-		})
-	})
+	h := holdLoop(s)
 
 	var wg sync.WaitGroup
 	admitted := []string{d.Valid[0].Text, d.Valid[1].Text, d.Valid[2].Text}
@@ -51,7 +43,7 @@ func TestServeCaptureHook(t *testing.T) {
 	// Seed a batch and park the loop, then fill the queue to its bound.
 	wg.Add(1)
 	go label(admitted[0])
-	<-held
+	<-h.held
 	for _, text := range admitted[1:] {
 		wg.Add(1)
 		go label(text)
@@ -79,7 +71,7 @@ func TestServeCaptureHook(t *testing.T) {
 		t.Fatal("empty request accepted")
 	}
 
-	close(release)
+	close(h.release)
 	wg.Wait()
 
 	mu.Lock()

@@ -1,10 +1,12 @@
 // Package serve turns a model bundle into an online labeling service.
 //
-// The core is a micro-batching coalescer: every incoming text becomes one
-// queue item, a single batch loop gathers items until the batch cap or a
-// short wait deadline is hit, and the whole batch flows through the same
-// parallel TransformAll/PredictProbaAll hot path the offline evaluator
-// uses. Because featurization and prediction are per-example independent
+// The core is a micro-batching coalescer: every Label call becomes one
+// queue entry, a single batch loop takes whatever is queued up to the
+// batch cap, and the whole batch flows through the same parallel
+// TransformAll/PredictProbaAll hot path the offline evaluator uses. No
+// timer holds a batch back: a lone request is served at once, and batches
+// grow under load because requests pile up while the previous batch runs.
+// Because featurization and prediction are per-example independent
 // with fixed-order reductions, batch composition cannot influence any
 // result: a text served alone, inside a mixed batch, or by the offline
 // Evaluate path produces bit-identical probabilities and labels (enforced
@@ -38,9 +40,6 @@ var ErrOverloaded = errors.New("serve: coalescer queue full")
 type Options struct {
 	// MaxBatch caps how many texts one batch carries (default 64).
 	MaxBatch int
-	// MaxWait is how long the first text of a batch waits for company
-	// before the batch is dispatched anyway (default 2ms).
-	MaxWait time.Duration
 	// Workers bounds the goroutines featurization and prediction fan out
 	// over per batch (<= 1 sequential; output is identical either way).
 	Workers int
@@ -65,9 +64,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 16 * o.MaxBatch
@@ -109,24 +105,23 @@ type Prediction struct {
 }
 
 // request is one Label call in flight: its examples, its result slots,
-// and the countdown that fires done when every slot is filled. ctx is
-// the caller's context: once it is cancelled the batch loop drops the
-// request's remaining queue items instead of featurizing them, so a
-// client that disconnected before its micro-batch fired does not
-// consume batch capacity.
+// and done, closed once the batch holding its last text is processed.
+// ctx is the caller's context: once it is cancelled the batch loop drops
+// the request's unprocessed texts instead of featurizing them, so a
+// client that disconnected before its batch ran does not consume batch
+// capacity.
 type request struct {
-	ctx       context.Context
-	examples  []*dataset.Example
-	preds     []Prediction
-	explain   bool
-	remaining atomic.Int32
-	done      chan struct{}
+	ctx      context.Context
+	examples []*dataset.Example
+	preds    []Prediction
+	explain  bool
+	done     chan struct{}
 }
 
-// batchItem addresses one text of one request.
-type batchItem struct {
-	req *request
-	pos int
+// segment addresses texts [lo, hi) of one request within a batch.
+type segment struct {
+	req    *request
+	lo, hi int
 }
 
 // Server coalesces label requests into batches over a loaded bundle.
@@ -136,18 +131,17 @@ type Server struct {
 	opts      Options
 	o         *obs.Obs
 
-	queue     chan batchItem
-	quit      chan struct{}
-	depth     atomic.Int64 // texts admitted but not yet dequeued
-	mu        sync.Mutex
-	closed    bool
-	producers sync.WaitGroup
-	loop      sync.WaitGroup
+	queue  chan *request // closed by Close, under mu
+	depth  atomic.Int64  // texts admitted but not yet batched
+	mu     sync.Mutex
+	closed bool
+	loop   sync.WaitGroup
 
 	// beforeBatch, when non-nil, runs at the head of every process()
-	// call. Test hook: lets the admission tests hold the batch loop
-	// still while they fill the queue deterministically.
-	beforeBatch func()
+	// call with the batch's text count. Test hook: lets the coalescing
+	// tests hold the batch loop still while they fill the queue
+	// deterministically.
+	beforeBatch func(size int)
 
 	// Per-outcome request counters and the rest of the tenant's series,
 	// curried once in New so the hot path sees plain scalar handles.
@@ -188,8 +182,7 @@ func New(b *bundle.Bundle, o *obs.Obs, opts Options) (*Server, error) {
 		b:     b,
 		opts:  opts,
 		o:     o,
-		queue: make(chan batchItem, opts.QueueDepth),
-		quit:  make(chan struct{}),
+		queue: make(chan *request, opts.QueueDepth),
 	}
 	if b.LabelModel != nil {
 		s.predictor = b.LabelModel.NewPredictor()
@@ -256,7 +249,6 @@ func (s *Server) Label(ctx context.Context, texts []string, explain bool) ([]Pre
 		explain:  explain,
 		done:     make(chan struct{}),
 	}
-	req.remaining.Store(int32(len(texts)))
 	for i, text := range texts {
 		// E1Pos/E2Pos must be -1: zero would mark token 0 as an entity
 		// mention and slice the feature window, diverging from how the
@@ -273,12 +265,10 @@ func (s *Server) Label(ctx context.Context, texts []string, explain bool) ([]Pre
 		span.SetErr(ErrClosed)
 		return nil, ErrClosed
 	}
-	s.producers.Add(1)
+	// Never blocks: every queued request holds at least one admitted
+	// text, so the queue holds at most QueueDepth requests.
+	s.queue <- req
 	s.mu.Unlock()
-	for i := range texts {
-		s.queue <- batchItem{req: req, pos: i}
-	}
-	s.producers.Done()
 
 	select {
 	case <-req.done:
@@ -295,9 +285,9 @@ func (s *Server) Label(ctx context.Context, texts []string, explain bool) ([]Pre
 
 // admit reserves n queue slots, or fails with ErrOverloaded when the
 // reservation would exceed QueueDepth. A request wider than the whole
-// queue is admitted only against an idle queue (its channel sends then
-// block until the batch loop drains them — memory stays bounded by the
-// request itself).
+// queue is admitted only against an idle queue; it is still one queue
+// entry, which the batch loop serves in MaxBatch-text pieces, so memory
+// stays bounded by the request itself.
 func (s *Server) admit(n int) error {
 	for {
 		cur := s.depth.Load()
@@ -311,153 +301,130 @@ func (s *Server) admit(n int) error {
 	}
 }
 
-// dequeued records that one item left the queue for a batch.
-func (s *Server) dequeued() {
-	s.mQueue.Set(float64(s.depth.Add(-1)))
-}
-
-// Close stops accepting requests, waits for enqueued texts to be
-// processed, and shuts the batch loop down. Idempotent.
+// Close stops accepting requests, waits for queued requests to be
+// answered, and shuts the batch loop down. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.loop.Wait()
-		return
+	if !s.closed {
+		s.closed = true
+		close(s.queue) // Label sends only under mu, after checking closed
 	}
-	s.closed = true
 	s.mu.Unlock()
-	s.producers.Wait() // every accepted request is fully enqueued
-	close(s.quit)
 	s.loop.Wait()
 }
 
-// batchLoop is the single consumer: it seeds each batch with the first
-// available item, fills it, and processes it, until quit — then drains
-// whatever is still queued.
+// batchLoop is the single consumer. It blocks for the first queued
+// request, adds whatever else is already queued up to MaxBatch texts,
+// processes that batch and repeats. A request joins a batch only if all
+// its remaining texts fit; otherwise it starts the next batch, and one
+// wider than MaxBatch is served in MaxBatch-text pieces. Once Close has
+// closed the queue, the loop drains it and returns.
 func (s *Server) batchLoop() {
 	defer s.loop.Done()
+	var (
+		next *request // received; texts from off on are not yet batched
+		off  int
+	)
 	for {
-		select {
-		case it := <-s.queue:
-			s.dequeued()
-			s.process(s.fill(it))
-		case <-s.quit:
-			for {
-				select {
-				case it := <-s.queue:
-					s.dequeued()
-					s.process(s.fill(it))
-				default:
-					return
-				}
+		if next == nil {
+			var ok bool
+			if next, ok = <-s.queue; !ok {
+				return
+			}
+			off = 0
+		}
+		var batch []segment
+		n := 0
+		for next != nil {
+			rest := len(next.examples) - off
+			if n > 0 && n+rest > s.opts.MaxBatch {
+				break
+			}
+			take := min(rest, s.opts.MaxBatch-n)
+			batch = append(batch, segment{req: next, lo: off, hi: off + take})
+			n += take
+			if off += take; off < len(next.examples) {
+				break
+			}
+			select {
+			case next = <-s.queue: // nil once the queue is closed and empty
+				off = 0
+			default:
+				next = nil
 			}
 		}
+		s.mQueue.Set(float64(s.depth.Add(-int64(n))))
+		s.process(batch, n)
 	}
 }
 
-// fill grows a batch seeded with first until MaxBatch items are gathered
-// or MaxWait elapses. The wait clock starts with the first item — a lone
-// request is never delayed longer than MaxWait.
-func (s *Server) fill(first batchItem) []batchItem {
-	batch := append(make([]batchItem, 0, s.opts.MaxBatch), first)
-	timer := time.NewTimer(s.opts.MaxWait)
-	defer timer.Stop()
-	for len(batch) < s.opts.MaxBatch {
-		select {
-		case it := <-s.queue:
-			s.dequeued()
-			batch = append(batch, it)
-		case <-timer.C:
-			return batch
-		case <-s.quit:
-			// Shutting down: take what is immediately available, skip the
-			// wait.
-			for len(batch) < s.opts.MaxBatch {
-				select {
-				case it := <-s.queue:
-					s.dequeued()
-					batch = append(batch, it)
-				default:
-					return batch
-				}
-			}
-			return batch
-		}
-	}
-	return batch
-}
-
-// process runs one batch through the offline hot path — featurize all,
-// predict all — and distributes results to their requests. The label is
-// derived from the probability row with the same strict-greater first-max
-// rule as LogisticRegression.Predict (softmax is monotone, so the argmax
-// is identical).
-func (s *Server) process(batch []batchItem) {
+// process runs one batch of n texts through the offline hot path —
+// featurize all, predict all — and distributes results to their
+// requests, answering each request whose last text is in the batch. The
+// label is derived from the probability row with the same strict-greater
+// first-max rule as LogisticRegression.Predict (softmax is monotone, so
+// the argmax is identical).
+func (s *Server) process(batch []segment, n int) {
 	if s.beforeBatch != nil {
-		s.beforeBatch()
+		s.beforeBatch(n)
 	}
 	s.mBatches.Inc()
-	s.mBatchSz.Observe(float64(len(batch)))
+	s.mBatchSz.Observe(float64(n))
 	span := s.o.Tracer.StartSpan("serve.batch")
-	span.SetInt("size", int64(len(batch)))
+	span.SetInt("size", int64(n))
 	defer span.End()
 
 	// Deadline-aware drop: a request whose context ended (client gone,
-	// deadline blown) gets its items discarded instead of featurized —
-	// only its bookkeeping is settled. Skipping items cannot perturb
-	// other results: the hot path is per-example independent.
-	live := batch[:0]
+	// deadline blown) gets its texts discarded instead of featurized.
+	// Skipping texts cannot perturb other results: the hot path is
+	// per-example independent.
+	corpus := make([][]string, 0, n)
 	dropped := 0
-	for _, it := range batch {
-		if it.req.ctx != nil && it.req.ctx.Err() != nil {
-			dropped++
-			if it.req.remaining.Add(-1) == 0 {
-				close(it.req.done)
-			}
-			continue
+	for k := range batch {
+		sg := &batch[k]
+		if sg.req.ctx.Err() != nil {
+			dropped += sg.hi - sg.lo
+			sg.lo = sg.hi
 		}
-		live = append(live, it)
+		for _, e := range sg.req.examples[sg.lo:sg.hi] {
+			corpus = append(corpus, e.FeatureTokens())
+		}
 	}
 	if dropped > 0 {
 		s.mDropped.AddInt(dropped)
-	}
-	batch = live
-	if len(batch) == 0 {
 		span.SetInt("dropped", int64(dropped))
-		return
+	}
+	var P [][]float64
+	if len(corpus) > 0 {
+		P = s.b.EndModel.PredictProbaAll(s.b.Featurizer.TransformAll(corpus))
 	}
 
-	corpus := make([][]string, len(batch))
-	for i, it := range batch {
-		corpus[i] = it.req.examples[it.pos].FeatureTokens()
-	}
-	X := s.b.Featurizer.TransformAll(corpus)
-	P := s.b.EndModel.PredictProbaAll(X)
-
-	for i, it := range batch {
-		row := P[i]
-		best := 0
-		for c := 1; c < len(row); c++ {
-			if row[c] > row[best] {
-				best = c
+	i := 0
+	for _, sg := range batch {
+		for pos := sg.lo; pos < sg.hi; pos++ {
+			row := P[i]
+			i++
+			best := 0
+			for c := 1; c < len(row); c++ {
+				if row[c] > row[best] {
+					best = c
+				}
 			}
+			pred := Prediction{Label: best, Class: s.b.Dataset.ClassNames[best], Proba: row}
+			if sg.req.explain {
+				js, votes := lf.ApplyAll(s.b.LFs, sg.req.examples[pos])
+				pred.LFs = make([]LFVote, len(js))
+				for t, j := range js {
+					pred.LFs[t] = LFVote{Name: s.b.LFs[j].Name(), Vote: votes[t]}
+				}
+				if s.predictor != nil && len(js) > 0 {
+					pred.LabelModelProba = s.predictor.Posterior(js, votes)
+				}
+			}
+			sg.req.preds[pos] = pred
 		}
-		pred := Prediction{Label: best, Class: s.b.Dataset.ClassNames[best], Proba: row}
-		if it.req.explain {
-			e := it.req.examples[it.pos]
-			js, votes := lf.ApplyAll(s.b.LFs, e)
-			pred.LFs = make([]LFVote, len(js))
-			for t, j := range js {
-				pred.LFs[t] = LFVote{Name: s.b.LFs[j].Name(), Vote: votes[t]}
-			}
-			if s.predictor != nil && len(js) > 0 {
-				pred.LabelModelProba = s.predictor.Posterior(js, votes)
-			}
-		}
-		it.req.preds[it.pos] = pred
-		if it.req.remaining.Add(-1) == 0 {
-			close(it.req.done)
+		if sg.hi == len(sg.req.examples) {
+			close(sg.req.done)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"datasculpt/internal/bundle"
 	"datasculpt/internal/core"
@@ -169,7 +168,7 @@ func TestServeExplain(t *testing.T) {
 // sequentially-computed expectation — no dropped, duplicated, or
 // cross-wired responses. Run it under -race (make race does).
 func TestServeConcurrentLoad(t *testing.T) {
-	s, reg, d := newServer(t, serve.Options{MaxBatch: 16, MaxWait: 500 * time.Microsecond, Workers: 4})
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 16, Workers: 4})
 	b, _ := trained(t)
 	texts, probas, labels := offlineExpected(b, d)
 
@@ -250,26 +249,155 @@ type atomic64 struct {
 func (a *atomic64) add(d int64) { a.mu.Lock(); a.v += d; a.mu.Unlock() }
 func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
 
-// TestServeBatching forces coalescing: with a generous wait window,
-// concurrent singles should share batches (batches < texts).
+// TestServeBatching pins greedy draining: while the loop runs a first
+// single, 23 more singles queue up, and the next batch takes them all at
+// once — exactly 2 batches, of 1 and 23 texts, with no wait window.
 func TestServeBatching(t *testing.T) {
-	s, reg, d := newServer(t, serve.Options{MaxBatch: 32, MaxWait: 20 * time.Millisecond})
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 32})
+	h := holdLoop(s)
 	var wg sync.WaitGroup
-	n := 24
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := s.Label(context.Background(), []string{d.Valid[i%len(d.Valid)].Text}, false)
-			if err != nil {
-				t.Error(err)
-			}
-		}(i)
+	label := func(i int) {
+		defer wg.Done()
+		if _, err := s.Label(context.Background(), []string{d.Valid[i%len(d.Valid)].Text}, false); err != nil {
+			t.Error(err)
+		}
 	}
+	wg.Add(1)
+	go label(0)
+	<-h.held
+	for i := 1; i < 24; i++ {
+		wg.Add(1)
+		go label(i)
+	}
+	waitQueued(t, reg, 23)
+	close(h.release)
 	wg.Wait()
-	batches := reg.CounterValue("serve_batches_total")
-	if batches == 0 || batches >= float64(n) {
-		t.Errorf("%v batches for %d concurrent singles — coalescer not batching", batches, n)
+	h.assertSizes(t, 1, 23)
+	if got := reg.CounterValue("serve_batches_total"); got != 2 {
+		t.Errorf("serve_batches_total = %v, want 2", got)
+	}
+}
+
+// labelAsync labels texts on its own goroutine; the returned function
+// waits for the result.
+func labelAsync(t *testing.T, s *serve.Server, texts []string) func() []serve.Prediction {
+	var preds []serve.Prediction
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		preds, err = s.Label(context.Background(), texts, false)
+	}()
+	return func() []serve.Prediction {
+		t.Helper()
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		return preds
+	}
+}
+
+// TestServeSplitRequest: a request wider than MaxBatch is served in
+// MaxBatch-text batches, its predictions in request order and
+// bit-identical to offline; a request that fits a batch is never cut, so
+// four 64-text requests queued behind a single go out as four full
+// batches.
+func TestServeSplitRequest(t *testing.T) {
+	b, _ := trained(t)
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 64})
+	texts, probas, labels := offlineExpected(b, d)
+	cycle := func(n, from int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = texts[(from+i)%len(texts)]
+		}
+		return out
+	}
+
+	h := holdLoop(s)
+	wide := labelAsync(t, s, cycle(150, 0))
+	<-h.held
+	close(h.release)
+	preds := wide()
+	h.assertSizes(t, 64, 64, 22)
+	if len(preds) != 150 {
+		t.Fatalf("%d predictions for 150 texts", len(preds))
+	}
+	for i, p := range preds {
+		k := i % len(texts)
+		assertPrediction(t, p, probas[k], labels[k], texts[k])
+	}
+
+	// Behind a single, a 64-text request does not fit the single's batch,
+	// so it starts the next one instead of being cut.
+	h = holdLoop(s)
+	first := labelAsync(t, s, cycle(1, 0))
+	<-h.held
+	single := labelAsync(t, s, cycle(1, 1))
+	waitQueued(t, reg, 1)
+	var bulk []func() []serve.Prediction
+	for r := 0; r < 4; r++ {
+		bulk = append(bulk, labelAsync(t, s, cycle(64, 7*r)))
+	}
+	waitQueued(t, reg, 1+4*64)
+	close(h.release)
+	first()
+	single()
+	for _, wait := range bulk {
+		if got := wait(); len(got) != 64 {
+			t.Fatalf("%d predictions for 64 texts", len(got))
+		}
+	}
+	h.assertSizes(t, 1, 1, 64, 64, 64, 64)
+}
+
+// TestServeCloseDrains: Close while requests are queued behind a held
+// loop turns new requests away with ErrClosed at once, answers every
+// admitted request once the loop is released, and then returns. Run it
+// under -race (make race does).
+func TestServeCloseDrains(t *testing.T) {
+	b, _ := trained(t)
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 4})
+	texts, probas, labels := offlineExpected(b, d)
+	h := holdLoop(s)
+
+	first := labelAsync(t, s, texts[:1])
+	<-h.held
+	// A single, a request that spans two batches, and another single.
+	waits := []func() []serve.Prediction{
+		labelAsync(t, s, texts[1:2]),
+		labelAsync(t, s, texts[2:8]),
+		labelAsync(t, s, texts[8:9]),
+	}
+	waitQueued(t, reg, 8)
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitCounter(t, func() float64 {
+		if s.Closing() {
+			return 1
+		}
+		return 0
+	}, 1, "Close begun")
+	if _, err := s.Label(context.Background(), texts[:1], false); err != serve.ErrClosed {
+		t.Fatalf("Label during Close: %v, want ErrClosed", err)
+	}
+
+	close(h.release)
+	got := first()
+	for _, wait := range waits {
+		got = append(got, wait()...)
+	}
+	for i, p := range got {
+		assertPrediction(t, p, probas[i], labels[i], texts[i])
+	}
+	<-closed
+	if _, err := s.Label(context.Background(), texts[:1], false); err != serve.ErrClosed {
+		t.Errorf("Label after Close: %v, want ErrClosed", err)
 	}
 }
 
