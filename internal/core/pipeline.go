@@ -16,7 +16,6 @@ import (
 	"datasculpt/internal/llm"
 	"datasculpt/internal/metrics"
 	"datasculpt/internal/obs"
-	"datasculpt/internal/prompt"
 	"datasculpt/internal/sampler"
 	"datasculpt/internal/textproc"
 )
@@ -156,62 +155,35 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 	}
 	meter := llm.NewMeter(model)
 
-	feat := textproc.NewFeaturizer(cfg.FeatureDim)
-	feat.Workers = cfg.Parallelism
-	if err := feat.Fit(dataset.FeatureCorpus(d.Train)); err != nil {
-		return nil, fmt.Errorf("core: fitting featurizer: %w", err)
-	}
-	trainIx := lf.NewIndex(d.Train)
-	validIx := lf.NewIndex(d.Valid)
-	chain := lf.NewFilterChainIndexed(d, cfg.Filters, trainIx, validIx)
-
-	var selector prompt.ExampleSelector
-	if cfg.usesKATE() {
-		selector, err = prompt.NewKATEWithOptions(d, feat, prompt.KATEOptions{
-			ANNThreshold:        cfg.ANNThreshold,
-			CandidateMultiplier: cfg.ANNMultiplier,
-			Seed:                cfg.Seed + 31,
-			Workers:             cfg.Parallelism,
-			Metrics:             o.Metrics,
-		})
-	} else {
-		selector, err = prompt.NewClassBalanced(d, cfg.Shots, cfg.Seed+7)
-	}
+	l, err := newLoop(d, cfg, o.Metrics)
 	if err != nil {
 		return nil, err
 	}
-
-	smp, ok := sampler.ByName(cfg.Sampler)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown sampler %q", cfg.Sampler)
-	}
-	state := &sampler.State{
-		Dataset:    d,
-		Used:       make([]bool, len(d.Train)),
-		TrainIndex: trainIx,
-		ValidIndex: validIx,
-		Workers:    cfg.Parallelism,
-		Metrics:    o.Metrics,
-	}
-	needsInterim := cfg.Sampler == "uncertain" || cfg.Sampler == "qbc"
-
-	style := prompt.Base
-	if cfg.usesCoT() {
-		style = prompt.CoT
-	}
-	nSamples := cfg.samplesPerQuery()
-
-	ev := &evaluator{
-		d: d, feat: feat, trainIx: trainIx, validIx: validIx, cfg: cfg,
-		workers: cfg.Parallelism, em: newEvalMetrics(o.Metrics), metrics: o.Metrics,
-	}
-	defer ev.close()
-	if cfg.Sampler == "coreset" {
-		state.TrainVecs = ev.trainVectors()
-	}
-	parseFailures := 0
-	failedIterations := 0
+	defer l.ev.close()
+	needsInterim := sampler.NeedsPosteriors(cfg.Sampler)
 	logDebug := o.Logger.Enabled(ctx, slog.LevelDebug)
+
+	// charge books a failed LLM call — a query iteration's or a revision
+	// prompt's — against the failure budget and returns the abort error
+	// when the run must stop; what prefixes that error, and event names
+	// the warning logged when the budget absorbs the failure instead. A
+	// canceled run always aborts and is never counted as degraded.
+	charge := func(what, event string, err error, attrs ...slog.Attr) error {
+		if ctx.Err() != nil {
+			return fmt.Errorf("core: %s: %w", what, err)
+		}
+		l.failedIterations++
+		pm.iterationFailures.Inc()
+		budget := cfg.MaxFailedIterations
+		if budget == 0 || (budget > 0 && l.failedIterations > budget) {
+			return fmt.Errorf("core: %s: %w (%d failed iterations, budget %d)",
+				what, err, l.failedIterations, budget)
+		}
+		o.Logger.LogAttrs(ctx, slog.LevelWarn, event, append(attrs,
+			slog.Int("failed_iterations", l.failedIterations),
+			slog.String("error", err.Error()))...)
+		return nil
+	}
 
 	for it := 0; it < cfg.Iterations; it++ {
 		if err := ctx.Err(); err != nil {
@@ -221,98 +193,37 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 		itSpan.SetInt("iteration", int64(it))
 
 		selSpan := itSpan.Child("select")
-		id := smp.Next(state, rng)
+		id := l.next(rng)
 		if id < 0 {
 			selSpan.End()
 			itSpan.SetStr("stop", "pool exhausted")
 			itSpan.End()
 			break // pool exhausted
 		}
-		state.Used[id] = true
-		query := d.Train[id]
-		demos := selector.Select(query, cfg.Shots)
-		msgs := prompt.Render(style, d, demos, query)
-		selSpan.End()
 		itSpan.SetInt("query_id", int64(id))
-
-		promptSpan := itSpan.Child("prompt")
-		responses, err := model.Chat(ctx, msgs, cfg.Temperature, nSamples)
-		if err != nil {
-			promptSpan.SetErr(err)
-			promptSpan.End()
-			itSpan.SetErr(err)
+		a := l.ask(ctx, itSpan, selSpan, model, meter, d.Train[id])
+		if a.err != nil {
 			itSpan.End()
-			if ctx.Err() != nil {
-				// a canceled run is an abort, never a degraded iteration
-				return nil, fmt.Errorf("core: iteration %d: %w", it, err)
+			if err := charge(fmt.Sprintf("iteration %d", it), "iteration failed", a.err,
+				slog.Int("iteration", it), slog.Int("query_id", id)); err != nil {
+				return nil, err
 			}
-			failedIterations++
-			pm.iterationFailures.Inc()
-			budget := cfg.MaxFailedIterations
-			if budget == 0 || (budget > 0 && failedIterations > budget) {
-				return nil, fmt.Errorf("core: iteration %d: %w (%d failed iterations, budget %d)",
-					it, err, failedIterations, budget)
-			}
-			o.Logger.LogAttrs(ctx, slog.LevelWarn, "iteration failed",
-				slog.Int("iteration", it), slog.Int("query_id", id),
-				slog.Int("failed_iterations", failedIterations),
-				slog.String("error", err.Error()))
 			continue
 		}
-		meter.Record(responses)
-		var promptTok, completionTok int
-		for _, r := range responses {
-			promptTok += r.Usage.PromptTokens
-			completionTok += r.Usage.CompletionTokens
-		}
-		promptSpan.SetInt("prompt_tokens", int64(promptTok))
-		promptSpan.SetInt("completion_tokens", int64(completionTok))
-		promptSpan.End()
-		itSpan.SetInt("prompt_tokens", int64(promptTok))
-		itSpan.SetInt("completion_tokens", int64(completionTok))
 		pm.iterations.Inc()
-
-		parseSpan := itSpan.Child("parse")
-		var parsed *prompt.Parsed
-		if nSamples == 1 {
-			parsed, err = prompt.ParseResponse(responses[0].Content)
-		} else {
-			contents := make([]string, len(responses))
-			for i, r := range responses {
-				contents[i] = r.Content
-			}
-			parsed, err = prompt.SelfConsistency(contents)
-		}
-		if err != nil {
-			parseSpan.SetErr(err)
-			parseSpan.End()
-			itSpan.SetInt("candidates", 0)
-			itSpan.SetInt("kept", 0)
+		pm.lfsPerIter.Observe(float64(a.kept))
+		if a.parseErr != nil {
 			itSpan.End()
-			parseFailures++
+			l.parseFailures++
 			pm.parseFailures.Inc()
-			pm.lfsPerIter.Observe(0)
 			if logDebug {
 				o.Logger.LogAttrs(ctx, slog.LevelDebug, "parse failure",
 					slog.Int("iteration", it), slog.Int("query_id", id),
-					slog.String("error", err.Error()))
+					slog.String("error", a.parseErr.Error()))
 			}
 			continue
 		}
-		parseSpan.End()
-
-		filterSpan := itSpan.Child("filter")
-		kept := 0
-		for _, kw := range parsed.Keywords {
-			if f, _ := chain.Offer(kw, parsed.Label); f != nil {
-				kept++
-			}
-		}
-		filterSpan.End()
-		itSpan.SetInt("candidates", int64(len(parsed.Keywords)))
-		itSpan.SetInt("kept", int64(kept))
-		pm.lfsKept.AddInt(kept)
-		pm.lfsPerIter.Observe(float64(kept))
+		pm.lfsKept.AddInt(a.kept)
 
 		// Refresh the interim model behind model-driven samplers. A
 		// failed refresh degrades the sampler to stale (or no) scores
@@ -321,12 +232,12 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 		// eval_interim_failures_total counts it.
 		if needsInterim && (it+1)%cfg.UncertainRefreshEvery == 0 {
 			interimSpan := itSpan.Child("interim")
-			if endProba, lmProba, err := ev.interimTrainProba(chain.Accepted(), rng); err == nil {
-				state.TrainProba = endProba
-				state.LabelProba = lmProba
+			if endProba, lmProba, err := l.ev.interimTrainProba(l.chain.Accepted(), rng); err == nil {
+				l.state.TrainProba = endProba
+				l.state.LabelProba = lmProba
 			} else {
 				interimSpan.SetErr(err)
-				ev.em.interimFailures.Inc()
+				l.ev.em.interimFailures.Inc()
 				o.Logger.LogAttrs(ctx, slog.LevelWarn, "interim refresh failed",
 					slog.Int("iteration", it), slog.Int("query_id", id),
 					slog.String("error", err.Error()))
@@ -337,22 +248,19 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 		if logDebug {
 			o.Logger.LogAttrs(ctx, slog.LevelDebug, "iteration",
 				slog.Int("iteration", it), slog.Int("query_id", id),
-				slog.Int("candidates", len(parsed.Keywords)), slog.Int("kept", kept),
-				slog.Int("prompt_tokens", promptTok), slog.Int("completion_tokens", completionTok))
+				slog.Int("candidates", len(a.parsed.Keywords)), slog.Int("kept", a.kept),
+				slog.Int("prompt_tokens", a.promptTokens), slog.Int("completion_tokens", a.completionTokens))
 		}
 	}
 
 	if cfg.ReviseRejected {
 		reviseSpan := span.Child("revise")
-		rv := &reviser{
-			d: d, validIx: validIx, selector: selector,
-			style: style, model: model, meter: meter, cfg: &cfg,
-		}
-		prompts, added, err := rv.revise(ctx, chain, rng, cfg.MaxRevisions)
+		prompts, added, err := l.revise(ctx, model, meter, rng, func(err error) error {
+			return charge("revision pass", "revision failed", err)
+		})
 		reviseSpan.SetInt("prompts", int64(prompts))
 		reviseSpan.SetInt("added", int64(added))
 		if err != nil {
-			err = fmt.Errorf("core: revision pass: %w", err)
 			reviseSpan.SetErr(err)
 			reviseSpan.End()
 			return nil, err
@@ -361,22 +269,12 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 	}
 
 	aggSpan := span.Child("aggregate")
-	res, err = ev.evaluate(chain.Accepted())
+	res, err = l.finish(fmt.Sprintf("datasculpt-%s", cfg.Variant), meter.Snapshot())
 	if err != nil {
 		aggSpan.SetErr(err)
 		aggSpan.End()
 		return nil, err
 	}
-	res.Dataset = d.Name
-	res.Method = fmt.Sprintf("datasculpt-%s", cfg.Variant)
-	res.ParseFailures = parseFailures
-	res.FailedIterations = failedIterations
-	res.Rejections = chain.Rejections()
-	usage := meter.Snapshot()
-	res.Calls = usage.Calls
-	res.PromptTokens = usage.PromptTokens
-	res.CompletionTokens = usage.CompletionTokens
-	res.CostUSD = usage.CostUSD
 	aggSpan.SetInt("num_lfs", int64(res.NumLFs))
 	aggSpan.End()
 	o.Logger.LogAttrs(ctx, slog.LevelInfo, "run complete",

@@ -8,9 +8,7 @@ import (
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
 	"datasculpt/internal/llm"
-	"datasculpt/internal/prompt"
 	"datasculpt/internal/sampler"
-	"datasculpt/internal/textproc"
 )
 
 // Proposer is the headless incremental form of the pipeline's query
@@ -24,11 +22,13 @@ import (
 //
 // That replay contract is why every per-iteration random choice is
 // derived, not threaded: Step i draws from an rng seeded by (Seed, i)
-// and prompts a model built by a per-iteration factory, so iteration
-// i's outcome never depends on how many earlier iterations ran live
-// versus replayed. Model-driven samplers (uncertain, qbc) feed on
+// and prompts a Simulated seeded by (Seed, i), so iteration i's outcome
+// never depends on how many earlier iterations ran live versus
+// replayed. Model-driven samplers (sampler.NeedsPosteriors) feed on
 // interim posteriors that only exist on live runs, so NewProposer
-// rejects them.
+// rejects them. The step itself is the pipeline's: Step drives the
+// same loop.ask as RunContext, with no spans and no abort on a failed
+// LLM call.
 
 // ProposalStep is the journaled outcome of one proposer iteration —
 // everything Replay needs to reproduce its effect without an LLM call.
@@ -61,11 +61,13 @@ type ProposalStep struct {
 
 // ProposerOptions tunes a Proposer beyond its pipeline Config.
 type ProposerOptions struct {
-	// Model builds iteration i's endpoint. Nil selects a fresh
-	// llm.Simulated per iteration, seeded from (cfg.Seed, i) — fresh
-	// per iteration because the Simulated's rng advances per call, and
-	// replayed iterations make no calls.
-	Model func(iter int) (llm.ChatModel, error)
+	// WrapModel, when non-nil, wraps iteration i's endpoint — a fresh
+	// llm.Simulated seeded from (cfg.Seed, i), fresh per iteration
+	// because the Simulated's rng advances per call and replayed
+	// iterations make no calls — before cfg.WrapModel does. It is the
+	// injection point for middleware whose own randomness must derive
+	// from the iteration, such as the growth loop's fault injection.
+	WrapModel func(iter int, m llm.ChatModel) llm.ChatModel
 	// Frozen is the parent LF set the proposer extends: seeded into the
 	// filter chain unfiltered (see lf.FilterChain.Seed) and counted
 	// apart from the newly proposed LFs.
@@ -79,20 +81,10 @@ type ProposerOptions struct {
 // Proposer runs the select→prompt→parse→filter loop one resumable step
 // at a time. Not safe for concurrent use.
 type Proposer struct {
-	d      *dataset.Dataset
-	cfg    Config
+	*loop
 	opts   ProposerOptions
-	chain  *lf.FilterChain
-	state  *sampler.State
-	smp    sampler.Sampler
-	sel    prompt.ExampleSelector
-	ev     *evaluator
-	style  prompt.Style
 	frozen int
-
-	calls, promptTokens, completionTokens int
-	costUSD                               float64
-	parseFailures, failedIterations      int
+	usage  llm.MeterSnapshot
 }
 
 // NewProposer builds a proposer over d with cfg's pipeline settings.
@@ -104,71 +96,21 @@ func NewProposer(d *dataset.Dataset, cfg Config, opts ProposerOptions) (*Propose
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	switch cfg.Sampler {
-	case "uncertain", "qbc":
+	if sampler.NeedsPosteriors(cfg.Sampler) {
 		return nil, fmt.Errorf("core: sampler %q needs interim posteriors and cannot replay deterministically", cfg.Sampler)
-	}
-	smp, ok := sampler.ByName(cfg.Sampler)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown sampler %q", cfg.Sampler)
 	}
 	if opts.QueryPoolStart < 0 || opts.QueryPoolStart > len(d.Train) {
 		return nil, fmt.Errorf("core: query pool start %d out of range (train size %d)", opts.QueryPoolStart, len(d.Train))
 	}
-
-	feat := textproc.NewFeaturizer(cfg.FeatureDim)
-	feat.Workers = cfg.Parallelism
-	if err := feat.Fit(dataset.FeatureCorpus(d.Train)); err != nil {
-		return nil, fmt.Errorf("core: fitting featurizer: %w", err)
-	}
-	trainIx := lf.NewIndex(d.Train)
-	validIx := lf.NewIndex(d.Valid)
-	chain := lf.NewFilterChainIndexed(d, cfg.Filters, trainIx, validIx)
-	chain.Seed(opts.Frozen)
-
-	var sel prompt.ExampleSelector
-	var err error
-	if cfg.usesKATE() {
-		sel, err = prompt.NewKATEWithOptions(d, feat, prompt.KATEOptions{
-			ANNThreshold:        cfg.ANNThreshold,
-			CandidateMultiplier: cfg.ANNMultiplier,
-			Seed:                cfg.Seed + 31,
-			Workers:             cfg.Parallelism,
-		})
-	} else {
-		sel, err = prompt.NewClassBalanced(d, cfg.Shots, cfg.Seed+7)
-	}
+	l, err := newLoop(d, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	state := &sampler.State{
-		Dataset:    d,
-		Used:       make([]bool, len(d.Train)),
-		TrainIndex: trainIx,
-		ValidIndex: validIx,
-		Workers:    cfg.Parallelism,
-	}
+	l.chain.Seed(opts.Frozen)
 	for i := 0; i < opts.QueryPoolStart; i++ {
-		state.Used[i] = true
+		l.state.Used[i] = true
 	}
-
-	p := &Proposer{
-		d: d, cfg: cfg, opts: opts, chain: chain, state: state,
-		smp: smp, sel: sel, frozen: len(chain.Accepted()),
-		ev: &evaluator{
-			d: d, feat: feat, trainIx: trainIx, validIx: validIx, cfg: cfg,
-			workers: cfg.Parallelism, em: newEvalMetrics(nil),
-		},
-		style: prompt.Base,
-	}
-	if cfg.usesCoT() {
-		p.style = prompt.CoT
-	}
-	if cfg.Sampler == "coreset" {
-		state.TrainVecs = p.ev.trainVectors()
-	}
-	return p, nil
+	return &Proposer{loop: l, opts: opts, frozen: len(l.chain.Accepted())}, nil
 }
 
 // iterRNG derives iteration i's rng: a fixed function of (Seed, i), so
@@ -178,25 +120,29 @@ func (p *Proposer) iterRNG(iter int) *rand.Rand {
 	return rand.New(rand.NewSource(p.cfg.Seed + 7919*int64(iter+1)))
 }
 
-// iterModel builds iteration i's endpoint and applies cfg.WrapModel.
+// iterModel builds iteration i's endpoint: the per-iteration Simulated,
+// wrapped by opts.WrapModel and then cfg.WrapModel.
 func (p *Proposer) iterModel(iter int) (llm.ChatModel, error) {
-	var m llm.ChatModel
-	if p.opts.Model != nil {
-		var err error
-		if m, err = p.opts.Model(iter); err != nil {
-			return nil, err
-		}
-	} else {
-		sim, err := llm.NewSimulated(p.cfg.Model, p.d, p.cfg.Seed+101+1000003*int64(iter))
-		if err != nil {
-			return nil, err
-		}
-		m = sim
+	sim, err := llm.NewSimulated(p.cfg.Model, p.d, p.cfg.Seed+101+1000003*int64(iter))
+	if err != nil {
+		return nil, err
+	}
+	var m llm.ChatModel = sim
+	if p.opts.WrapModel != nil {
+		m = p.opts.WrapModel(iter, m)
 	}
 	if p.cfg.WrapModel != nil {
 		m = p.cfg.WrapModel(m)
 	}
 	return m, nil
+}
+
+// add accumulates one step's LLM spend into the proposer's totals.
+func (p *Proposer) add(st *ProposalStep) {
+	p.usage.Calls += st.Calls
+	p.usage.PromptTokens += st.PromptTokens
+	p.usage.CompletionTokens += st.CompletionTokens
+	p.usage.CostUSD += st.CostUSD
 }
 
 // Step runs one live iteration: sample a query, prompt the model, parse
@@ -212,68 +158,35 @@ func (p *Proposer) Step(ctx context.Context, iter int) (*ProposalStep, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: proposer iteration %d: %w", iter, err)
 	}
-	rng := p.iterRNG(iter)
-	st := &ProposalStep{Iter: iter, QueryID: -1}
-
-	id := p.smp.Next(p.state, rng)
-	if id < 0 {
+	st := &ProposalStep{Iter: iter, QueryID: p.next(p.iterRNG(iter))}
+	if st.QueryID < 0 {
 		st.Exhausted = true
 		return st, nil
 	}
-	p.state.Used[id] = true
-	st.QueryID = id
-
 	model, err := p.iterModel(iter)
 	if err != nil {
 		return nil, fmt.Errorf("core: proposer iteration %d: %w", iter, err)
 	}
 	meter := llm.NewMeter(model)
-	query := p.d.Train[id]
-	demos := p.sel.Select(query, p.cfg.Shots)
-	msgs := prompt.Render(p.style, p.d, demos, query)
-
-	responses, err := model.Chat(ctx, msgs, p.cfg.Temperature, p.cfg.samplesPerQuery())
-	if err != nil {
+	a := p.ask(ctx, noSpan, noSpan, model, meter, p.d.Train[st.QueryID])
+	if a.err != nil {
 		if ctx.Err() != nil {
-			return nil, fmt.Errorf("core: proposer iteration %d: %w", iter, err)
+			return nil, fmt.Errorf("core: proposer iteration %d: %w", iter, a.err)
 		}
 		st.Failed = true
 		p.failedIterations++
 		return st, nil
 	}
-	meter.Record(responses)
 	snap := meter.Snapshot()
-	st.Calls = snap.Calls
-	st.PromptTokens = snap.PromptTokens
-	st.CompletionTokens = snap.CompletionTokens
-	st.CostUSD = snap.CostUSD
-	p.calls += snap.Calls
-	p.promptTokens += snap.PromptTokens
-	p.completionTokens += snap.CompletionTokens
-	p.costUSD += snap.CostUSD
-
-	var parsed *prompt.Parsed
-	if n := p.cfg.samplesPerQuery(); n == 1 {
-		parsed, err = prompt.ParseResponse(responses[0].Content)
-	} else {
-		contents := make([]string, len(responses))
-		for i, r := range responses {
-			contents[i] = r.Content
-		}
-		parsed, err = prompt.SelfConsistency(contents)
-	}
-	if err != nil {
+	st.Calls, st.PromptTokens = snap.Calls, snap.PromptTokens
+	st.CompletionTokens, st.CostUSD = snap.CompletionTokens, snap.CostUSD
+	p.add(st)
+	if a.parseErr != nil {
 		st.ParseFailed = true
 		p.parseFailures++
 		return st, nil
 	}
-	st.Keywords = parsed.Keywords
-	st.Label = parsed.Label
-	for _, kw := range parsed.Keywords {
-		if f, _ := p.chain.Offer(kw, parsed.Label); f != nil {
-			st.Kept++
-		}
-	}
+	st.Keywords, st.Label, st.Kept = a.parsed.Keywords, a.parsed.Label, a.kept
 	return st, nil
 }
 
@@ -290,10 +203,7 @@ func (p *Proposer) Replay(st *ProposalStep) error {
 		return fmt.Errorf("core: replaying iteration %d: query id %d out of range", st.Iter, st.QueryID)
 	}
 	p.state.Used[st.QueryID] = true
-	p.calls += st.Calls
-	p.promptTokens += st.PromptTokens
-	p.completionTokens += st.CompletionTokens
-	p.costUSD += st.CostUSD
+	p.add(st)
 	if st.Failed {
 		p.failedIterations++
 		return nil
@@ -302,13 +212,7 @@ func (p *Proposer) Replay(st *ProposalStep) error {
 		p.parseFailures++
 		return nil
 	}
-	kept := 0
-	for _, kw := range st.Keywords {
-		if f, _ := p.chain.Offer(kw, st.Label); f != nil {
-			kept++
-		}
-	}
-	if kept != st.Kept {
+	if kept := p.offer(st.Keywords, st.Label); kept != st.Kept {
 		return fmt.Errorf("core: replaying iteration %d: filter chain kept %d of %d keywords, journal says %d — state diverged",
 			st.Iter, kept, len(st.Keywords), st.Kept)
 	}
@@ -328,20 +232,7 @@ func (p *Proposer) NewCount() int { return len(p.chain.Accepted()) - p.frozen }
 // ready for bundle.New). Token accounting covers live and replayed
 // steps alike.
 func (p *Proposer) Evaluate() (*Result, error) {
-	res, err := p.ev.evaluate(p.chain.Accepted())
-	if err != nil {
-		return nil, err
-	}
-	res.Dataset = p.d.Name
-	res.Method = fmt.Sprintf("datasculpt-%s-grown", p.cfg.Variant)
-	res.ParseFailures = p.parseFailures
-	res.FailedIterations = p.failedIterations
-	res.Rejections = p.chain.Rejections()
-	res.Calls = p.calls
-	res.PromptTokens = p.promptTokens
-	res.CompletionTokens = p.completionTokens
-	res.CostUSD = p.costUSD
-	return res, nil
+	return p.finish(fmt.Sprintf("datasculpt-%s-grown", p.cfg.Variant), p.usage)
 }
 
 // Close releases the evaluator's vote matrix.

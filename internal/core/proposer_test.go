@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
+	"datasculpt/internal/llm"
 )
 
 func proposerDataset(t *testing.T) *dataset.Dataset {
@@ -209,5 +211,55 @@ func TestProposerExhaustion(t *testing.T) {
 	}
 	if err := p.Replay(exhausted); err != nil {
 		t.Fatalf("replaying exhausted sentinel: %v", err)
+	}
+}
+
+// tagModel marks an endpoint as having passed through a wrap hook.
+type tagModel struct {
+	llm.ChatModel
+	tag string
+}
+
+// TestProposerWrapModelHook: ProposerOptions.WrapModel sees each
+// iteration's own Simulated with its index, runs before cfg.WrapModel,
+// and a pass-through hook leaves every step unchanged — the growth
+// daemon's fault injection plugs in here without rebuilding the
+// endpoint itself.
+func TestProposerWrapModelHook(t *testing.T) {
+	d := proposerDataset(t)
+	cfg := proposerConfig()
+	plain, err := NewProposer(d, cfg, ProposerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	want := runSteps(t, plain, 0, 4)
+
+	var iters []int
+	cfg.WrapModel = func(m llm.ChatModel) llm.ChatModel {
+		if tm, ok := m.(tagModel); !ok || tm.tag != "iter" {
+			t.Errorf("cfg.WrapModel got %T, want the opts.WrapModel result", m)
+		}
+		return m
+	}
+	p, err := NewProposer(d, cfg, ProposerOptions{WrapModel: func(iter int, m llm.ChatModel) llm.ChatModel {
+		if _, ok := m.(*llm.Simulated); !ok {
+			t.Errorf("opts.WrapModel got %T, want the iteration's *llm.Simulated", m)
+		}
+		iters = append(iters, iter)
+		return tagModel{ChatModel: m, tag: "iter"}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	got := runSteps(t, p, 0, 4)
+	if fmt.Sprint(iters) != "[0 1 2 3]" {
+		t.Errorf("hook saw iterations %v, want [0 1 2 3]", iters)
+	}
+	for i := range want {
+		if fmt.Sprintf("%+v", *got[i]) != fmt.Sprintf("%+v", *want[i]) {
+			t.Errorf("step %d: %+v with a pass-through hook, %+v without", i, *got[i], *want[i])
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
 	"datasculpt/internal/llm"
-	"datasculpt/internal/prompt"
 	"datasculpt/internal/textproc"
 )
 
@@ -22,27 +21,17 @@ import (
 // keywords for the *correct* class — often a more specific phrase that
 // disambiguates the one that failed. Enable with Config.ReviseRejected.
 
-// reviser drives the revision pass.
-type reviser struct {
-	d        *dataset.Dataset
-	validIx  *lf.Index
-	selector prompt.ExampleSelector
-	style    prompt.Style
-	model    llm.ChatModel
-	meter    *llm.Meter
-	cfg      *Config
-}
-
 // counterexample finds a validation instance where the rejected candidate
 // misfires: the keyword is present but the gold label differs from the
 // candidate's class.
-func (r *reviser) counterexample(rej lf.Rejected) *dataset.Example {
+func (l *loop) counterexample(rej lf.Rejected) *dataset.Example {
 	phrase, n := textproc.NormalizePhrase(rej.Keyword)
 	if n == 0 {
 		return nil
 	}
-	split := r.validIx.Split()
-	for _, id := range r.validIx.Docs(phrase) {
+	validIx := l.state.ValidIndex
+	split := validIx.Split()
+	for _, id := range validIx.Docs(phrase) {
 		e := split[id]
 		if e.Label != dataset.NoLabel && e.Label != rej.Class {
 			return e
@@ -51,55 +40,38 @@ func (r *reviser) counterexample(rej lf.Rejected) *dataset.Example {
 	return nil
 }
 
-// revise runs up to maxRevisions counterexample prompts over the chain's
-// accuracy-filter rejections and offers the resulting keywords back. It
-// returns the number of revision prompts issued and of LFs the revisions
-// added.
-func (r *reviser) revise(ctx context.Context, chain *lf.FilterChain, rng *rand.Rand, maxRevisions int) (prompts, added int, err error) {
-	rejected := chain.Rejected()
+// revise runs up to cfg.MaxRevisions counterexample prompts over the
+// chain's accuracy-filter rejections and offers the resulting keywords
+// back. A failed revision prompt counts against MaxRevisions and is
+// handed to charge, the run's failure budget; a non-nil charge error
+// aborts the pass. It returns the number of revision prompts issued and
+// of LFs the revisions added.
+func (l *loop) revise(ctx context.Context, model llm.ChatModel, meter *llm.Meter, rng *rand.Rand, charge func(error) error) (prompts, added int, err error) {
+	rejected := l.chain.Rejected()
 	// shuffle so revision effort spreads over the rejection list rather
 	// than clustering on the earliest iterations
 	order := rng.Perm(len(rejected))
-	nSamples := r.cfg.samplesPerQuery()
 	for _, idx := range order {
-		if prompts >= maxRevisions {
+		if prompts >= l.cfg.MaxRevisions {
 			break
 		}
 		rej := rejected[idx]
 		if rej.Reason != lf.RejectInaccurate {
 			continue
 		}
-		counter := r.counterexample(rej)
+		counter := l.counterexample(rej)
 		if counter == nil {
 			continue
 		}
-		demos := r.selector.Select(counter, r.cfg.Shots)
-		msgs := prompt.Render(r.style, r.d, demos, counter)
-		responses, err := r.model.Chat(ctx, msgs, r.cfg.Temperature, nSamples)
-		if err != nil {
-			return prompts, added, err
-		}
-		r.meter.Record(responses)
 		prompts++
-
-		var parsed *prompt.Parsed
-		if nSamples == 1 {
-			parsed, err = prompt.ParseResponse(responses[0].Content)
-		} else {
-			contents := make([]string, len(responses))
-			for i, resp := range responses {
-				contents[i] = resp.Content
+		a := l.ask(ctx, noSpan, noSpan, model, meter, counter)
+		if a.err != nil {
+			if err := charge(a.err); err != nil {
+				return prompts, added, err
 			}
-			parsed, err = prompt.SelfConsistency(contents)
-		}
-		if err != nil {
 			continue
 		}
-		for _, kw := range parsed.Keywords {
-			if f, _ := chain.Offer(kw, parsed.Label); f != nil {
-				added++
-			}
-		}
+		added += a.kept
 	}
 	return prompts, added, nil
 }

@@ -247,12 +247,8 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *
 		QueryPoolStart: len(d.cfg.Base.Train),
 	}
 	if d.cfg.WrapModel != nil {
-		opts.Model = func(iter int) (llm.ChatModel, error) {
-			sim, err := llm.NewSimulated(pcfg.Model, gd, pcfg.Seed+101+1000003*int64(iter))
-			if err != nil {
-				return nil, err
-			}
-			return d.cfg.WrapModel(cycle, iter, sim), nil
+		opts.WrapModel = func(iter int, m llm.ChatModel) llm.ChatModel {
+			return d.cfg.WrapModel(cycle, iter, m)
 		}
 	}
 	prop, err := core.NewProposer(gd, pcfg, opts)

@@ -349,6 +349,13 @@ func (u *SEU) instanceScore(s *State, e *dataset.Example) float64 {
 	return score
 }
 
+// NeedsPosteriors reports whether the named sampler scores candidates
+// by the interim model's posteriors (State.TrainProba, LabelProba), so
+// the pipeline must refresh them as the LF set grows. Such a sampler's
+// choices depend on live interim fits, which a replayed journal cannot
+// reproduce.
+func NeedsPosteriors(name string) bool { return name == "uncertain" || name == "qbc" }
+
 // ByName resolves a sampler from its report name.
 func ByName(name string) (Sampler, bool) {
 	switch name {

@@ -37,6 +37,55 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestNeedsPosteriors pins the predicate to behaviour: a sampler it
+// clears picks the same ids whether or not interim posteriors exist,
+// and a sampler it flags steers toward the one instance the posteriors
+// single out.
+func TestNeedsPosteriors(t *testing.T) {
+	withPosteriors := func(s *State) {
+		s.TrainProba = make([][]float64, len(s.Dataset.Train))
+		s.LabelProba = make([][]float64, len(s.Dataset.Train))
+		for i := range s.TrainProba {
+			s.TrainProba[i] = []float64{0.95, 0.05}
+			s.LabelProba[i] = []float64{0.95, 0.05}
+		}
+		s.TrainProba[23] = []float64{0.5, 0.5}
+	}
+	picks := func(name string, posteriors bool) []int {
+		s := newState(t)
+		if posteriors {
+			withPosteriors(s)
+		}
+		smp, _ := ByName(name)
+		rng := rand.New(rand.NewSource(9))
+		var ids []int
+		for i := 0; i < 4; i++ {
+			id := smp.Next(s, rng)
+			s.Used[id] = true
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	for _, name := range []string{"random", "uncertain", "seu", "qbc"} {
+		with, without := picks(name, true), picks(name, false)
+		if !NeedsPosteriors(name) {
+			for i := range with {
+				if with[i] != without[i] {
+					t.Errorf("%s: picks %v with posteriors, %v without; NeedsPosteriors must flag it", name, with, without)
+					break
+				}
+			}
+			continue
+		}
+		if with[0] != 23 {
+			t.Errorf("%s: first pick %d with posteriors, want the singled-out 23", name, with[0])
+		}
+	}
+	if NeedsPosteriors("bogus") {
+		t.Error("NeedsPosteriors(bogus) = true")
+	}
+}
+
 func TestRandomSamplerRespectsUsed(t *testing.T) {
 	s := newState(t)
 	rng := rand.New(rand.NewSource(1))
