@@ -55,13 +55,16 @@ stress:
 		./internal/par/ ./internal/lf/ ./internal/labelmodel/ ./internal/textproc/ ./internal/core/ ./internal/sampler/
 
 # 30 seconds of coverage-guided fuzzing per target on the inputs that
-# cross a trust boundary: LLM completions, raw text, label request
-# bodies and the growth loop's on-disk step journal. `go test -fuzz`
-# accepts a single target per invocation, hence one run each.
+# cross a trust boundary: LLM completions, raw text and its feature
+# vectors, label request bodies, bundle files and the growth loop's
+# on-disk step journal. `go test -fuzz` accepts a single target per
+# invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzParseResponse$$' -fuzztime 30s ./internal/prompt/
 	$(GO) test -run XXX -fuzz '^FuzzSelfConsistency$$' -fuzztime 30s ./internal/prompt/
 	$(GO) test -run XXX -fuzz '^FuzzTokenize$$' -fuzztime 30s ./internal/textproc/
+	$(GO) test -run XXX -fuzz '^FuzzTransform$$' -fuzztime 30s ./internal/textproc/
+	$(GO) test -run XXX -fuzz '^FuzzBundleLoad$$' -fuzztime 30s ./internal/bundle/
 	$(GO) test -run XXX -fuzz '^FuzzGatewayLabel$$' -fuzztime 30s ./internal/registry/
 	$(GO) test -run XXX -fuzz '^FuzzProposerReplay$$' -fuzztime 30s ./internal/core/
 

@@ -248,9 +248,17 @@ func (b *Bundle) Validate() error {
 	if b.EndModel.K != k {
 		return fmt.Errorf("bundle: end model has %d classes, dataset %d", b.EndModel.K, k)
 	}
+	for _, f := range b.LFs {
+		if c := f.TargetClass(); c < 0 || c >= k {
+			return fmt.Errorf("bundle: LF %s votes class %d of %d", f.Name(), c, k)
+		}
+	}
 	if b.LabelModel != nil {
 		if n := b.LabelModel.NumLFs(); n != len(b.LFs) {
 			return fmt.Errorf("bundle: label model fitted on %d LFs, bundle carries %d", n, len(b.LFs))
+		}
+		if n := b.LabelModel.NumClasses(); n != k {
+			return fmt.Errorf("bundle: label model has %d classes, dataset %d", n, k)
 		}
 	}
 	return nil
@@ -283,7 +291,14 @@ func (b *Bundle) MarshalJSON() ([]byte, error) {
 // policy (format match, version 1..Version) and revalidating every
 // component. Unknown fields from older writers are ignored.
 func (b *Bundle) UnmarshalJSON(data []byte) error {
-	var in bundleJSON
+	// The end model is decoded last, once its stored dimension matches
+	// the featurizer's: that dimension sizes a dense K×Dim weight
+	// matrix, while the featurizer's is backed by one stored document
+	// frequency per bucket.
+	var in struct {
+		bundleJSON
+		EndModel json.RawMessage `json:"end_model"`
+	}
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("bundle: decoding: %w", err)
 	}
@@ -297,12 +312,28 @@ func (b *Bundle) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("bundle: %w", err)
 	}
+	var em *endmodel.LogisticRegression
+	if in.Featurizer != nil && len(in.EndModel) > 0 && string(in.EndModel) != "null" {
+		var shape struct {
+			Dim int `json:"dim"`
+		}
+		if err := json.Unmarshal(in.EndModel, &shape); err != nil {
+			return fmt.Errorf("bundle: decoding end model: %w", err)
+		}
+		if shape.Dim != in.Featurizer.Dim {
+			return fmt.Errorf("bundle: end model dimension %d != featurizer dimension %d", shape.Dim, in.Featurizer.Dim)
+		}
+		em = new(endmodel.LogisticRegression)
+		if err := json.Unmarshal(in.EndModel, em); err != nil {
+			return fmt.Errorf("bundle: %w", err)
+		}
+	}
 	b.Provenance = in.Provenance
 	b.Dataset = in.Dataset
 	b.LFs = lfs
 	b.LabelModel = in.LabelModel
 	b.Featurizer = in.Featurizer
-	b.EndModel = in.EndModel
+	b.EndModel = em
 	return b.Validate()
 }
 

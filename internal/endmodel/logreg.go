@@ -1,9 +1,10 @@
 // Package endmodel implements the downstream model of the PWS pipeline: a
-// multinomial logistic regression trained on probabilistic (soft) labels
-// produced by the label model, over sparse hashed TF-IDF features. This
-// matches the paper's configuration (logistic regression over frozen text
-// features, WRENCH-style), with TF-IDF standing in for BERT embeddings
-// (see DESIGN.md §2).
+// multinomial logistic regression over sparse hashed TF-IDF features,
+// trained by per-example SGD on targets derived from the label model (the
+// pipeline passes confidence-weighted hard argmax labels; see DESIGN.md
+// §7). This matches the paper's configuration (logistic regression over
+// frozen text features, WRENCH-style), with TF-IDF standing in for BERT
+// embeddings (see DESIGN.md §2).
 package endmodel
 
 import (
@@ -95,10 +96,11 @@ func (m *LogisticRegression) Validate() error {
 	return nil
 }
 
-// Train fits the model on sparse features X with soft targets Y (each row
-// a probability vector over k classes) using mini-batch SGD with
-// per-epoch learning-rate decay. An optional weights slice scales each
-// example's loss (nil means uniform).
+// Train fits the model on sparse features X with targets Y (each row a
+// probability vector over k classes; one-hot rows give hard labels) using
+// per-example SGD over a reshuffled order each epoch, with per-epoch
+// learning-rate decay. An optional weights slice scales each example's
+// loss (nil means uniform).
 func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim int, cfg TrainConfig) (*LogisticRegression, error) {
 	if len(X) == 0 {
 		return nil, fmt.Errorf("endmodel: empty training set")

@@ -33,6 +33,10 @@ type metalJSON struct {
 // Fit).
 func (m *MeTaL) NumLFs() int { return len(m.acc) }
 
+// NumClasses returns the class count the model was fitted for (0 before
+// Fit).
+func (m *MeTaL) NumClasses() int { return m.k }
+
 // MarshalJSON implements json.Marshaler. Only fitted models are
 // serializable.
 func (m *MeTaL) MarshalJSON() ([]byte, error) {

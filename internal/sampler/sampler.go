@@ -281,7 +281,9 @@ func (u *SEU) Next(s *State, rng *rand.Rand) int {
 // property tests compare against; Next never calls it.
 func (u *SEU) instanceScore(s *State, e *dataset.Example) float64 {
 	e.EnsureTokens()
-	keywords := textproc.CandidateKeywords(e.Tokens)
+	// Enumerate every candidate and truncate afterwards, so the engine's
+	// bounded enumeration is checked against an independent prefix.
+	keywords := textproc.CandidateKeywords(e.Tokens, 0)
 	maxK := u.MaxKeywords
 	if maxK <= 0 {
 		maxK = 25

@@ -161,10 +161,7 @@ func (e *seuEngine) scoreBatch(s *State, ids []int) {
 // softmax accumulation — replays the naive scorer exactly, so scores
 // are bit-identical to an uncached run.
 func (e *seuEngine) scoreInstance(ex *dataset.Example) (float64, map[string]kwUtil) {
-	keywords := textproc.CandidateKeywords(ex.Tokens)
-	if len(keywords) > e.maxK {
-		keywords = keywords[:e.maxK]
-	}
+	keywords := textproc.CandidateKeywords(ex.Tokens, e.maxK)
 	var local map[string]kwUtil
 	type cand struct {
 		acc, cov float64

@@ -3,11 +3,13 @@ package sampler
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
 	"datasculpt/internal/obs"
+	"datasculpt/internal/textproc"
 )
 
 // pickSequence drains n SEU selections from a fresh state, marking each
@@ -74,6 +76,9 @@ func equalInts(a, b []int) bool {
 // TestSEUEngineMatchesNaiveScorerProperty: on varied generated splits,
 // every memoized engine score must equal the naive from-scratch scorer
 // bit for bit, both on first computation and when served from cache.
+// The fixture holds documents with more distinct content unigrams than
+// MaxKeywords (where the engine's bounded enumeration stops early) and
+// short ones whose candidates run into bigrams and trigrams.
 func TestSEUEngineMatchesNaiveScorerProperty(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -83,11 +88,16 @@ func TestSEUEngineMatchesNaiveScorerProperty(t *testing.T) {
 		{"youtube", 3, 0.1},
 		{"youtube", 91, 0.15},
 		{"sms", 17, 0.05},
+		{"yelp", 5, 0.02},
 	}
+	var long, short int
 	for _, tc := range cases {
 		d, err := dataset.Load(tc.name, tc.seed, tc.scale)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.name == "youtube" {
+			d.Train = append(d.Train, crafted(d.Train)...)
 		}
 		s := &State{
 			Dataset:    d,
@@ -98,8 +108,10 @@ func TestSEUEngineMatchesNaiveScorerProperty(t *testing.T) {
 		}
 		seu := NewSEU()
 		var ids []int
-		for i := 0; i < len(d.Train); i += 7 {
-			ids = append(ids, i)
+		for i := 0; i < len(d.Train); i++ {
+			if i%7 == 0 || i >= len(d.Train)-len(craftedTexts)-1 {
+				ids = append(ids, i)
+			}
 		}
 		eng := seu.engine(s)
 		eng.scoreBatch(s, ids)
@@ -108,6 +120,12 @@ func TestSEUEngineMatchesNaiveScorerProperty(t *testing.T) {
 			if got := eng.scores[i]; got != want {
 				t.Fatalf("%s/%d: engine score %v != naive score %v for instance %d",
 					tc.name, tc.seed, got, want, i)
+			}
+			switch all := textproc.CandidateKeywords(d.Train[i].Tokens, 0); {
+			case len(all) > eng.maxK && !strings.Contains(all[eng.maxK], " "):
+				long++
+			case len(all) > 0 && len(all) <= eng.maxK && strings.Count(all[len(all)-1], " ") == 2:
+				short++
 			}
 		}
 		// A second batch over the same ids is pure cache and must not
@@ -120,6 +138,33 @@ func TestSEUEngineMatchesNaiveScorerProperty(t *testing.T) {
 			}
 		}
 	}
+	if long == 0 || short == 0 {
+		t.Fatalf("fixture covers %d documents with more than MaxKeywords content unigrams and %d short ones ending in trigrams", long, short)
+	}
+}
+
+// craftedTexts are short documents whose candidates end in trigrams.
+var craftedTexts = []string{
+	"cash of prize",
+	"song of the year by the band",
+	"check out my channel for free music",
+}
+
+// crafted appends the short documents plus one long document made of
+// every train text, so that one instance has far more distinct content
+// unigrams than MaxKeywords.
+func crafted(train []*dataset.Example) []*dataset.Example {
+	var all []string
+	for _, e := range train {
+		all = append(all, e.Text)
+	}
+	var out []*dataset.Example
+	for _, text := range append(craftedTexts, strings.Join(all, " ")) {
+		e := &dataset.Example{ID: len(train) + len(out), Text: text, Label: dataset.NoLabel, E1Pos: -1, E2Pos: -1}
+		e.EnsureTokens()
+		out = append(out, e)
+	}
+	return out
 }
 
 // TestSEUMemoizedNextAllocs is the regression gate on the cold path:

@@ -3,6 +3,7 @@ package textproc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"datasculpt/internal/par"
 )
@@ -152,15 +153,34 @@ func (f *Featurizer) Transform(tokens []string) *SparseVector {
 	if !f.Fitted() {
 		panic("featurizer: Transform before Fit")
 	}
-	acc := make(map[int32]float32, len(tokens))
-	for _, t := range tokens {
+	// One packed key per token, bucket<<1 | 1 for a negative sign.
+	// Sorting groups each bucket's occurrences into one run, in the
+	// ascending bucket order SparseVector stores. The bucket is an int32,
+	// so the shifted key cannot overflow an int64 at any Dim.
+	keys := make([]int64, len(tokens))
+	for i, t := range tokens {
 		b, sign := f.hashTerm(t)
-		acc[b] += sign
+		keys[i] = int64(b) << 1
+		if sign < 0 {
+			keys[i] |= 1
+		}
 	}
-	for b, tf := range acc {
+	slices.Sort(keys)
+	buckets := 0
+	for i, k := range keys {
+		if i == 0 || k>>1 != keys[i-1]>>1 {
+			buckets++
+		}
+	}
+	v := &SparseVector{Idx: make([]int32, 0, buckets), Val: make([]float32, 0, buckets)}
+	for i := 0; i < len(keys); {
+		b := int32(keys[i] >> 1)
+		tf := 0
+		for ; i < len(keys) && int32(keys[i]>>1) == b; i++ {
+			tf += 1 - 2*int(keys[i]&1)
+		}
 		if tf == 0 {
-			delete(acc, b) // signed collisions cancelled out
-			continue
+			continue // signed collisions cancelled out
 		}
 		// Sub-linear TF damping keeps long reviews (IMDB) comparable to
 		// short comments (Youtube).
@@ -168,9 +188,9 @@ func (f *Featurizer) Transform(tokens []string) *SparseVector {
 		if tf < 0 {
 			mag = -mag
 		}
-		acc[b] = mag * f.idf[b]
+		v.Idx = append(v.Idx, b)
+		v.Val = append(v.Val, mag*f.idf[b])
 	}
-	v := fromMap(acc)
 	v.Normalize()
 	return v
 }

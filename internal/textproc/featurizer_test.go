@@ -174,7 +174,7 @@ func TestCosineBoundsProperty(t *testing.T) {
 				delete(acc, k)
 			}
 		}
-		return fromMap(acc)
+		return referenceFromMap(acc)
 	}
 	prop := func(a, b []byte) bool {
 		va, vb := build(a, 0), build(b, 0)

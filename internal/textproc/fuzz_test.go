@@ -74,3 +74,40 @@ func FuzzTokenize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTransform drives the featurizer with arbitrary text at a narrow,
+// fuzzed width, where signed collisions are frequent. The vector must
+// never panic, must be structurally valid, and must equal the map-based
+// reference bit for bit.
+func FuzzTransform(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"free cash prize prize prize",
+		"CHECK OUT my channel!!! http://spam.example/x?y=1",
+		"the the the of of and",
+		"樹木 trees 🌲 mixed 123 456",
+		string([]byte{0xff, 0xfe, 'a', 'b'}),
+	} {
+		f.Add(seed, uint8(7))
+	}
+	corpus := [][]string{
+		Tokenize("check out my new channel"),
+		Tokenize("great song love it"),
+		Tokenize("free cash prize click here"),
+	}
+	f.Fuzz(func(t *testing.T, text string, width uint8) {
+		dim := 1 + int(width%16)
+		fz := NewFeaturizer(dim)
+		if err := fz.Fit(corpus); err != nil {
+			t.Fatal(err)
+		}
+		tokens := Tokenize(text)
+		v := fz.Transform(tokens)
+		if err := v.Validate(dim); err != nil {
+			t.Fatalf("dim %d: %v", dim, err)
+		}
+		if err := sameBits(v, referenceTransform(fz, tokens)); err != nil {
+			t.Fatalf("dim %d, tokens %q: %v", dim, tokens, err)
+		}
+	})
+}

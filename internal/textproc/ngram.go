@@ -39,11 +39,21 @@ const MaxKeywordLen = 3
 // CandidateKeywords returns the deduplicated n-grams (order 1..MaxKeywordLen)
 // of a token sequence that are plausible keyword-LF candidates: n-grams that
 // neither start nor end with a stop word and contain at least one content
-// token. Order of first appearance is preserved so callers can sample
-// deterministically.
-func CandidateKeywords(tokens []string) []string {
-	seen := make(map[string]struct{})
-	var out []string
+// token. Order of first appearance is preserved, all unigrams before all
+// bigrams before all trigrams, so callers can sample deterministically.
+//
+// A positive limit stops the enumeration once limit candidates have been
+// found. Because the order does not depend on the limit, the bounded
+// result is exactly the first limit entries of the unbounded one, and a
+// caller that keeps only a prefix never builds the n-gram strings past
+// it. A non-positive limit enumerates every candidate.
+func CandidateKeywords(tokens []string, limit int) []string {
+	if limit <= 0 {
+		limit = MaxKeywordLen * len(tokens) // above the n-gram count, never reached
+	}
+	capacity := min(limit, MaxKeywordLen*len(tokens))
+	seen := make(map[string]struct{}, capacity)
+	out := make([]string, 0, capacity)
 	for n := 1; n <= MaxKeywordLen; n++ {
 		for i := 0; i+n <= len(tokens); i++ {
 			gram := tokens[i : i+n]
@@ -66,6 +76,9 @@ func CandidateKeywords(tokens []string) []string {
 			}
 			seen[key] = struct{}{}
 			out = append(out, key)
+			if len(out) == limit {
+				return out
+			}
 		}
 	}
 	return out

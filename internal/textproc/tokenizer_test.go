@@ -145,7 +145,7 @@ func TestAllNGramsCountProperty(t *testing.T) {
 
 func TestCandidateKeywords(t *testing.T) {
 	toks := Tokenize("check out the new channel")
-	got := CandidateKeywords(toks)
+	got := CandidateKeywords(toks, 0)
 	set := make(map[string]bool)
 	for _, k := range got {
 		set[k] = true
@@ -169,7 +169,7 @@ func TestCandidateKeywordsContainedProperty(t *testing.T) {
 	// Every candidate keyword must actually occur in the source tokens.
 	f := func(raw []byte) bool {
 		toks := Tokenize(string(raw))
-		for _, k := range CandidateKeywords(toks) {
+		for _, k := range CandidateKeywords(toks, 0) {
 			if !ContainsPhrase(toks, k) {
 				return false
 			}

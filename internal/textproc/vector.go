@@ -3,7 +3,6 @@ package textproc
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // SparseVector is an L2-normalizable sparse feature vector stored as
@@ -66,22 +65,6 @@ func (v *SparseVector) Normalize() {
 	for i := range v.Val {
 		v.Val[i] *= inv
 	}
-}
-
-// fromMap builds an index-sorted SparseVector from an accumulation map.
-func fromMap(m map[int32]float32) *SparseVector {
-	v := &SparseVector{
-		Idx: make([]int32, 0, len(m)),
-		Val: make([]float32, 0, len(m)),
-	}
-	for idx := range m {
-		v.Idx = append(v.Idx, idx)
-	}
-	sort.Slice(v.Idx, func(i, j int) bool { return v.Idx[i] < v.Idx[j] })
-	for _, idx := range v.Idx {
-		v.Val = append(v.Val, m[idx])
-	}
-	return v
 }
 
 // Validate checks the structural invariants of the vector: equal-length
