@@ -1,6 +1,17 @@
 # DataSculpt-Go build/test entry points. `make ci` is the gate every
-# change must pass; `make bench-grid` compares the serial and parallel
-# experiment engines on the same grid.
+# change must pass; each of its checks has exactly one producer here.
+#
+# Performance: `bash bench/run.sh` is the only producer of the numbers a
+# change may claim (its workloads are declared in BENCHMARK.json). The
+# committed BENCH_*.json files are frozen history that ci never
+# regenerates:
+#   BENCH_pipeline.json  Engine* benchmarks (since deleted), last
+#                        produced at f47a694
+#   BENCH_serve.json     loadgen's in-process mode (since deleted), last
+#                        produced at bb44ac3
+#   BENCH_scale.json     `make bench-scale`, last produced at 36e8181;
+#                        TestScaleFloors holds it to the >=5x KATE ANN
+#                        speedup and recall@10 >= 0.9 floors
 
 GO ?= go
 
@@ -10,9 +21,9 @@ GO ?= go
 # lower it to make ci pass.
 COVERAGE_FLOOR = 83.0
 
-.PHONY: ci vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check metrics-lint bench bench-grid bench-json bench-smoke bench-seu-smoke bench-serve bench-serve-smoke bench-scale bench-scale-smoke clean
+.PHONY: ci vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check bench-test bench bench-grid bench-scale clean
 
-ci: vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check metrics-lint bench-smoke bench-seu-smoke bench-serve-smoke bench-scale-smoke
+ci: vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check bench-test
 
 vet:
 	$(GO) vet ./...
@@ -56,9 +67,9 @@ stress:
 
 # 30 seconds of coverage-guided fuzzing per target on the inputs that
 # cross a trust boundary: LLM completions, raw text and its feature
-# vectors, label request bodies, bundle files and the growth loop's
-# on-disk step journal. `go test -fuzz` accepts a single target per
-# invocation, hence one run each.
+# vectors, label request bodies, bundle files, the growth loop's
+# on-disk step journal and JSONL corpus splits. `go test -fuzz` accepts
+# a single target per invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzParseResponse$$' -fuzztime 30s ./internal/prompt/
 	$(GO) test -run XXX -fuzz '^FuzzSelfConsistency$$' -fuzztime 30s ./internal/prompt/
@@ -67,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzBundleLoad$$' -fuzztime 30s ./internal/bundle/
 	$(GO) test -run XXX -fuzz '^FuzzGatewayLabel$$' -fuzztime 30s ./internal/registry/
 	$(GO) test -run XXX -fuzz '^FuzzProposerReplay$$' -fuzztime 30s ./internal/core/
+	$(GO) test -run XXX -fuzz '^FuzzJSONLReader$$' -fuzztime 30s ./internal/dataset/
 
 # total-coverage regression gate: fail if statement coverage drops below
 # the recorded pre-PR baseline
@@ -77,80 +89,28 @@ cover-check:
 	awk -v t="$$total" -v f="$(COVERAGE_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "FAIL: coverage $$total% is below the floor $(COVERAGE_FLOOR)%"; exit 1; }
 
-# Prometheus text-format conformance: boot an in-process server with a
-# registry exercising every exporter shape (vectors, escapes, overflow
-# fold, histogram ladders), scrape its /metrics over HTTP, and fail on
-# any violation a real scraper would reject. `metricslint -addr host`
-# lints a live daemon the same way.
-metrics-lint:
-	$(GO) run ./cmd/metricslint
+# the benchmark harness's own module (bench/): vet plus its tests,
+# which run all five workloads at smoke scale with served-prediction
+# verification and prove a corrupted expectation fails the run
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # full benchmark suite at reduced scale (one pass per table/figure)
 bench:
 	$(GO) test -bench . -benchtime=1x -run XXX -v .
 
-# serial vs parallel wall-clock on the identical experiment grid
+# serial vs parallel wall-clock and allocations on the identical
+# experiment grid, in the Go benchmark text format benchstat consumes
 bench-grid:
-	$(GO) test -bench=Grid -benchtime=1x -run XXX .
-
-# Grid benchmarks with allocation stats, captured in the standard Go
-# benchmark text format benchstat consumes (`benchstat BENCH_grid.json`).
-# The pipeline engine benchmarks (full-run wall time + allocs for the
-# uncertain/seu samplers on full-scale Agnews, sequential vs parallel)
-# land in BENCH_pipeline.json; its committed copy also carries the
-# pre-PR baseline lines (suffix PrePR) so benchstat can diff eras.
-bench-json:
-	$(GO) test -bench=Grid -benchtime=1x -benchmem -run XXX . | tee BENCH_grid.json
-	$(GO) test -bench=Engine -benchtime=1x -benchmem -run XXX . | tee BENCH_pipeline.json
-
-# one short benchmark iteration as a smoke test: proves the harness and
-# the evaluation engine run end to end (wired into ci)
-bench-smoke:
-	$(GO) test -bench=EvalSmoke -benchtime=1x -run XXX .
-
-# the SEU counterpart at the same smoke scale: exercises the memoized
-# keyword-utility scoring engine end to end (wired into ci)
-bench-seu-smoke:
-	$(GO) test -bench=SEUSmoke -benchtime=1x -run XXX .
-
-# serving load benchmark: train a small bundle, drive mixed multi-tenant
-# single/batch traffic through an in-process loopback daemon (registry,
-# gateway, coalescer, real HTTP), write BENCH_serve.json, and prove the
-# report renders. The committed BENCH_serve.json comes from the full run.
-bench-serve:
-	$(GO) run ./cmd/datasculpt -dataset youtube -iterations 15 -scale 0.4 -save-bundle /tmp/datasculpt-serve-bench.json > /dev/null
-	$(GO) run ./cmd/loadgen -bundle /tmp/datasculpt-serve-bench.json -out BENCH_serve.json
-	$(GO) run ./cmd/loadgen -render BENCH_serve.json
-
-# the same harness at smoke scale (2s, 2 tenants, 4 workers), wired into
-# ci: proves loadgen, the daemon stack, the sampled trace pipeline
-# (head sampling + error/slow latches, gateway-issued request IDs in the
-# span attrs), and the report renderer end to end without committing the
-# throwaway numbers, and checks the committed BENCH_serve.json renders
-bench-serve-smoke:
-	$(GO) run ./cmd/datasculpt -dataset youtube -iterations 10 -scale 0.3 -save-bundle /tmp/datasculpt-serve-smoke.json > /dev/null
-	$(GO) run ./cmd/loadgen -bundle /tmp/datasculpt-serve-smoke.json -smoke \
-		-trace-out /tmp/datasculpt-serve-smoke-trace.jsonl -trace-sample 0.02 \
-		-out /tmp/datasculpt-serve-smoke-report.json
-	$(GO) run ./cmd/loadgen -render /tmp/datasculpt-serve-smoke-report.json
-	$(GO) run ./cmd/loadgen -render BENCH_serve.json
+	$(GO) test -bench=Grid -benchtime=1x -benchmem -run XXX .
 
 # out-of-core scale benchmarks: 100x Youtube (158,600 train documents)
 # through exact vs LSH KATE retrieval (per-query latency + recall@10),
 # materialized vs streamed JSONL ingestion (peak heap), and the resident
-# vs spilling vote matrix. The committed BENCH_scale.json comes from this
-# run; the render step also enforces the >=5x / recall>=0.9 floors.
+# vs spilling vote matrix. The only producer of out-of-core numbers;
+# writes BENCH_scale.json, whose floors TestScaleFloors enforces.
 bench-scale:
 	$(GO) test -bench=Scale -benchtime=1x -benchmem -run XXX . | tee BENCH_scale.json
-	$(GO) run ./cmd/benchtab -render-scale BENCH_scale.json
-
-# the scale smoke gate (wired into ci): asserts the ANN retrieval and
-# vote-spill paths actually execute, that a spill-enabled pipeline run
-# stays bit-identical to the resident run, and that the committed
-# BENCH_scale.json still renders and passes its floors
-bench-scale-smoke:
-	$(GO) test -run TestScaleSmoke -count=1 .
-	$(GO) run ./cmd/benchtab -render-scale BENCH_scale.json
 
 clean:
 	$(GO) clean ./...

@@ -12,10 +12,10 @@
 //     (peak heap MB plus spill counts).
 //
 // `make bench-scale` records all of it in BENCH_scale.json (standard Go
-// benchmark text, rendered by `benchtab -render-scale`); `make
-// bench-scale-smoke` runs TestScaleSmoke, which asserts the ANN and
-// spill paths actually execute and that spill mode stays bit-identical
-// end to end, on every ci run.
+// benchmark text). Two tests run on every `go test`: TestScaleSmoke
+// asserts the ANN and spill paths actually execute and that spill mode
+// stays bit-identical end to end, and TestScaleFloors holds the
+// committed BENCH_scale.json to the retrieval acceptance floors.
 package datasculpt_test
 
 import (
@@ -24,6 +24,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -415,10 +417,10 @@ func BenchmarkScaleVoteMatrixResident(b *testing.B) { voteMatrixBench(b, 0) }
 
 func BenchmarkScaleVoteMatrixSpill(b *testing.B) { voteMatrixBench(b, 1<<20) }
 
-// TestScaleSmoke is the `make bench-scale-smoke` ci gate: it proves the
-// ANN retrieval path and the vote-matrix spill path both actually
-// execute (counters move, evictions happen) and that a spill-enabled
-// end-to-end pipeline run is bit-identical to the fully resident run.
+// TestScaleSmoke proves the ANN retrieval path and the vote-matrix
+// spill path both actually execute (counters move, evictions happen)
+// and that a spill-enabled end-to-end pipeline run is bit-identical to
+// the fully resident run.
 func TestScaleSmoke(t *testing.T) {
 	d, err := datasculpt.LoadDataset("youtube", 11, 0.5)
 	if err != nil {
@@ -502,5 +504,62 @@ func TestScaleSmoke(t *testing.T) {
 		t.Fatalf("spill-enabled run diverged: resident #LF=%d cov=%v end=%v, spilled #LF=%d cov=%v end=%v",
 			resident.NumLFs, resident.LFCoverage, resident.EndMetric,
 			spilled.NumLFs, spilled.LFCoverage, spilled.EndMetric)
+	}
+}
+
+// scaleSpeedupFloor and scaleRecallFloor are the acceptance floors of the
+// ANN retrieval path at 100x scale.
+const (
+	scaleSpeedupFloor = 5.0
+	scaleRecallFloor  = 0.9
+)
+
+// TestScaleFloors reads the committed BENCH_scale.json (Go benchmark
+// text, as `make bench-scale` writes it) and fails if any scale metric
+// is missing, if the LSH shortlist is less than scaleSpeedupFloor times
+// faster per query than the exact scan, or if its recall@10 falls below
+// scaleRecallFloor.
+func TestScaleFloors(t *testing.T) {
+	data, err := os.ReadFile("BENCH_scale.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64) // "<benchmark> <unit>" -> value
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		name := f[0]
+		if i := strings.LastIndex(name, "-"); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i] // -GOMAXPROCS suffix
+			}
+		}
+		for i := 2; i+1 < len(f); i += 2 {
+			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+				got[name+" "+f[i+1]] = v
+			}
+		}
+	}
+	for _, key := range []string{
+		"BenchmarkScaleKATEExact ns/query",
+		"BenchmarkScaleKATEANN ns/query",
+		"BenchmarkScaleKATEANN recall@10",
+		"BenchmarkScaleIngestMaterialized peak-MB",
+		"BenchmarkScaleIngestStreamed peak-MB",
+		"BenchmarkScaleVoteMatrixResident peak-MB",
+		"BenchmarkScaleVoteMatrixSpill peak-MB",
+		"BenchmarkScaleVoteMatrixSpill spills",
+	} {
+		if _, ok := got[key]; !ok {
+			t.Fatalf("BENCH_scale.json has no %s", key)
+		}
+	}
+	if speedup := got["BenchmarkScaleKATEExact ns/query"] / got["BenchmarkScaleKATEANN ns/query"]; speedup < scaleSpeedupFloor {
+		t.Errorf("KATE ANN speedup %.2fx is below the %.0fx floor", speedup, scaleSpeedupFloor)
+	}
+	if recall := got["BenchmarkScaleKATEANN recall@10"]; recall < scaleRecallFloor {
+		t.Errorf("KATE ANN recall@10 %.3f is below the %.2f floor", recall, scaleRecallFloor)
 	}
 }

@@ -45,7 +45,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
 	compare := flag.Bool("compare", true, "print paper-vs-reproduction averages")
 	markdown := flag.String("markdown", "", "also write a markdown report (EXPERIMENTS.md format) to this path; implies -all")
-	renderScalePath := flag.String("render-scale", "", "render a BENCH_scale.json (make bench-scale output) and validate its retrieval floors, then exit")
 	logLevel := flag.String("log-level", "warn", "log verbosity: debug, info, warn, error")
 	traceOut := flag.String("trace-out", "", "stream one JSON span per line (cell > run > iteration > stage) to this file")
 	metricsOut := flag.String("metrics-out", "", "write final metrics here on exit (Prometheus text; JSON if the path ends in .json)")
@@ -71,15 +70,6 @@ func main() {
 		opts.Datasets = strings.Split(*datasets, ",")
 	}
 
-	if *renderScalePath != "" {
-		out, err := renderScale(*renderScalePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		fmt.Print(out)
-		return
-	}
 	if *markdown != "" {
 		*all = true
 	}

@@ -145,13 +145,15 @@ func main() {
 	flag.Float64Var(&cfg.growMaxRegression, "grow-max-regression", 0.02, "max offline-metric regression a growth candidate may show before rejection")
 	flag.Parse()
 
-	if err := run(cfg); err != nil {
+	if err := run(context.Background(), cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "datasculptd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg config) (err error) {
+// run serves cfg until SIGINT, SIGTERM or the end of ctx, then shuts
+// down gracefully.
+func run(ctx context.Context, cfg config) (err error) {
 	if cfg.bundlePath == "" && len(cfg.tenants) == 0 {
 		return errors.New("at least one of -bundle and -tenant is required")
 	}
@@ -259,7 +261,7 @@ func run(cfg config) (err error) {
 		"shard", cfg.replicaIndex,
 		"replicas", cfg.replicas,
 		"addr", ln.Addr().String())
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if growD != nil {
 		growCtx, growCancel := context.WithCancel(ctx)

@@ -3,10 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -276,43 +278,258 @@ func TestDaemonGrowthEndToEnd(t *testing.T) {
 	}
 }
 
+// tracedRun is what one traced daemon run left behind: the echoed
+// X-Request-Id of every request, in order, the trace sampler's counters
+// as /v1/stats reported them, the batch count /metrics reported, and the
+// spans the daemon flushed to -trace-out on shutdown.
+type tracedRun struct {
+	requestIDs []string
+	labelIDs   map[string]bool
+	sampler    obs.SamplerStats
+	batches    int
+	spans      []obs.SpanData
+}
+
+// runTraced runs the daemon through run() with -trace-out and the given
+// -trace-sample/-trace-slow, waits for it to serve, sends sequential
+// label requests, reads /metrics and then /v1/stats, and shuts it down.
+// The sampler counters cover every request sent before /v1/stats.
+func runTraced(t *testing.T, bundlePath string, sample float64, slow time.Duration) tracedRun {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+	cfg := config{
+		bundlePath: bundlePath, defaultTenant: "default", addr: addr,
+		logLevel: "warn", replicas: 1,
+		traceOut: tracePath, traceSample: sample, traceSlow: slow,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, cfg) }()
+
+	var tr tracedRun
+	base := "http://" + addr
+	call := func(method, path, body string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, resp.StatusCode, data)
+		}
+		tr.requestIDs = append(tr.requestIDs, resp.Header.Get("X-Request-Id"))
+		return data
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		if resp, err := http.Get(base + "/healthz"); err == nil {
+			resp.Body.Close()
+			tr.requestIDs = append(tr.requestIDs, resp.Header.Get("X-Request-Id"))
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("daemon exited before serving: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never started serving")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	tr.labelIDs = make(map[string]bool)
+	for _, body := range []string{
+		`{"text": "subscribe to my channel"}`,
+		`{"texts": ["great song", "check out my free cash"], "explain": true}`,
+		`{"text": "what a classic tune"}`,
+	} {
+		call(http.MethodPost, "/v1/label", body)
+		tr.labelIDs[tr.requestIDs[len(tr.requestIDs)-1]] = true
+	}
+	for _, line := range strings.Split(string(call(http.MethodGet, "/metrics", "")), "\n") {
+		if strings.HasPrefix(line, "serve_batches_total{") {
+			f := strings.Fields(line)
+			n, err := strconv.Atoi(f[len(f)-1])
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			tr.batches += n
+		}
+	}
+	if tr.batches == 0 {
+		t.Fatal("/metrics reports no serve batches after label requests")
+	}
+	var stats struct {
+		Sampler *obs.SamplerStats `json:"trace_sampler"`
+	}
+	if err := json.Unmarshal(call(http.MethodGet, "/v1/stats", ""), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Sampler == nil {
+		t.Fatal("/v1/stats has no trace_sampler section")
+	}
+	tr.sampler = *stats.Sampler
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("daemon exit: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("graceful shutdown timed out")
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" {
+			continue
+		}
+		var sd obs.SpanData
+		if err := json.Unmarshal([]byte(line), &sd); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		tr.spans = append(tr.spans, sd)
+	}
+	return tr
+}
+
+// gatewaySpans indexes the written gateway.request spans by request_id.
+func (tr tracedRun) gatewaySpans(t *testing.T) map[string]obs.SpanData {
+	t.Helper()
+	out := make(map[string]obs.SpanData)
+	for _, sd := range tr.spans {
+		if sd.Name != "gateway.request" {
+			continue
+		}
+		rid, _ := sd.Attrs["request_id"].(string)
+		if _, dup := out[rid]; dup || rid == "" {
+			t.Fatalf("gateway.request span with missing or repeated request_id %q", rid)
+		}
+		out[rid] = sd
+	}
+	return out
+}
+
+// TestDaemonTraceFlags runs the daemon with -trace-out under the three
+// sampling regimes of -trace-sample/-trace-slow and checks what the
+// trace file and the /v1/stats sampler counters say.
+func TestDaemonTraceFlags(t *testing.T) {
+	path := trainBundle(t)
+
+	t.Run("sample-all", func(t *testing.T) {
+		tr := runTraced(t, path, 1, 250*time.Millisecond)
+		gw := tr.gatewaySpans(t)
+		if len(gw) != len(tr.requestIDs) {
+			t.Fatalf("%d gateway.request spans for %d requests", len(gw), len(tr.requestIDs))
+		}
+		for _, rid := range tr.requestIDs {
+			if _, ok := gw[rid]; !ok {
+				t.Fatalf("no gateway.request span carries echoed X-Request-Id %q", rid)
+			}
+		}
+		for rid := range tr.labelIDs {
+			parent := gw[rid]
+			nested := false
+			for _, sd := range tr.spans {
+				if sd.Name == "serve.label" && sd.Parent == parent.Span && sd.Trace == parent.Trace {
+					nested = true
+				}
+			}
+			if !nested {
+				t.Errorf("label request %s has no serve.label span nested under its gateway.request", rid)
+			}
+		}
+		if want := uint64(len(tr.requestIDs) - 1 + tr.batches); tr.sampler.KeptTraces != want || tr.sampler.DroppedTraces != 0 {
+			t.Errorf("sampler %+v, want %d kept and none dropped", tr.sampler, want)
+		}
+	})
+
+	t.Run("sample-none", func(t *testing.T) {
+		tr := runTraced(t, path, 0, 0)
+		for _, sd := range tr.spans {
+			if status, _ := sd.Attrs["status"].(float64); sd.Name == "gateway.request" && status >= 200 && status < 300 {
+				t.Fatalf("2xx request written despite -trace-sample 0 -trace-slow 0: %+v", sd)
+			}
+		}
+		// Every root trace the daemon started before /v1/stats was
+		// dropped: one gateway.request per request and one serve.batch
+		// per coalesced batch.
+		requests := len(tr.requestIDs) - 1
+		if want := uint64(requests + tr.batches); tr.sampler.DroppedTraces != want || tr.sampler.KeptTraces != 0 {
+			t.Errorf("sampler %+v, want %d dropped (%d requests + %d batches) and none kept",
+				tr.sampler, want, requests, tr.batches)
+		}
+	})
+
+	t.Run("slow-latch", func(t *testing.T) {
+		tr := runTraced(t, path, 0, time.Nanosecond)
+		gw := tr.gatewaySpans(t)
+		for _, rid := range tr.requestIDs {
+			if _, ok := gw[rid]; !ok {
+				t.Fatalf("request %s not kept by the 1ns slow latch", rid)
+			}
+		}
+		if tr.sampler.DroppedTraces != 0 {
+			t.Errorf("slow latch dropped traces: %+v", tr.sampler)
+		}
+	})
+}
+
 func TestRunErrors(t *testing.T) {
 	base := config{addr: ":0", logLevel: "warn", replicas: 1}
-	if err := run(base); err == nil {
+	if err := run(context.Background(), base); err == nil {
 		t.Error("no bundle mapping accepted")
 	}
 	cfg := base
 	cfg.bundlePath = filepath.Join(t.TempDir(), "nope.json")
-	if err := run(cfg); err == nil {
+	if err := run(context.Background(), cfg); err == nil {
 		t.Error("nonexistent bundle accepted")
 	}
 	cfg = base
 	cfg.bundlePath = trainBundle(t)
 	cfg.logLevel = "not-a-level"
-	if err := run(cfg); err == nil {
+	if err := run(context.Background(), cfg); err == nil {
 		t.Error("bad log level accepted")
 	}
 	cfg = base
 	cfg.bundlePath = trainBundle(t)
 	cfg.replicas = 2
 	cfg.replicaIndex = 2
-	if err := run(cfg); err == nil {
+	if err := run(context.Background(), cfg); err == nil {
 		t.Error("out-of-range replica index accepted")
 	}
 	cfg = base
 	cfg.tenants = tenantFlags{"acme"} // no '='; flag.Var would reject, run sees it raw
-	if err := run(cfg); err == nil {
+	if err := run(context.Background(), cfg); err == nil {
 		t.Error("unparseable tenant mapping accepted")
 	}
 	cfg = base
 	cfg.bundlePath = trainBundle(t)
 	cfg.growInterval = time.Minute // no -grow-state-dir
-	if err := run(cfg); err == nil {
+	if err := run(context.Background(), cfg); err == nil {
 		t.Error("growth without a state dir accepted")
 	}
 	cfg.growStateDir = t.TempDir()
 	cfg.growTenant = "ghost" // no bundle mapping
-	if err := run(cfg); err == nil {
+	if err := run(context.Background(), cfg); err == nil {
 		t.Error("growth tenant without a bundle mapping accepted")
 	}
 }

@@ -1,18 +1,13 @@
-// Command loadgen drives mixed single/batch labeling traffic across
-// tenants of a datasculptd daemon and records latency percentiles and
-// throughput, giving serving performance the same committed-benchmark
-// trajectory (BENCH_serve.json) the pipeline has in BENCH_pipeline.json.
+// Command loadgen load-tests a running datasculptd daemon: it drives
+// mixed single/batch labeling traffic across tenant-0..tenant-N-1 (they
+// must be registered there) and reports client-side latency percentiles
+// and throughput, plus the daemon's own /metrics counters.
 //
-// Two targets:
+//	loadgen -addr http://localhost:8080 -tenants 4 -duration 10s -out report.json
+//	loadgen -render report.json
 //
-//	loadgen -addr http://localhost:8080 -tenants 4 -duration 10s
-//	loadgen -bundle model.json -tenants 4 -duration 10s -out BENCH_serve.json
-//
-// With -addr it load-tests a running daemon (tenant-0..tenant-N-1 must
-// be registered there). With -bundle it boots an in-process loopback
-// daemon first — registry, gateway, coalescer, real HTTP — which is
-// what `make bench-serve` uses, so the benchmark needs no process
-// orchestration. -render pretty-prints a previously written report.
+// -render pretty-prints a previously written report. The repo's
+// performance numbers come from `bash bench/run.sh`, not from loadgen.
 package main
 
 import (
@@ -23,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -31,27 +25,17 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"datasculpt/internal/obs"
-	"datasculpt/internal/registry"
-	"datasculpt/internal/serve"
 )
 
 type loadConfig struct {
 	addr        string
-	bundlePath  string
 	tenants     int
 	duration    time.Duration
 	concurrency int
 	batchFrac   float64
 	batchSize   int
 	explainFrac float64
-	maxBatch    int
-	queueDepth  int
 	seed        int64
-	traceOut    string
-	traceSample float64
-	traceSlow   time.Duration
 }
 
 // quantiles is the latency summary of one request class.
@@ -75,14 +59,8 @@ type serverSide struct {
 	RequestsByTenant map[string]float64 `json:"requests_by_tenant,omitempty"`
 }
 
-// traceStats summarizes the sampled JSONL trace of an in-process run.
-type traceStats struct {
-	Spans         int `json:"spans"`
-	GatewaySpans  int `json:"gateway_spans"`
-	WithRequestID int `json:"with_request_id"`
-}
-
-// report is the BENCH_serve.json schema.
+// report is the JSON report schema (also that of the committed
+// BENCH_serve.json).
 type report struct {
 	CreatedUnix int64          `json:"created_unix"`
 	Config      map[string]any `json:"config"`
@@ -96,30 +74,21 @@ type report struct {
 	Single      quantiles      `json:"single"`
 	Batch       quantiles      `json:"batch"`
 	Server      *serverSide    `json:"server,omitempty"`
-	Trace       *traceStats    `json:"trace,omitempty"`
 }
 
 func main() {
 	var cfg loadConfig
 	var out, render string
-	var smoke bool
-	flag.StringVar(&cfg.addr, "addr", "", "base URL of a running daemon (e.g. http://localhost:8080)")
-	flag.StringVar(&cfg.bundlePath, "bundle", "", "bundle file; boots an in-process loopback daemon instead of targeting -addr")
+	flag.StringVar(&cfg.addr, "addr", "", "base URL of a running daemon (e.g. http://localhost:8080; required)")
 	flag.IntVar(&cfg.tenants, "tenants", 4, "tenant count (tenant-0..tenant-N-1)")
 	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "how long to drive traffic")
 	flag.IntVar(&cfg.concurrency, "concurrency", 16, "concurrent client workers")
 	flag.Float64Var(&cfg.batchFrac, "batch-frac", 0.25, "fraction of requests that are batches")
 	flag.IntVar(&cfg.batchSize, "batch-size", 8, "texts per batch request")
 	flag.Float64Var(&cfg.explainFrac, "explain-frac", 0.1, "fraction of requests asking for explanations")
-	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "daemon max-batch (in-process mode)")
-	flag.IntVar(&cfg.queueDepth, "queue-depth", 0, "daemon queue depth (in-process mode; 0 = default)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "traffic rng seed")
-	flag.StringVar(&cfg.traceOut, "trace-out", "", "stream sampled JSONL spans here (in-process mode)")
-	flag.Float64Var(&cfg.traceSample, "trace-sample", 0.01, "head-sampling probability for -trace-out")
-	flag.DurationVar(&cfg.traceSlow, "trace-slow", 250*time.Millisecond, "always keep traces at least this slow (0 disables)")
 	flag.StringVar(&out, "out", "", "write the JSON report here (default stdout)")
 	flag.StringVar(&render, "render", "", "pretty-print an existing report file and exit")
-	flag.BoolVar(&smoke, "smoke", false, "smoke preset: 2s, 4 workers, 2 tenants")
 	flag.Parse()
 
 	if render != "" {
@@ -128,11 +97,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-	if smoke {
-		cfg.duration = 2 * time.Second
-		cfg.concurrency = 4
-		cfg.tenants = 2
 	}
 	rep, err := runLoad(cfg)
 	if err != nil {
@@ -156,23 +120,11 @@ func main() {
 }
 
 func runLoad(cfg loadConfig) (*report, error) {
-	if (cfg.addr == "") == (cfg.bundlePath == "") {
-		return nil, errors.New("provide exactly one of -addr and -bundle")
+	if cfg.addr == "" {
+		return nil, errors.New("-addr is required")
 	}
 	if cfg.tenants < 1 || cfg.concurrency < 1 || cfg.batchSize < 1 {
 		return nil, errors.New("-tenants, -concurrency and -batch-size must be >= 1")
-	}
-	base := cfg.addr
-	shutdown := func() {}
-	if cfg.bundlePath != "" {
-		var addr string
-		var err error
-		shutdown, addr, err = startLoopback(cfg)
-		if err != nil {
-			return nil, err
-		}
-		defer shutdown()
-		base = addr
 	}
 	tenants := make([]string, cfg.tenants)
 	for i := range tenants {
@@ -219,7 +171,7 @@ func runLoad(cfg loadConfig) (*report, error) {
 					return
 				}
 				t0 := time.Now()
-				resp, err := client.Post(base+"/v1/tenants/"+tenant+"/label", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(cfg.addr+"/v1/tenants/"+tenant+"/label", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					return
@@ -241,8 +193,7 @@ func runLoad(cfg loadConfig) (*report, error) {
 		return nil, firstErr
 	}
 	// Server-side truth: what the daemon's own counters say happened.
-	// Scraped while the daemon is still up, before the loopback shutdown.
-	server := scrapeServerMetrics(client, base)
+	server := scrapeServerMetrics(client, cfg.addr)
 
 	var all, single, batch []float64
 	texts, requests := 0, 0
@@ -274,8 +225,6 @@ func runLoad(cfg loadConfig) (*report, error) {
 			"concurrency": cfg.concurrency,
 			"batch_frac":  cfg.batchFrac,
 			"batch_size":  cfg.batchSize,
-			"max_batch":   cfg.maxBatch,
-			"in_process":  cfg.bundlePath != "",
 			"seed":        cfg.seed,
 		},
 		Requests:   requests,
@@ -291,70 +240,7 @@ func runLoad(cfg loadConfig) (*report, error) {
 		rep.Errors = errCounts
 	}
 	rep.Server = server
-	if cfg.bundlePath != "" && cfg.traceOut != "" {
-		// Close the loopback daemon now (idempotent; the defer re-runs as
-		// a no-op) so every sampled span is flushed before counting.
-		shutdown()
-		rep.Trace = readTraceStats(cfg.traceOut)
-	}
 	return rep, nil
-}
-
-// startLoopback boots a full in-process daemon — registry, gateway,
-// real HTTP on 127.0.0.1 — with the bundle registered under every
-// tenant (each tenant loads its own copy, as distinct customers would).
-// The daemon gets a real metrics registry (so the post-run /metrics
-// scrape sees server-side truth) and, with -trace-out, a sampled JSONL
-// tracer. shutdown is idempotent.
-func startLoopback(cfg loadConfig) (shutdown func(), base string, err error) {
-	tracer := obs.Tracer(obs.NopTracer())
-	var traceFile *os.File
-	if cfg.traceOut != "" {
-		traceFile, err = os.Create(cfg.traceOut)
-		if err != nil {
-			return nil, "", err
-		}
-		tracer = obs.NewSampledTracer(obs.NewJSONLTracer(traceFile), obs.SamplerOptions{
-			Rate:       cfg.traceSample,
-			KeepErrors: true,
-			SlowLatch:  cfg.traceSlow,
-		})
-	}
-	o := obs.New(tracer, obs.NewRegistry(), nil)
-	reg := registry.New(o, registry.Options{
-		// Every tenant resident: loadgen measures the serving hot path,
-		// not cold remaps. LRU churn is exercised by the registry tests.
-		MaxResident: cfg.tenants,
-		Serve: serve.Options{
-			MaxBatch:   cfg.maxBatch,
-			QueueDepth: cfg.queueDepth,
-		},
-	})
-	for i := 0; i < cfg.tenants; i++ {
-		if err := reg.Register(fmt.Sprintf("tenant-%d", i), cfg.bundlePath); err != nil {
-			reg.Close()
-			return nil, "", err
-		}
-	}
-	gw := registry.NewGateway(reg, o, registry.GatewayOptions{DefaultTenant: "tenant-0"})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		reg.Close()
-		return nil, "", err
-	}
-	httpSrv := &http.Server{Handler: gw.Handler()}
-	go httpSrv.Serve(ln) //nolint:errcheck — closed on shutdown
-	var once sync.Once
-	shutdown = func() {
-		once.Do(func() {
-			httpSrv.Close()
-			reg.Close() // drains coalescers; their batch spans end here
-			if traceFile != nil {
-				traceFile.Close()
-			}
-		})
-	}
-	return shutdown, "http://" + ln.Addr().String(), nil
 }
 
 // scrapeServerMetrics folds the daemon's /metrics into the report's
@@ -435,37 +321,6 @@ func parseMetricLine(line string) (name string, labels map[string]string, value 
 	return name, labels, v, true
 }
 
-// readTraceStats counts the sampled spans the run kept. Called after
-// shutdown, so every span (including batch spans ending on server
-// goroutines) has been flushed.
-func readTraceStats(path string) *traceStats {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	ts := &traceStats{}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var span struct {
-			Name  string         `json:"name"`
-			Attrs map[string]any `json:"attrs"`
-		}
-		if json.Unmarshal(line, &span) != nil {
-			continue
-		}
-		ts.Spans++
-		if span.Name == "gateway.request" {
-			ts.GatewaySpans++
-			if s, ok := span.Attrs["request_id"].(string); ok && s != "" {
-				ts.WithRequestID++
-			}
-		}
-	}
-	return ts
-}
-
 // requestBody builds one deterministic synthetic request: YouTube-
 // comment-flavored texts so keyword LFs and the featurizer vocabulary
 // both get realistic hit rates.
@@ -523,8 +378,7 @@ func summarize(ms []float64) quantiles {
 	}
 }
 
-// renderReport pretty-prints a report file — the human-readable check
-// `make bench-serve` runs after writing BENCH_serve.json.
+// renderReport pretty-prints a report file.
 func renderReport(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -553,7 +407,7 @@ func renderReport(w io.Writer, path string) error {
 	for code, n := range rep.Errors {
 		fmt.Fprintf(w, "  status %s: %d\n", code, n)
 	}
-	// Server/trace sections are absent in pre-observability reports.
+	// The server section is absent in pre-observability reports.
 	if s := rep.Server; s != nil {
 		fmt.Fprintf(w, "  server: batches=%.0f shed=%.0f dropped=%.0f errors=%.0f\n",
 			s.Batches, s.Shed, s.Dropped, s.Errors)
@@ -565,10 +419,6 @@ func renderReport(w io.Writer, path string) error {
 		for _, t := range tenants {
 			fmt.Fprintf(w, "    %-12s %.0f requests\n", t, s.RequestsByTenant[t])
 		}
-	}
-	if t := rep.Trace; t != nil {
-		fmt.Fprintf(w, "  trace: %d spans kept (%d gateway, %d with request id)\n",
-			t.Spans, t.GatewaySpans, t.WithRequestID)
 	}
 	return nil
 }

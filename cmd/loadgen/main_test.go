@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +16,9 @@ import (
 	"datasculpt/internal/bundle"
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
+	"datasculpt/internal/obs"
+	"datasculpt/internal/registry"
+	"datasculpt/internal/serve"
 )
 
 func trainBundle(t *testing.T) string {
@@ -41,19 +47,39 @@ func trainBundle(t *testing.T) string {
 	return path
 }
 
-// TestLoadgenEndToEnd drives a short in-process run — loopback daemon,
-// mixed single/batch traffic over two tenants — and checks the report
-// plus the render path `make bench-serve` depends on.
+// startDaemon serves a loopback daemon stack — registry, gateway,
+// coalescer, real HTTP, a live metrics registry — with the bundle
+// registered as tenant-0..tenant-N-1, and returns its base URL.
+func startDaemon(t *testing.T, bundlePath string, tenants int) string {
+	t.Helper()
+	o := obs.New(obs.NopTracer(), obs.NewRegistry(), nil)
+	reg := registry.New(o, registry.Options{
+		MaxResident: tenants,
+		Serve:       serve.Options{MaxBatch: 16},
+	})
+	t.Cleanup(reg.Close)
+	for i := 0; i < tenants; i++ {
+		if err := reg.Register(fmt.Sprintf("tenant-%d", i), bundlePath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(registry.NewGateway(reg, o, registry.GatewayOptions{DefaultTenant: "tenant-0"}).Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestLoadgenEndToEnd drives a short -addr run — mixed single/batch
+// traffic over two tenants of a loopback daemon — and checks the report,
+// the daemon-side counters it scrapes, and that the report renders.
 func TestLoadgenEndToEnd(t *testing.T) {
 	cfg := loadConfig{
-		bundlePath:  trainBundle(t),
+		addr:        startDaemon(t, trainBundle(t), 2),
 		tenants:     2,
 		duration:    500 * time.Millisecond,
 		concurrency: 4,
 		batchFrac:   0.5,
 		batchSize:   4,
 		explainFrac: 0.25,
-		maxBatch:    16,
 		seed:        1,
 	}
 	rep, err := runLoad(cfg)
@@ -81,9 +107,11 @@ func TestLoadgenEndToEnd(t *testing.T) {
 	if rep.RequestsPS <= 0 || rep.TextsPS < rep.RequestsPS {
 		t.Fatalf("throughput rps=%v tps=%v", rep.RequestsPS, rep.TextsPS)
 	}
+	if s := rep.Server; s == nil || s.Batches == 0 || len(s.RequestsByTenant) != 2 {
+		t.Fatalf("server-side counters not scraped: %+v", rep.Server)
+	}
 
-	// The report must render — that is the "BENCH_serve.json renders"
-	// gate in make bench-serve.
+	// The report must render.
 	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	data, err := json.MarshalIndent(rep, "", " ")
 	if err != nil {
@@ -92,6 +120,19 @@ func TestLoadgenEndToEnd(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	assertRenders(t, path)
+}
+
+// TestRenderCommittedReport keeps the committed BENCH_serve.json, the
+// frozen serving history, readable by the current renderer.
+func TestRenderCommittedReport(t *testing.T) {
+	assertRenders(t, "../../BENCH_serve.json")
+}
+
+// assertRenders renders the report at path and checks every latency
+// row made it out.
+func assertRenders(t *testing.T, path string) {
+	t.Helper()
 	var out bytes.Buffer
 	if err := renderReport(&out, path); err != nil {
 		t.Fatal(err)
@@ -104,18 +145,23 @@ func TestLoadgenEndToEnd(t *testing.T) {
 }
 
 func TestRunLoadConfigErrors(t *testing.T) {
-	if _, err := runLoad(loadConfig{}); err == nil {
-		t.Error("neither -addr nor -bundle accepted")
-	}
-	if _, err := runLoad(loadConfig{addr: "http://x", bundlePath: "y", tenants: 1, concurrency: 1, batchSize: 1}); err == nil {
-		t.Error("both -addr and -bundle accepted")
+	if _, err := runLoad(loadConfig{tenants: 1, concurrency: 1, batchSize: 1}); err == nil {
+		t.Error("missing -addr accepted")
 	}
 	if _, err := runLoad(loadConfig{addr: "http://x", tenants: 0, concurrency: 1, batchSize: 1}); err == nil {
 		t.Error("zero tenants accepted")
 	}
-	if _, err := runLoad(loadConfig{bundlePath: filepath.Join(t.TempDir(), "missing.json"),
-		tenants: 1, concurrency: 1, batchSize: 1, duration: time.Millisecond}); err == nil {
-		t.Error("missing bundle accepted")
+	// A daemon that is not listening fails the run instead of reporting
+	// an empty one.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+	if _, err := runLoad(loadConfig{addr: dead,
+		tenants: 1, concurrency: 1, batchSize: 1, duration: time.Second}); err == nil {
+		t.Error("unreachable daemon accepted")
 	}
 }
 

@@ -1,27 +1,23 @@
-// Command metricslint validates Prometheus text-exposition output with
-// the conformance checks a real scraper enforces (see obs.LintPrometheus).
+// Command metricslint scrapes a live daemon's /metrics and validates the
+// Prometheus text exposition with the conformance checks a real scraper
+// enforces (see obs.LintPrometheus):
 //
-//	metricslint                         # self-test the repo's own exporter
-//	metricslint -addr localhost:8080    # scrape a live daemon's /metrics
+//	metricslint -addr localhost:8080
+//	metricslint -addr https://host:8443/custom/metrics
 //
-// With -addr it scrapes the given host's /metrics (a full URL is also
-// accepted) and exits nonzero on any conformance problem — `make
-// metrics-lint` runs the self-test in CI so exposition-format drift
-// fails the build instead of silently mangling a dashboard.
-//
-// The self-test boots an in-process HTTP server whose registry exercises
-// every exporter shape: scalar counters/gauges/histograms, dimensional
-// vectors with escaped label values and a forced cardinality-overflow
-// fold, and the Go runtime gauges — then scrapes and lints it like an
-// external Prometheus would.
+// A bare host:port or a URL without a path is scraped at /metrics. It
+// exits 1 on any conformance problem and 2 when the scrape itself fails.
+// The repo's own exporter is held to the same checks by this package's
+// TestSelfTestPasses.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
 	"time"
@@ -30,7 +26,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "", "scrape this host's /metrics (default: in-process self-test)")
+	addr := flag.String("addr", "", "scrape this host's /metrics (host:port or URL; required)")
 	flag.Parse()
 	problems, err := run(*addr)
 	if err != nil {
@@ -46,36 +42,32 @@ func main() {
 	fmt.Println("metricslint: ok")
 }
 
-// run lints either a live endpoint (addr non-empty) or the package's own
-// exporter via an in-process server.
+// run scrapes addr's metrics endpoint and lints the exposition.
 func run(addr string) ([]string, error) {
-	if addr != "" {
-		return lintURL(metricsURL(addr))
+	if addr == "" {
+		return nil, errors.New("-addr is required")
 	}
-	reg := selfTestRegistry()
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		obs.SetRuntimeGauges(reg)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		reg.WritePrometheus(w) //nolint:errcheck — client went away
-	})}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	u, err := metricsURL(addr)
 	if err != nil {
 		return nil, err
 	}
-	go srv.Serve(ln) //nolint:errcheck — shut down below
-	defer srv.Close()
-	return lintURL("http://" + ln.Addr().String() + "/metrics")
+	return lintURL(u)
 }
 
-// metricsURL normalizes -addr: bare host:port gets scheme and path.
-func metricsURL(addr string) string {
+// metricsURL normalizes -addr: a bare host:port gets the http scheme,
+// and an empty or "/" path becomes /metrics.
+func metricsURL(addr string) (string, error) {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	if !strings.Contains(strings.TrimPrefix(addr, "http://"), "/") {
-		addr += "/metrics"
+	u, err := url.Parse(addr)
+	if err != nil {
+		return "", err
 	}
-	return addr
+	if u.Path == "" || u.Path == "/" {
+		u.Path = "/metrics"
+	}
+	return u.String(), nil
 }
 
 func lintURL(url string) ([]string, error) {
@@ -90,26 +82,4 @@ func lintURL(url string) ([]string, error) {
 		return nil, fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
 	}
 	return obs.LintPrometheus(resp.Body), nil
-}
-
-// selfTestRegistry builds a registry covering every shape the exporter
-// can render, including the ones most likely to regress: escaped label
-// values, the overflow fold, and labeled histogram ladders.
-func selfTestRegistry() *obs.Registry {
-	r := obs.NewRegistry()
-	r.Counter("lint_plain_total", "scalar counter").AddInt(3)
-	r.Gauge("lint_plain_gauge", "scalar gauge").Set(-2.5)
-	r.Histogram("lint_plain_seconds", "scalar histogram", []float64{0.1, 1}).Observe(0.5)
-
-	cv := r.CounterVec("lint_requests_total", "dimensional counter", "tenant", "code")
-	cv.With2("acme", "ok").AddInt(9)
-	cv.With2("tricky\"quote\\slash\nnewline", "shed").Inc()
-	cv.SetMaxSeries(2)
-	cv.With2("flood-1", "ok").Inc() // forces the overflow fold
-	r.GaugeVec("lint_inflight", "dimensional gauge", "tenant").With1("acme").Set(2)
-	hv := r.HistogramVec("lint_request_seconds", "dimensional histogram",
-		obs.DurationBuckets, "tenant")
-	hv.With1("acme").Observe(0.02)
-	hv.With1("other").Observe(3)
-	return r
 }

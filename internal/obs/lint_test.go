@@ -23,8 +23,9 @@ func wantProblem(t *testing.T, input string, needles ...string) {
 	}
 }
 
-// TestLintAcceptsRegistryOutput is the self-consistency gate behind
-// `make metrics-lint`: everything this package's own exporter renders —
+// TestLintAcceptsRegistryOutput is the in-package self-consistency gate
+// (cmd/metricslint's TestSelfTestPasses repeats it over HTTP):
+// everything this package's own exporter renders —
 // scalars, vectors, escaped labels, histogram ladders, runtime gauges —
 // must pass its own linter.
 func TestLintAcceptsRegistryOutput(t *testing.T) {
