@@ -16,10 +16,11 @@
 GO ?= go
 
 # Total statement coverage (as printed by `go tool cover -func`) must not
-# drop below this floor, re-measured after the growth-loop PR landed
-# (83.3% at the time). Raise it when coverage genuinely improves; never
-# lower it to make ci pass.
-COVERAGE_FLOOR = 83.0
+# drop below this floor, set one point under the total measured after
+# the per-pattern EM and feature-major end-model kernels landed (85.5%
+# at the time). Raise it when coverage genuinely improves; never lower
+# it to make ci pass.
+COVERAGE_FLOOR = 84.5
 
 .PHONY: ci vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check bench-test bench bench-grid bench-scale clean
 
@@ -68,8 +69,10 @@ stress:
 # 30 seconds of coverage-guided fuzzing per target on the inputs that
 # cross a trust boundary: LLM completions, raw text and its feature
 # vectors, label request bodies, bundle files, the growth loop's
-# on-disk step journal and JSONL corpus splits. `go test -fuzz` accepts
-# a single target per invocation, hence one run each.
+# on-disk step journal and JSONL corpus splits; plus arbitrary vote
+# matrices through MeTaL's per-pattern EM, which must match the
+# row-by-row reference bit for bit. `go test -fuzz` accepts a single
+# target per invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzParseResponse$$' -fuzztime 30s ./internal/prompt/
 	$(GO) test -run XXX -fuzz '^FuzzSelfConsistency$$' -fuzztime 30s ./internal/prompt/
@@ -79,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzGatewayLabel$$' -fuzztime 30s ./internal/registry/
 	$(GO) test -run XXX -fuzz '^FuzzProposerReplay$$' -fuzztime 30s ./internal/core/
 	$(GO) test -run XXX -fuzz '^FuzzJSONLReader$$' -fuzztime 30s ./internal/dataset/
+	$(GO) test -run XXX -fuzz '^FuzzMeTaLPatterns$$' -fuzztime 30s ./internal/labelmodel/
 
 # total-coverage regression gate: fail if statement coverage drops below
 # the recorded pre-PR baseline

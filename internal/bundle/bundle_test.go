@@ -266,20 +266,16 @@ func TestBundleValidateShapeMismatch(t *testing.T) {
 	bad := *b
 	m := *b.EndModel
 	m.Dim = b.Featurizer.Dim + 1
-	wrongW := make([][]float64, m.K)
-	for c := range wrongW {
-		wrongW[c] = make([]float64, m.Dim)
-	}
-	m.W = wrongW
+	m.W = make([]float64, m.K*m.Dim)
 	bad.EndModel = &m
 	if err := bad.Validate(); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 
 	bad2 := *b
-	m2 := endmodel.LogisticRegression{Dim: b.Featurizer.Dim, K: 2, W: [][]float64{{}, {}}, B: []float64{0, 0}}
+	m2 := endmodel.LogisticRegression{Dim: b.Featurizer.Dim, K: 2, W: make([]float64, 2*b.Featurizer.Dim-1), B: []float64{0, 0}}
 	bad2.EndModel = &m2
 	if err := bad2.Validate(); err == nil {
-		t.Error("ragged weight matrix accepted")
+		t.Error("short weight matrix accepted")
 	}
 }

@@ -46,7 +46,19 @@ func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry) (*loop, error) {
 	}
 	feat := textproc.NewFeaturizer(cfg.FeatureDim)
 	feat.Workers = cfg.Parallelism
-	if err := feat.Fit(dataset.FeatureCorpus(d.Train)); err != nil {
+	// Samplers that read train vectors or interim posteriors before the
+	// aggregate need every train vector early, so the fit hashes the split
+	// once and keeps the vectors. Every other run transforms the split
+	// only when the aggregate needs it, so the vectors are not held
+	// through the query loop.
+	var trainVecs []*textproc.SparseVector
+	var err error
+	if corpus := dataset.FeatureCorpus(d.Train); sampler.NeedsPosteriors(cfg.Sampler) || cfg.Sampler == "coreset" {
+		trainVecs, err = feat.FitTransform(corpus)
+	} else {
+		err = feat.Fit(corpus)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: fitting featurizer: %w", err)
 	}
 	trainIx := lf.NewIndex(d.Train)
@@ -65,9 +77,9 @@ func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry) (*loop, error) {
 		ev: &evaluator{
 			d: d, feat: feat, trainIx: trainIx, validIx: validIx, cfg: cfg,
 			workers: cfg.Parallelism, em: newEvalMetrics(reg), metrics: reg,
+			trainVecs: trainVecs,
 		},
 	}
-	var err error
 	if cfg.usesKATE() {
 		l.sel, err = prompt.NewKATEWithOptions(d, feat, prompt.KATEOptions{
 			ANNThreshold:        cfg.ANNThreshold,
@@ -86,7 +98,7 @@ func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry) (*loop, error) {
 		l.style = prompt.CoT
 	}
 	if cfg.Sampler == "coreset" {
-		l.state.TrainVecs = l.ev.trainVectors()
+		l.state.TrainVecs = trainVecs
 	}
 	return l, nil
 }

@@ -233,8 +233,7 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 		if needsInterim && (it+1)%cfg.UncertainRefreshEvery == 0 {
 			interimSpan := itSpan.Child("interim")
 			if endProba, lmProba, err := l.ev.interimTrainProba(l.chain.Accepted(), rng); err == nil {
-				l.state.TrainProba = endProba
-				l.state.LabelProba = lmProba
+				l.state.SetPosteriors(endProba, lmProba)
 			} else {
 				interimSpan.SetErr(err)
 				l.ev.em.interimFailures.Inc()
@@ -334,7 +333,7 @@ type evaluator struct {
 	// spilling vote matrix streams eval_votematrix_spill_* into it.
 	metrics *obs.Registry
 
-	trainVecs []*textproc.SparseVector // lazily built
+	trainVecs []*textproc.SparseVector // from newLoop when it ran FitTransform, else built lazily
 
 	// Incremental train vote matrix and the LF names it was built from.
 	vm *lf.VoteMatrix

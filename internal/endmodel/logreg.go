@@ -5,6 +5,14 @@
 // §7). This matches the paper's configuration (logistic regression over
 // frozen text features, WRENCH-style), with TF-IDF standing in for BERT
 // embeddings (see DESIGN.md §2).
+//
+// Weights are stored feature-major: the K class weights of feature f sit
+// next to each other at W[f*K : f*K+K]. A sparse example touches only
+// its non-zero features, so one pass over its indices reads (logits) or
+// updates (SGD step and L2 shrink) every class of each feature from one
+// contiguous run. Each class still sums and updates in the order the
+// class-major layout used, so the arithmetic is unchanged. Saved models
+// keep the class-major sparse JSON layout (see serialize.go).
 package endmodel
 
 import (
@@ -54,8 +62,9 @@ func (c TrainConfig) withDefaults() TrainConfig {
 type LogisticRegression struct {
 	// Dim is the feature dimensionality, K the class count.
 	Dim, K int
-	// W is the K×Dim weight matrix, B the per-class bias.
-	W [][]float64
+	// W holds the Dim×K weights feature-major: the weight of feature f
+	// for class c is W[f*K+c]. B is the per-class bias.
+	W []float64
 	B []float64
 
 	// workers bounds the goroutines batch prediction fans out over
@@ -75,17 +84,15 @@ func (m *LogisticRegression) Validate() error {
 	if m.Dim <= 0 || m.K < 2 {
 		return fmt.Errorf("endmodel: invalid shape %dx%d", m.K, m.Dim)
 	}
-	if len(m.W) != m.K || len(m.B) != m.K {
-		return fmt.Errorf("endmodel: %d weight rows and %d biases for %d classes", len(m.W), len(m.B), m.K)
+	if len(m.B) != m.K {
+		return fmt.Errorf("endmodel: %d biases for %d classes", len(m.B), m.K)
 	}
-	for c, wc := range m.W {
-		if len(wc) != m.Dim {
-			return fmt.Errorf("endmodel: class %d has %d weights for dimension %d", c, len(wc), m.Dim)
-		}
-		for _, w := range wc {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return fmt.Errorf("endmodel: class %d has a non-finite weight", c)
-			}
+	if len(m.W)%m.K != 0 || len(m.W)/m.K != m.Dim {
+		return fmt.Errorf("endmodel: %d weights for %d classes of dimension %d", len(m.W), m.K, m.Dim)
+	}
+	for i, w := range m.W {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("endmodel: class %d has a non-finite weight", i%m.K)
 		}
 	}
 	for c, b := range m.B {
@@ -100,7 +107,8 @@ func (m *LogisticRegression) Validate() error {
 // probability vector over k classes; one-hot rows give hard labels) using
 // per-example SGD over a reshuffled order each epoch, with per-epoch
 // learning-rate decay. An optional weights slice scales each example's
-// loss (nil means uniform).
+// loss (nil means uniform). Every X[i] must be a valid vector of width
+// dim (indices strictly increasing in [0,dim), finite values).
 func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim int, cfg TrainConfig) (*LogisticRegression, error) {
 	if len(X) == 0 {
 		return nil, fmt.Errorf("endmodel: empty training set")
@@ -114,9 +122,23 @@ func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim 
 	if k < 2 {
 		return nil, fmt.Errorf("endmodel: need >=2 classes, got %d", k)
 	}
+	if dim <= 0 {
+		return nil, fmt.Errorf("endmodel: invalid dimension %d", dim)
+	}
 	for i, y := range Y {
 		if len(y) != k {
 			return nil, fmt.Errorf("endmodel: target %d has %d classes, want %d", i, len(y), k)
+		}
+	}
+	// The update pass below indexes W by x.Idx unchecked and touches each
+	// listed feature once: an out-of-range index would panic and a
+	// repeated one would be shrunk twice.
+	for i, x := range X {
+		if x == nil {
+			return nil, fmt.Errorf("endmodel: example %d has no feature vector", i)
+		}
+		if err := x.Validate(dim); err != nil {
+			return nil, fmt.Errorf("endmodel: example %d: %w", i, err)
 		}
 	}
 	cfg = cfg.withDefaults()
@@ -124,21 +146,20 @@ func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim 
 	m := &LogisticRegression{
 		Dim: dim,
 		K:   k,
-		W:   make([][]float64, k),
+		W:   make([]float64, dim*k),
 		B:   make([]float64, k),
-	}
-	for c := range m.W {
-		m.W[c] = make([]float64, dim)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(len(X))
 	probs := make([]float64, k)
+	grad := make([]float64, k)
 	lr := cfg.LearningRate
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// reshuffle each epoch
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		shrink := 1 - lr*cfg.L2
 		for _, idx := range order {
 			x := X[idx]
 			m.logits(x, probs)
@@ -147,24 +168,34 @@ func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim 
 			if weights != nil {
 				w *= weights[idx]
 			}
-			for c := 0; c < k; c++ {
-				g := (probs[c] - Y[idx][c]) * w
-				if g == 0 {
-					continue
-				}
-				m.B[c] -= g
-				wc := m.W[c]
-				for t, fi := range x.Idx {
-					wc[fi] -= g * float64(x.Val[t])
+			for c, y := range Y[idx] {
+				g := (probs[c] - y) * w
+				grad[c] = g
+				if g != 0 {
+					m.B[c] -= g
 				}
 			}
-			// lazy L2 on touched coordinates
-			if cfg.L2 > 0 {
-				shrink := 1 - lr*cfg.L2
-				for c := 0; c < k; c++ {
-					wc := m.W[c]
-					for _, fi := range x.Idx {
-						wc[fi] *= shrink
+			// One pass per touched feature: the gradient step, then the
+			// lazy L2 shrink, for every class. Per weight that is the
+			// class-major sequence old, -= g·v (skipped when g == 0),
+			// *= shrink.
+			vals := x.Val[:len(x.Idx)]
+			for t, fi := range x.Idx {
+				v := float64(vals[t])
+				row := m.W[int(fi)*k : int(fi)*k+k]
+				row = row[:len(grad)]
+				if cfg.L2 > 0 {
+					for c, g := range grad {
+						if g != 0 {
+							row[c] -= g * v
+						}
+						row[c] *= shrink
+					}
+				} else {
+					for c, g := range grad {
+						if g != 0 {
+							row[c] -= g * v
+						}
 					}
 				}
 			}
@@ -174,15 +205,21 @@ func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim 
 	return m, nil
 }
 
-// logits writes raw class scores for x into out (length K).
+// logits writes raw class scores for x into out (length K) in one pass
+// over x's features; each class sums bias first, then features in
+// ascending index order.
 func (m *LogisticRegression) logits(x *textproc.SparseVector, out []float64) {
-	for c := 0; c < m.K; c++ {
-		s := m.B[c]
-		wc := m.W[c]
-		for t, fi := range x.Idx {
-			s += wc[fi] * float64(x.Val[t])
+	k := m.K
+	out = out[:k]
+	copy(out, m.B)
+	vals := x.Val[:len(x.Idx)]
+	for t, fi := range x.Idx {
+		v := float64(vals[t])
+		row := m.W[int(fi)*k : int(fi)*k+k]
+		row = row[:len(out)]
+		for c, w := range row {
+			out[c] += w * v
 		}
-		out[c] = s
 	}
 }
 

@@ -165,11 +165,9 @@ func TestTrainDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := range m1.W {
-		for f := range m1.W[c] {
-			if m1.W[c][f] != m2.W[c][f] {
-				t.Fatal("training is nondeterministic for equal seeds")
-			}
+	for i := range m1.W {
+		if m1.W[i] != m2.W[i] {
+			t.Fatal("training is nondeterministic for equal seeds")
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 // modelJSON is the stored form of a trained model. Weights are kept
 // sparse (index/value pairs per class): hashed TF-IDF leaves most of the
 // weight matrix at exactly zero, so sparse storage keeps saved models
-// small without any precision loss.
+// small without any precision loss. The stored layout is class-major
+// whatever the in-memory layout, so saved bytes (and bundle
+// fingerprints) do not depend on it.
 type modelJSON struct {
 	Dim     int         `json:"dim"`
 	K       int         `json:"k"`
@@ -28,7 +30,8 @@ func (m *LogisticRegression) MarshalJSON() ([]byte, error) {
 		Values:  make([][]float64, m.K),
 	}
 	for c := 0; c < m.K; c++ {
-		for f, w := range m.W[c] {
+		for f := 0; f < m.Dim; f++ {
+			w := m.W[f*m.K+c]
 			if w == 0 {
 				continue
 			}
@@ -53,13 +56,12 @@ func (m *LogisticRegression) UnmarshalJSON(data []byte) error {
 	}
 	m.Dim, m.K = in.Dim, in.K
 	m.B = in.Bias
-	m.W = make([][]float64, in.K)
+	m.W = make([]float64, in.Dim*in.K)
 	for c := 0; c < in.K; c++ {
 		if len(in.Indices[c]) != len(in.Values[c]) {
 			return fmt.Errorf("endmodel: class %d has %d indices for %d values",
 				c, len(in.Indices[c]), len(in.Values[c]))
 		}
-		m.W[c] = make([]float64, in.Dim)
 		for t, f := range in.Indices[c] {
 			if f < 0 || f >= in.Dim {
 				return fmt.Errorf("endmodel: class %d feature index %d out of range", c, f)
@@ -68,7 +70,7 @@ func (m *LogisticRegression) UnmarshalJSON(data []byte) error {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("endmodel: class %d has a non-finite weight", c)
 			}
-			m.W[c][f] = v
+			m.W[f*in.K+c] = v
 		}
 	}
 	return nil

@@ -46,10 +46,8 @@ func TestGrowthRollbackUnderLoad(t *testing.T) {
 		// (which saw the honest metric) passes but post-promote
 		// verification against the parent must fail.
 		mutateCandidate: func(b *bundle.Bundle) {
-			for _, row := range b.EndModel.W {
-				for j := range row {
-					row[j] = -row[j]
-				}
+			for j := range b.EndModel.W {
+				b.EndModel.W[j] = -b.EndModel.W[j]
 			}
 			for j := range b.EndModel.B {
 				b.EndModel.B[j] = -b.EndModel.B[j]

@@ -29,14 +29,15 @@ import (
 //
 // The EM loop is engineered for the pipeline's per-iteration refit:
 // vote columns are consumed through the matrix's sparse active lists
-// (O(nnz), not O(n·m)), the E-step shards examples across Workers
-// goroutines, and WarmStart seeds the next fit from the previous one so
-// EM resumes near its fixpoint instead of from scratch. Determinism is
-// preserved at every worker count: each example's posterior arithmetic
-// is self-contained (identical regardless of which goroutine runs it),
-// and the floating-point reductions — log-likelihood and class mass —
-// are summed sequentially in ascending example order after the parallel
-// section.
+// (O(nnz), not O(n·m)), the E-step scores each distinct vote pattern
+// once (sharded across Workers goroutines) instead of each example, and
+// WarmStart seeds the next fit from the previous one so EM resumes near
+// its fixpoint instead of from scratch. Determinism is preserved at
+// every worker count: each pattern's posterior arithmetic is
+// self-contained (identical regardless of which goroutine runs it, and
+// to what the row-by-row E-step computed for each of its rows), and the
+// floating-point reductions — log-likelihood, class mass and the M-step
+// sums — run sequentially in ascending example order.
 type MeTaL struct {
 	// MaxIter bounds EM iterations (default 100).
 	MaxIter int
@@ -223,6 +224,66 @@ func buildCSR(vm *lf.VoteMatrix) voteCSR {
 	return csr
 }
 
+// votePatterns groups the covered rows of a vote matrix by their
+// ascending (LF, vote) list. Rows with equal lists get bit-identical
+// posteriors — scoreRow reads nothing but the list — so the E-step and
+// PredictProba score each distinct pattern once. Keyword LFs are sparse
+// (most covered rows carry one or two votes), so the patterns are a
+// small fraction of the covered rows.
+type votePatterns struct {
+	of  []int32 // per row: its pattern, -1 for an uncovered row
+	rep []int32 // per pattern: the first row carrying it
+}
+
+func groupPatterns(csr voteCSR) votePatterns {
+	n := len(csr.start) - 1
+	pats := votePatterns{of: make([]int32, n)}
+	ids := make(map[string]int32)
+	var key []byte
+	for i := 0; i < n; i++ {
+		lo, hi := csr.start[i], csr.start[i+1]
+		if lo == hi {
+			pats.of[i] = -1
+			continue
+		}
+		key = key[:0]
+		for p := lo; p < hi; p++ {
+			j := uint32(csr.js[p])
+			key = append(key, byte(j), byte(j>>8), byte(j>>16), byte(j>>24), byte(csr.vs[p]))
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = int32(len(pats.rep))
+			ids[string(key)] = id
+			pats.rep = append(pats.rep, int32(i))
+		}
+		pats.of[i] = id
+	}
+	return pats
+}
+
+// posteriors writes, for every pattern p, the normalized posterior into
+// post[p*k:(p+1)*k] and, when lse is non-nil, its log-normalizer into
+// lse[p]. Patterns are sharded across workers; each owns its slots, so
+// the result is identical at every worker count.
+func (m *MeTaL) posteriors(csr voteCSR, pats votePatterns, k, workers int, ft factorTables, base, post, lse []float64) {
+	par.Chunks(workers, len(pats.rep), func(lo, hi int) {
+		logp := make([]float64, k)
+		for p := lo; p < hi; p++ {
+			copy(logp, base)
+			m.scoreRow(logp, csr, int(pats.rep[p]), k, ft)
+			l := logSumExp(logp)
+			if lse != nil {
+				lse[p] = l
+			}
+			row := post[p*k : (p+1)*k]
+			for c, g := range logp {
+				row[c] = math.Exp(g - l)
+			}
+		}
+	})
+}
+
 // factorTables precomputes, for the current parameters, every per-LF log
 // term the posterior needs: the vote factors log a_j and
 // log((1-a_j)/(K-1)), and the activation odds log θ_jc - log(1-θ_jc)
@@ -345,10 +406,11 @@ func (m *MeTaL) Fit(vm *lf.VoteMatrix, numClasses int) error {
 	}
 
 	active := collectActive(vm)
-	covered := vm.Covered()
+	csr := buildCSR(vm)
+	pats := groupPatterns(csr)
 	nCovered := 0
-	for _, b := range covered {
-		if b {
+	for _, p := range pats.of {
+		if p >= 0 {
 			nCovered++
 		}
 	}
@@ -414,21 +476,11 @@ func (m *MeTaL) Fit(vm *lf.VoteMatrix, numClasses int) error {
 		m.warmLFs = shared
 	}
 
-	n := vm.NumExamples()
 	workers := m.Workers
-	csr := buildCSR(vm)
-	logpost := make([][]float64, n)
-	gamma := make([][]float64, n)
-	lse := make([]float64, n)
-	backing := make([]float64, 2*nCovered*numClasses) // one alloc for all rows
-	off := 0
-	for i := range logpost {
-		if covered[i] {
-			logpost[i] = backing[off : off+numClasses : off+numClasses]
-			gamma[i] = backing[off+numClasses : off+2*numClasses : off+2*numClasses]
-			off += 2 * numClasses
-		}
-	}
+	// One posterior row and log-normalizer per vote pattern; row i of
+	// the matrix reads gamma[of[i]*k:].
+	gamma := make([]float64, len(pats.rep)*numClasses)
+	lse := make([]float64, len(pats.rep))
 
 	prevLL := math.Inf(-1)
 	for iter := 0; iter < m.MaxIter; iter++ {
@@ -436,43 +488,29 @@ func (m *MeTaL) Fit(vm *lf.VoteMatrix, numClasses int) error {
 		// E-step. With propensity on, every covered document carries the
 		// inactive-LF mass Σ_j log(1-θ_jc) as a per-class base term, and
 		// each active LF swaps its log(1-θ_jc) for log θ_jc plus the vote
-		// factor. Examples are sharded across workers; each index owns
-		// its logpost/gamma/lse slots, so the arithmetic is identical at
-		// every worker count.
+		// factor. Each distinct vote pattern is scored once.
 		ft := m.buildTables(nLF, numClasses, workers)
 		base := m.baseTerms(nLF, numClasses)
-		par.Chunks(workers, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				row := logpost[i]
-				if row == nil {
-					continue
-				}
-				copy(row, base)
-				m.scoreRow(row, csr, i, numClasses, ft)
-				l := logSumExp(row)
-				lse[i] = l
-				for c, g := range row {
-					gamma[i][c] = math.Exp(g - l)
-				}
-			}
-		})
-		// Reductions in ascending example order, off the parallel path:
-		// the sum order — and therefore every bit of the result — is
-		// independent of the worker count.
+		m.posteriors(csr, pats, numClasses, workers, ft, base, gamma, lse)
+		// Reductions row by row in ascending example order, off the
+		// parallel path: the sum order — and therefore every bit of the
+		// result — is independent of the worker count and of how rows
+		// group into patterns. A pattern's value is added once per row
+		// carrying it, never multiplied by its count (n·x is not a sum
+		// of n copies of x in floating point).
 		var ll float64
-		for i := range logpost {
-			if logpost[i] == nil {
-				continue
+		for _, p := range pats.of {
+			if p >= 0 {
+				ll += lse[p]
 			}
-			ll += lse[i]
 		}
 		// Class mass over covered documents (for propensity denominators).
 		classMass := make([]float64, numClasses)
-		for i := range gamma {
-			if gamma[i] == nil {
+		for _, p := range pats.of {
+			if p < 0 {
 				continue
 			}
-			for c, g := range gamma[i] {
+			for c, g := range gamma[int(p)*numClasses : int(p+1)*numClasses] {
 				classMass[c] += g
 			}
 		}
@@ -494,11 +532,11 @@ func (m *MeTaL) Fit(vm *lf.VoteMatrix, numClasses int) error {
 					activeMass[c] = 0
 				}
 				for t, id := range al.ids {
-					v := int(al.votes[t])
-					correct += gamma[id][v]
+					g := gamma[int(pats.of[id])*numClasses : int(pats.of[id]+1)*numClasses]
+					correct += g[al.votes[t]]
 					total++
 					for c := 0; c < numClasses; c++ {
-						activeMass[c] += gamma[id][c]
+						activeMass[c] += g[c]
 					}
 				}
 				a := (correct + accPseudo*accAnchor) / (total + accPseudo)
@@ -558,9 +596,9 @@ func (m *MeTaL) Fit(vm *lf.VoteMatrix, numClasses int) error {
 }
 
 // PredictProba implements LabelModel. Uncovered examples get a nil row.
-// Examples are sharded across Workers goroutines; each example's
-// posterior is computed independently, so output is identical at every
-// worker count.
+// Each distinct vote pattern is scored once (sharded across Workers
+// goroutines) and copied to every row carrying it, so output is
+// identical at every worker count.
 func (m *MeTaL) PredictProba(vm *lf.VoteMatrix) [][]float64 {
 	if m.k == 0 {
 		panic("metal: PredictProba before Fit")
@@ -568,43 +606,29 @@ func (m *MeTaL) PredictProba(vm *lf.VoteMatrix) [][]float64 {
 	if vm.NumLFs() != len(m.acc) {
 		panic(fmt.Sprintf("metal: matrix has %d LFs, fitted on %d", vm.NumLFs(), len(m.acc)))
 	}
-	n := vm.NumExamples()
 	nLF := vm.NumLFs()
-	workers := m.Workers
+	k := m.k
 	csr := buildCSR(vm)
-	ft := m.buildTables(nLF, m.k, workers)
-	base := m.baseTerms(nLF, m.k)
+	pats := groupPatterns(csr)
+	post := make([]float64, len(pats.rep)*k)
+	m.posteriors(csr, pats, k, m.Workers, m.buildTables(nLF, k, m.Workers), m.baseTerms(nLF, k), post, nil)
 
-	out := make([][]float64, n)
+	out := make([][]float64, len(pats.of))
 	nCov := 0
-	for i := 0; i < n; i++ {
-		if csr.start[i+1] > csr.start[i] {
+	for _, p := range pats.of {
+		if p >= 0 {
 			nCov++
 		}
 	}
-	backing := make([]float64, nCov*m.k)
+	backing := make([]float64, nCov*k)
 	off := 0
-	for i := 0; i < n; i++ {
-		if csr.start[i+1] > csr.start[i] {
-			out[i] = backing[off : off+m.k : off+m.k]
-			off += m.k
+	for i, p := range pats.of {
+		if p >= 0 {
+			out[i] = backing[off : off+k : off+k]
+			copy(out[i], post[int(p)*k:int(p+1)*k])
+			off += k
 		}
 	}
-	par.Chunks(workers, n, func(lo, hi int) {
-		logp := make([]float64, m.k)
-		for i := lo; i < hi; i++ {
-			p := out[i]
-			if p == nil {
-				continue
-			}
-			copy(logp, base)
-			m.scoreRow(logp, csr, i, m.k, ft)
-			l := logSumExp(logp)
-			for c := range p {
-				p[c] = math.Exp(logp[c] - l)
-			}
-		}
-	})
 	return out
 }
 

@@ -11,15 +11,18 @@ import (
 // seed from the posting list of the phrase's rarest word and verify only
 // those candidates.
 type Index struct {
-	split    []*dataset.Example
-	postings map[string][]int32
+	split []*dataset.Example
+	// slot maps a token to its ascending posting list in lists, so
+	// building the index finds a token's list with one map lookup.
+	slot  map[string]int32
+	lists [][]int32
 }
 
 // NewIndex builds the index. Token caches are populated as a side effect.
 func NewIndex(split []*dataset.Example) *Index {
 	ix := &Index{
-		split:    split,
-		postings: make(map[string][]int32, 2048),
+		split: split,
+		slot:  make(map[string]int32, 2048),
 	}
 	for i, e := range split {
 		e.EnsureTokens()
@@ -29,14 +32,26 @@ func NewIndex(split []*dataset.Example) *Index {
 				continue // cheap local dedupe; full dedupe below
 			}
 			prev = tok
-			list := ix.postings[tok]
-			if len(list) > 0 && list[len(list)-1] == int32(i) {
+			s, ok := ix.slot[tok]
+			if !ok {
+				s = int32(len(ix.lists))
+				ix.slot[tok] = s
+				ix.lists = append(ix.lists, nil)
+			} else if l := ix.lists[s]; l[len(l)-1] == int32(i) {
 				continue
 			}
-			ix.postings[tok] = append(list, int32(i))
+			ix.lists[s] = append(ix.lists[s], int32(i))
 		}
 	}
 	return ix
+}
+
+// posting returns the ascending ids of the documents containing token.
+func (ix *Index) posting(token string) []int32 {
+	if s, ok := ix.slot[token]; ok {
+		return ix.lists[s]
+	}
+	return nil
 }
 
 // Size returns the number of indexed documents.
@@ -46,7 +61,7 @@ func (ix *Index) Size() int { return len(ix.split) }
 func (ix *Index) Split() []*dataset.Example { return ix.split }
 
 // DocFreq returns how many documents contain the given single token.
-func (ix *Index) DocFreq(token string) int { return len(ix.postings[token]) }
+func (ix *Index) DocFreq(token string) int { return len(ix.posting(token)) }
 
 // Docs returns the ascending document ids whose tokens contain the
 // canonical phrase. Single-word phrases come straight from the posting
@@ -58,7 +73,7 @@ func (ix *Index) Docs(phrase string) []int32 {
 	case 0:
 		return nil
 	case 1:
-		return ix.postings[words[0]]
+		return ix.posting(words[0])
 	}
 	var out []int32
 	ix.forEachPhraseDoc(words, func(id int32) { out = append(out, id) })
@@ -96,7 +111,7 @@ func (ix *Index) CountDocs(phrase string) int {
 	case 0:
 		return 0
 	case 1:
-		return len(ix.postings[words[0]])
+		return len(ix.posting(words[0]))
 	}
 	n := 0
 	ix.forEachPhraseDoc(words, func(int32) { n++ })
@@ -111,7 +126,7 @@ func (ix *Index) ForEachDoc(phrase string, fn func(id int32)) {
 	case 0:
 		return
 	case 1:
-		for _, id := range ix.postings[words[0]] {
+		for _, id := range ix.posting(words[0]) {
 			fn(id)
 		}
 		return
@@ -130,9 +145,9 @@ func (ix *Index) ForEachDoc(phrase string, fn func(id int32)) {
 // than any single posting list, which is what makes per-keyword
 // coverage/precision queries (the SEU utility cache) cheap.
 func (ix *Index) forEachPhraseDoc(words []string, fn func(id int32)) {
-	seed, others := ix.postings[words[0]], make([][]int32, 0, len(words)-1)
+	seed, others := ix.posting(words[0]), make([][]int32, 0, len(words)-1)
 	for _, w := range words[1:] {
-		list := ix.postings[w]
+		list := ix.posting(w)
 		if len(list) == 0 {
 			return
 		}

@@ -1,6 +1,7 @@
 package lf
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -298,5 +299,58 @@ func TestConsensusSymmetricProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referencePostings builds posting lists as NewIndex did with a
+// map[string][]int32 read and written once per token, kept as the
+// oracle for the one-lookup build.
+func referencePostings(split []*dataset.Example) map[string][]int32 {
+	postings := make(map[string][]int32)
+	for i, e := range split {
+		e.EnsureTokens()
+		prev := ""
+		for _, tok := range e.Tokens {
+			if tok == prev {
+				continue
+			}
+			prev = tok
+			list := postings[tok]
+			if len(list) > 0 && list[len(list)-1] == int32(i) {
+				continue
+			}
+			postings[tok] = append(list, int32(i))
+		}
+	}
+	return postings
+}
+
+// TestIndexPostingsMatchReference: every token's posting list is
+// ascending, duplicate-free and identical to the reference build,
+// including documents that repeat a token adjacently and apart.
+func TestIndexPostingsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	vocab := []string{"spam", "free", "win", "song", "love", "channel", "click", "video", "a", "b"}
+	split := make([]*dataset.Example, 300)
+	for i := range split {
+		words := make([]string, rng.Intn(15))
+		for j := range words {
+			words[j] = vocab[rng.Intn(len(vocab))]
+		}
+		split[i] = ex(i, strings.Join(words, " "))
+	}
+	ix := NewIndex(split)
+	want := referencePostings(split)
+	for tok, list := range want {
+		got := ix.Docs(tok)
+		if fmt.Sprint(got) != fmt.Sprint(list) {
+			t.Fatalf("postings of %q = %v, reference %v", tok, got, list)
+		}
+		if ix.DocFreq(tok) != len(list) {
+			t.Fatalf("DocFreq(%q) = %d, want %d", tok, ix.DocFreq(tok), len(list))
+		}
+	}
+	if got := ix.Docs("absent"); got != nil || ix.DocFreq("absent") != 0 {
+		t.Fatalf("absent token has postings %v", got)
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // LintPrometheus validates a Prometheus text-exposition stream and
 // returns one message per conformance problem (empty slice: clean).
-// It backs `make metrics-lint`, which scrapes a live /metrics endpoint
-// and fails CI on malformed output — the checks are the ones a real
-// Prometheus scraper enforces or silently mangles:
+// The metricslint command runs it on a live daemon's /metrics, and the
+// exporter's tests run it on their own expositions. The checks are the
+// ones a real Prometheus scraper enforces or silently mangles:
 //
 //   - metric and label names match the Prometheus charsets;
 //   - HELP/TYPE appear at most once per family, before its samples;

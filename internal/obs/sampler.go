@@ -10,9 +10,9 @@ import (
 )
 
 // Trace sampling for the serving path. A JSONL sink that records every
-// span cannot survive bench-serve request rates (tens of thousands of
-// spans per second, one fsync-bound line each), so the gateway wraps
-// its tracer in a SampledTracer that keeps:
+// span cannot keep up with a daemon serving thousands of requests per
+// second (tens of thousands of spans per second, one fsync-bound line
+// each), so the gateway wraps its tracer in a SampledTracer that keeps:
 //
 //   - a probabilistic head sample (Rate) decided when the trace starts,
 //   - every trace that recorded an error (KeepErrors), and

@@ -33,8 +33,8 @@ type GatewayOptions struct {
 	MaxLabelBytes  int64
 	MaxBundleBytes int64
 	// AccessLog emits one structured log line per request (-access-log).
-	// Off by default: at bench-serve rates the log stream itself becomes
-	// the bottleneck.
+	// Off by default: at thousands of requests per second the log
+	// stream itself becomes the bottleneck.
 	AccessLog bool
 	// AccessLogMaxPerSec rate-caps access log lines (default 200/s);
 	// requests beyond the cap are served normally but not logged, and

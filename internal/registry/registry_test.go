@@ -238,10 +238,10 @@ func TestShadowGateRejects(t *testing.T) {
 	}
 
 	negated := freshCopy(t)
-	for k := range negated.EndModel.W {
-		for j := range negated.EndModel.W[k] {
-			negated.EndModel.W[k][j] = -negated.EndModel.W[k][j]
-		}
+	for j := range negated.EndModel.W {
+		negated.EndModel.W[j] = -negated.EndModel.W[j]
+	}
+	for k := range negated.EndModel.B {
 		negated.EndModel.B[k] = -negated.EndModel.B[k]
 	}
 	rep, err := r.Promote("t", negated, false)

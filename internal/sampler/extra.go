@@ -31,7 +31,7 @@ func (QBC) Next(s *State, rng *rand.Rand) int {
 	if count == 0 {
 		return -1
 	}
-	if s.TrainProba == nil || s.LabelProba == nil {
+	if s.trainProba == nil || s.labelProba == nil {
 		return s.randomUnused(rng, count)
 	}
 	best, bestD := -1, -1.0
@@ -39,7 +39,7 @@ func (QBC) Next(s *State, rng *rand.Rand) int {
 		if used {
 			continue
 		}
-		p, q := s.TrainProba[i], s.LabelProba[i]
+		p, q := s.trainProba[i], s.labelProba[i]
 		if p == nil || q == nil {
 			continue
 		}

@@ -21,15 +21,16 @@ func TestQBCPicksMaxDisagreement(t *testing.T) {
 	s := newState(t)
 	rng := rand.New(rand.NewSource(2))
 	n := len(s.Dataset.Train)
-	s.TrainProba = make([][]float64, n)
-	s.LabelProba = make([][]float64, n)
+	end := make([][]float64, n)
+	lm := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		s.TrainProba[i] = []float64{0.8, 0.2}
-		s.LabelProba[i] = []float64{0.8, 0.2}
+		end[i] = []float64{0.8, 0.2}
+		lm[i] = []float64{0.8, 0.2}
 	}
 	target := 31
-	s.TrainProba[target] = []float64{0.9, 0.1}
-	s.LabelProba[target] = []float64{0.1, 0.9} // committee disagrees hard
+	end[target] = []float64{0.9, 0.1}
+	lm[target] = []float64{0.1, 0.9} // committee disagrees hard
+	s.SetPosteriors(end, lm)
 	var q QBC
 	if got := q.Next(s, rng); got != target {
 		t.Errorf("picked %d, want max-disagreement %d", got, target)

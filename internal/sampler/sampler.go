@@ -23,12 +23,6 @@ type State struct {
 	Dataset *dataset.Dataset
 	// Used marks train instances already queried.
 	Used []bool
-	// TrainProba holds the current end model's class probabilities over
-	// the train split, or nil before the first interim model exists.
-	TrainProba [][]float64
-	// LabelProba holds the current label model's posteriors over the
-	// train split (nil entries for uncovered instances); used by QBC.
-	LabelProba [][]float64
 	// TrainVecs holds feature vectors of the train split for geometric
 	// samplers (CoreSet); nil unless the pipeline populates it.
 	TrainVecs []*textproc.SparseVector
@@ -46,6 +40,41 @@ type State struct {
 	// validGold caches the validation gold labels, which are immutable
 	// for the life of the run.
 	validGold []int
+
+	// trainProba holds the current end model's class probabilities over
+	// the train split, or nil before the first interim model exists.
+	// labelProba holds the current label model's posteriors over the
+	// train split (nil entries for uncovered instances); used by QBC.
+	// Both change only through SetPosteriors.
+	trainProba, labelProba [][]float64
+	// entropy caches metrics.Entropy of every non-nil trainProba row,
+	// computed on first use after each SetPosteriors.
+	entropy []float64
+}
+
+// SetPosteriors installs a new interim refresh: the end model's class
+// probabilities over the train split and the label model's posteriors
+// (nil entries for uncovered instances). It drops everything derived from
+// the previous posteriors. The State reads the rows until the next call,
+// so callers must not modify them in between.
+func (s *State) SetPosteriors(end, lm [][]float64) {
+	s.trainProba, s.labelProba = end, lm
+	s.entropy = nil
+}
+
+// entropies returns the predictive entropy of every train instance under
+// the current posteriors (0 where the row is nil), computed once per
+// SetPosteriors.
+func (s *State) entropies() []float64 {
+	if s.entropy == nil {
+		s.entropy = make([]float64, len(s.trainProba))
+		for i, p := range s.trainProba {
+			if p != nil {
+				s.entropy[i] = metrics.Entropy(p)
+			}
+		}
+	}
+	return s.entropy
 }
 
 // ValidGold returns the validation split's gold labels, materialized
@@ -179,25 +208,24 @@ func (Uncertain) Name() string { return "uncertain" }
 
 // Next implements Sampler. The entropy argmax streams over the
 // used-marks in ascending id order (the order unusedIDs produced), so no
-// id slice is materialized and selections stay bit-identical.
+// id slice is materialized; the first of equal maxima wins. Entropies
+// come from the State's per-refresh cache, so a call between refreshes
+// costs one scan, not one entropy per unused instance.
 func (Uncertain) Next(s *State, rng *rand.Rand) int {
 	count := s.unusedCount()
 	if count == 0 {
 		return -1
 	}
-	if s.TrainProba == nil {
+	if s.trainProba == nil {
 		return s.randomUnused(rng, count)
 	}
+	ent := s.entropies()
 	best, bestH := -1, -1.0
 	for i, used := range s.Used {
-		if used {
+		if used || s.trainProba[i] == nil {
 			continue
 		}
-		p := s.TrainProba[i]
-		if p == nil {
-			continue
-		}
-		if h := metrics.Entropy(p); h > bestH {
+		if h := ent[i]; h > bestH {
 			best, bestH = i, h
 		}
 	}
@@ -352,7 +380,7 @@ func (u *SEU) instanceScore(s *State, e *dataset.Example) float64 {
 }
 
 // NeedsPosteriors reports whether the named sampler scores candidates
-// by the interim model's posteriors (State.TrainProba, LabelProba), so
+// by the interim model's posteriors (State.SetPosteriors), so
 // the pipeline must refresh them as the LF set grows. Such a sampler's
 // choices depend on live interim fits, which a replayed journal cannot
 // reproduce.

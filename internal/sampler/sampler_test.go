@@ -43,13 +43,14 @@ func TestByName(t *testing.T) {
 // single out.
 func TestNeedsPosteriors(t *testing.T) {
 	withPosteriors := func(s *State) {
-		s.TrainProba = make([][]float64, len(s.Dataset.Train))
-		s.LabelProba = make([][]float64, len(s.Dataset.Train))
-		for i := range s.TrainProba {
-			s.TrainProba[i] = []float64{0.95, 0.05}
-			s.LabelProba[i] = []float64{0.95, 0.05}
+		end := make([][]float64, len(s.Dataset.Train))
+		lm := make([][]float64, len(s.Dataset.Train))
+		for i := range end {
+			end[i] = []float64{0.95, 0.05}
+			lm[i] = []float64{0.95, 0.05}
 		}
-		s.TrainProba[23] = []float64{0.5, 0.5}
+		end[23] = []float64{0.5, 0.5}
+		s.SetPosteriors(end, lm)
 	}
 	picks := func(name string, posteriors bool) []int {
 		s := newState(t)
@@ -139,12 +140,13 @@ func TestUncertainFallsBackToRandom(t *testing.T) {
 func TestUncertainPicksHighestEntropy(t *testing.T) {
 	s := newState(t)
 	rng := rand.New(rand.NewSource(4))
-	s.TrainProba = make([][]float64, len(s.Dataset.Train))
-	for i := range s.TrainProba {
-		s.TrainProba[i] = []float64{0.95, 0.05} // confident
+	end := make([][]float64, len(s.Dataset.Train))
+	for i := range end {
+		end[i] = []float64{0.95, 0.05} // confident
 	}
 	uncertainID := 23
-	s.TrainProba[uncertainID] = []float64{0.5, 0.5}
+	end[uncertainID] = []float64{0.5, 0.5}
+	s.SetPosteriors(end, nil)
 	var u Uncertain
 	if got := u.Next(s, rng); got != uncertainID {
 		t.Errorf("selected %d, want max-entropy %d", got, uncertainID)
@@ -153,6 +155,46 @@ func TestUncertainPicksHighestEntropy(t *testing.T) {
 	s.Used[uncertainID] = true
 	if got := u.Next(s, rng); got == uncertainID {
 		t.Error("selected a used instance")
+	}
+}
+
+// TestUncertainRereadsAfterRefresh: entropies are cached per refresh,
+// so a pick between refreshes reuses them, and SetPosteriors must drop
+// them — a sampler reading stale entropies would keep steering toward
+// the previous refresh's most uncertain instance.
+func TestUncertainRereadsAfterRefresh(t *testing.T) {
+	s := newState(t)
+	rng := rand.New(rand.NewSource(4))
+	posteriors := func(uncertainID int) [][]float64 {
+		end := make([][]float64, len(s.Dataset.Train))
+		for i := range end {
+			end[i] = []float64{0.9, 0.1}
+		}
+		end[uncertainID] = []float64{0.5, 0.5}
+		return end
+	}
+	var u Uncertain
+	first := posteriors(7)
+	s.SetPosteriors(first, nil)
+	if got := u.Next(s, rng); got != 7 {
+		t.Fatalf("picked %d, want 7", got)
+	}
+	// Rows are read once per refresh: editing them in place without
+	// SetPosteriors is not observed.
+	first[7][0], first[7][1] = 1, 0
+	if got := u.Next(s, rng); got != 7 {
+		t.Fatalf("between refreshes picked %d, want the cached 7", got)
+	}
+	s.SetPosteriors(posteriors(41), nil)
+	if got := u.Next(s, rng); got != 41 {
+		t.Fatalf("after a refresh picked %d, want 41 (stale entropies)", got)
+	}
+	// Ties go to the lowest unused id.
+	tied := posteriors(41)
+	tied[12] = []float64{0.5, 0.5}
+	s.SetPosteriors(tied, nil)
+	if got := u.Next(s, rng); got != 12 {
+		t.Fatalf("tie picked %d, want the first maximum 12", got)
 	}
 }
 

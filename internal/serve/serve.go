@@ -259,12 +259,18 @@ func (s *Server) Label(ctx context.Context, texts []string, explain bool) ([]Pre
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.mQueue.Set(float64(s.depth.Add(-int64(len(texts)))))
+		s.depth.Add(-int64(len(texts)))
 		s.mReqClosed.Inc()
 		s.mErrClosed.Inc()
 		span.SetErr(ErrClosed)
 		return nil, ErrClosed
 	}
+	// The gauge moves by Add under s.mu, just before the send. A Set of
+	// the admitted depth could land out of order with a concurrent
+	// request's and leave the gauge stale; and once the gauge counts
+	// these texts, the request is queued ahead of any later one and of
+	// Close.
+	s.mQueue.Add(float64(len(texts)))
 	// Never blocks: every queued request holds at least one admitted
 	// text, so the queue holds at most QueueDepth requests.
 	s.queue <- req
@@ -295,7 +301,6 @@ func (s *Server) admit(n int) error {
 			return ErrOverloaded
 		}
 		if s.depth.CompareAndSwap(cur, cur+int64(n)) {
-			s.mQueue.Set(float64(cur + int64(n)))
 			return nil
 		}
 	}
@@ -353,7 +358,8 @@ func (s *Server) batchLoop() {
 				next = nil
 			}
 		}
-		s.mQueue.Set(float64(s.depth.Add(-int64(n))))
+		s.depth.Add(-int64(n))
+		s.mQueue.Add(-float64(n))
 		s.process(batch, n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"datasculpt/internal/par"
 )
@@ -28,10 +29,12 @@ type Featurizer struct {
 	df   []int32
 	idf  []float32
 	docs int
-	// incremental-fit state (BeginFit/FitChunk/FinishFit)
+	// incremental-fit state (BeginFit/FitChunk/FinishFit). lastDoc[b]
+	// is the 1-based number of the last fed document that hit bucket b,
+	// so a bucket counts once per document without a per-document set.
 	fitting bool
 	pending int
-	seen    map[int32]struct{}
+	lastDoc []int
 }
 
 // NewFeaturizer creates an unfitted featurizer with the given vector width.
@@ -98,7 +101,7 @@ func (f *Featurizer) BeginFit() error {
 		return fmt.Errorf("featurizer: BeginFit called twice")
 	}
 	f.fitting = true
-	f.seen = make(map[int32]struct{}, 64)
+	f.lastDoc = make([]int, f.Dim)
 	return nil
 }
 
@@ -110,16 +113,86 @@ func (f *Featurizer) FitChunk(corpus [][]string) {
 		panic("featurizer: FitChunk outside BeginFit/FinishFit")
 	}
 	for _, tokens := range corpus {
-		clear(f.seen)
+		f.pending++
 		for _, t := range tokens {
-			b, _ := f.hashTerm(t)
-			if _, ok := f.seen[b]; !ok {
-				f.seen[b] = struct{}{}
+			if b, _ := f.hashTerm(t); f.lastDoc[b] != f.pending {
+				f.lastDoc[b] = f.pending
 				f.df[b]++
 			}
 		}
 	}
-	f.pending += len(corpus)
+}
+
+// FitTransform fits the featurizer on corpus and returns the corpus's
+// vectors: exactly Fit(corpus) followed by TransformAll(corpus), but each
+// document is hashed once instead of twice. The pass keeps
+// every document's signed sub-linear TF vector while counting document
+// frequencies; once the IDF weights are frozen it scales each vector by
+// them in place and normalizes, the same float32 product and the same
+// normalization Transform applies. Documents are sharded across Workers;
+// integer DF partials sum exactly, so every worker count gives identical
+// statistics and vectors.
+func (f *Featurizer) FitTransform(corpus [][]string) ([]*SparseVector, error) {
+	if len(corpus) == 0 {
+		return nil, fmt.Errorf("featurizer: empty corpus")
+	}
+	if err := f.BeginFit(); err != nil {
+		return nil, err
+	}
+	out := make([]*SparseVector, len(corpus))
+	var mu sync.Mutex
+	par.Chunks(f.Workers, len(corpus), func(lo, hi int) {
+		df := make([]int32, f.Dim)
+		var keys []int64
+		for i := lo; i < hi; i++ {
+			keys = f.sortedKeys(corpus[i], keys[:0])
+			countDF(df, keys)
+			out[i] = tfVector(keys)
+		}
+		mu.Lock()
+		for b, n := range df {
+			f.df[b] += n
+		}
+		mu.Unlock()
+	})
+	f.pending = len(corpus)
+	if err := f.FinishFit(); err != nil {
+		return nil, err
+	}
+	par.Chunks(f.Workers, len(out), func(lo, hi int) {
+		for _, v := range out[lo:hi] {
+			f.scale(v)
+		}
+	})
+	return out, nil
+}
+
+// sortedKeys appends one packed key per token to keys, bucket<<1 | 1 for
+// a negative sign, and sorts them. Sorting groups each bucket's
+// occurrences into one run, in the ascending bucket order SparseVector
+// stores. The bucket is an int32, so the shifted key cannot overflow an
+// int64 at any Dim.
+func (f *Featurizer) sortedKeys(tokens []string, keys []int64) []int64 {
+	for _, t := range tokens {
+		b, sign := f.hashTerm(t)
+		k := int64(b) << 1
+		if sign < 0 {
+			k |= 1
+		}
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// countDF adds one to df for every distinct bucket among the sorted keys,
+// including buckets whose signed occurrences cancel out.
+func countDF(df []int32, keys []int64) {
+	for i, k := range keys {
+		if i == 0 || k>>1 != keys[i-1]>>1 {
+			df[k>>1]++
+		}
+	}
 }
 
 // FinishFit freezes the IDF weights accumulated since BeginFit. It
@@ -134,7 +207,7 @@ func (f *Featurizer) FinishFit() error {
 	f.docs = f.pending
 	f.fitting = false
 	f.pending = 0
-	f.seen = nil
+	f.lastDoc = nil
 	f.idf = make([]float32, f.Dim)
 	for b := range f.idf {
 		// Smoothed IDF; buckets never seen get the maximum weight.
@@ -153,19 +226,15 @@ func (f *Featurizer) Transform(tokens []string) *SparseVector {
 	if !f.Fitted() {
 		panic("featurizer: Transform before Fit")
 	}
-	// One packed key per token, bucket<<1 | 1 for a negative sign.
-	// Sorting groups each bucket's occurrences into one run, in the
-	// ascending bucket order SparseVector stores. The bucket is an int32,
-	// so the shifted key cannot overflow an int64 at any Dim.
-	keys := make([]int64, len(tokens))
-	for i, t := range tokens {
-		b, sign := f.hashTerm(t)
-		keys[i] = int64(b) << 1
-		if sign < 0 {
-			keys[i] |= 1
-		}
-	}
-	slices.Sort(keys)
+	v := tfVector(f.sortedKeys(tokens, make([]int64, 0, len(tokens))))
+	f.scale(v)
+	return v
+}
+
+// tfVector merges sorted keys into the document's signed sub-linear TF
+// vector, before IDF weighting: one entry per bucket whose signed count
+// does not cancel out.
+func tfVector(keys []int64) *SparseVector {
 	buckets := 0
 	for i, k := range keys {
 		if i == 0 || k>>1 != keys[i-1]>>1 {
@@ -189,10 +258,18 @@ func (f *Featurizer) Transform(tokens []string) *SparseVector {
 			mag = -mag
 		}
 		v.Idx = append(v.Idx, b)
-		v.Val = append(v.Val, mag*f.idf[b])
+		v.Val = append(v.Val, mag)
+	}
+	return v
+}
+
+// scale weights a TF vector by the frozen IDF in place and L2-normalizes
+// it.
+func (f *Featurizer) scale(v *SparseVector) {
+	for i, b := range v.Idx {
+		v.Val[i] *= f.idf[b]
 	}
 	v.Normalize()
-	return v
 }
 
 // TransformAll maps Transform over a corpus, sharding documents across

@@ -210,3 +210,74 @@ func TestCandidateKeywordsBoundedAllocs(t *testing.T) {
 		t.Errorf("unbounded enumeration allocates only %v objects; the long document no longer exercises n-gram building", full)
 	}
 }
+
+// referenceDF counts document frequencies as FitChunk did before the
+// sorted-key dedupe: a per-document set of the buckets seen.
+func referenceDF(dim int, corpus [][]string) []int32 {
+	f := NewFeaturizer(dim)
+	df := make([]int32, dim)
+	seen := make(map[int32]struct{}, 64)
+	for _, tokens := range corpus {
+		clear(seen)
+		for _, t := range tokens {
+			b, _ := f.hashTerm(t)
+			if _, ok := seen[b]; !ok {
+				seen[b] = struct{}{}
+				df[b]++
+			}
+		}
+	}
+	return df
+}
+
+// TestFitTransformMatchesFitThenTransform: the one-pass FitTransform
+// freezes the same statistics as Fit (and as a chunked BeginFit/FitChunk
+// fit) and returns exactly the vectors TransformAll produces after it,
+// at every worker count. Narrow widths force cancelled buckets, which
+// still count toward DF.
+func TestFitTransformMatchesFitThenTransform(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, dim := range []int{1, 2, 7, 8192} {
+		docs := randomDocs(rng, 300, 80, 60)
+		ref := fitted(t, dim, docs)
+		want := ref.TransformAll(docs)
+		if !slices.Equal(ref.df, referenceDF(dim, docs)) {
+			t.Fatalf("dim %d: Fit's document frequencies differ from the per-document set count", dim)
+		}
+		chunked := NewFeaturizer(dim)
+		if err := chunked.BeginFit(); err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(docs); lo += 70 {
+			chunked.FitChunk(docs[lo:min(lo+70, len(docs))])
+		}
+		if err := chunked.FinishFit(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(chunked.df, ref.df) || chunked.docs != ref.docs {
+			t.Fatalf("dim %d: chunked fit differs from Fit", dim)
+		}
+		for _, workers := range []int{1, 2, 5} {
+			f := NewFeaturizer(dim)
+			f.Workers = workers
+			got, err := f.FitTransform(docs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.docs != ref.docs || !slices.Equal(f.df, ref.df) || !slices.Equal(f.idf, ref.idf) {
+				t.Fatalf("dim %d workers %d: fitted statistics differ from Fit", dim, workers)
+			}
+			for i := range want {
+				if err := sameBits(got[i], want[i]); err != nil {
+					t.Fatalf("dim %d workers %d doc %d: %v", dim, workers, i, err)
+				}
+			}
+			if _, err := f.FitTransform(docs); err == nil {
+				t.Fatal("second FitTransform accepted")
+			}
+		}
+	}
+	if _, err := NewFeaturizer(8).FitTransform(nil); err == nil {
+		t.Error("empty corpus accepted")
+	}
+}
