@@ -68,11 +68,12 @@ stress:
 
 # 30 seconds of coverage-guided fuzzing per target on the inputs that
 # cross a trust boundary: LLM completions, raw text and its feature
-# vectors, label request bodies, bundle files, the growth loop's
-# on-disk step journal and JSONL corpus splits; plus arbitrary vote
-# matrices through MeTaL's per-pattern EM, which must match the
-# row-by-row reference bit for bit. `go test -fuzz` accepts a single
-# target per invocation, hence one run each.
+# vectors, label and bundle-promote request bodies, bundle files, the
+# growth loop's on-disk step journal, grid checkpoint files and JSONL
+# corpus splits; plus arbitrary vote matrices through MeTaL's
+# per-pattern EM, which must match the row-by-row reference bit for
+# bit. `go test -fuzz` accepts a single target per invocation, hence one
+# run each.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzParseResponse$$' -fuzztime 30s ./internal/prompt/
 	$(GO) test -run XXX -fuzz '^FuzzSelfConsistency$$' -fuzztime 30s ./internal/prompt/
@@ -80,8 +81,10 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzTransform$$' -fuzztime 30s ./internal/textproc/
 	$(GO) test -run XXX -fuzz '^FuzzBundleLoad$$' -fuzztime 30s ./internal/bundle/
 	$(GO) test -run XXX -fuzz '^FuzzGatewayLabel$$' -fuzztime 30s ./internal/registry/
+	$(GO) test -run XXX -fuzz '^FuzzGatewayPromote$$' -fuzztime 30s ./internal/registry/
 	$(GO) test -run XXX -fuzz '^FuzzProposerReplay$$' -fuzztime 30s ./internal/core/
 	$(GO) test -run XXX -fuzz '^FuzzJSONLReader$$' -fuzztime 30s ./internal/dataset/
+	$(GO) test -run XXX -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s ./internal/experiment/
 	$(GO) test -run XXX -fuzz '^FuzzMeTaLPatterns$$' -fuzztime 30s ./internal/labelmodel/
 
 # total-coverage regression gate: fail if statement coverage drops below

@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"datasculpt/internal/bundle"
+	"datasculpt/internal/ckpt"
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/experiment"
@@ -33,8 +34,8 @@ func main() {
 	dsName := flag.String("dataset", "youtube", "dataset name (youtube, sms, imdb, yelp, agnews, spouse)")
 	variant := flag.String("variant", "base", "prompting variant: base, cot, sc, kate")
 	model := flag.String("model", "gpt-3.5", "LLM profile (gpt-3.5, gpt-4, llama2-7b, llama2-13b, llama2-70b)")
-	smp := flag.String("sampler", "random", "query instance sampler: random, uncertain, seu")
-	labelModel := flag.String("labelmodel", "metal", "label model: metal, majority, triplet")
+	smp := flag.String("sampler", "random", "query instance sampler: random, uncertain, seu, qbc, coreset")
+	labelModel := flag.String("labelmodel", "metal", "label model: metal, majority, triplet, dawid-skene, weighted")
 	iterations := flag.Int("iterations", 50, "query iterations")
 	seeds := flag.Int("seeds", 1, "number of seeds to average")
 	scale := flag.Float64("scale", 1.0, "dataset scale: (0,1) shrinks, 1 is Table-1 size, >1 grows every split proportionally")
@@ -120,13 +121,13 @@ func run(ctx context.Context, o runOptions) error {
 	}
 	// Seeds recorded in a -resume checkpoint are restored instead of
 	// re-run; completed seeds are appended to -checkpoint as they finish.
-	var restored map[int]*experiment.CellResult
+	var restored map[int]*core.Result
 	if o.resume != "" {
 		records, err := experiment.LoadCheckpoint(o.resume)
 		if err != nil {
 			return err
 		}
-		restored = make(map[int]*experiment.CellResult)
+		restored = make(map[int]*core.Result)
 		for i := range records {
 			rec := &records[i]
 			if rec.Grid == cliGridTitle && rec.Method == variant && rec.Dataset == dsName {
@@ -134,14 +135,14 @@ func run(ctx context.Context, o runOptions) error {
 			}
 		}
 	}
-	var ckpt *experiment.CheckpointWriter
+	var cw *ckpt.Writer
 	if o.checkpoint != "" {
-		w, err := experiment.OpenCheckpoint(o.checkpoint)
+		w, err := ckpt.Open(o.checkpoint)
 		if err != nil {
 			return err
 		}
 		defer w.Close()
-		ckpt = w
+		cw = w
 	}
 
 	var results []*core.Result
@@ -153,13 +154,12 @@ func run(ctx context.Context, o runOptions) error {
 	var finalCfg core.Config
 	var cacheStats llm.CacheStats
 	for s := 1; s <= seeds; s++ {
-		if cr, ok := restored[s]; ok {
-			res := cr.CoreResult(variant, dsName)
+		if res, ok := restored[s]; ok {
 			results = append(results, res)
 			fmt.Printf("seed %d (restored): %s\n", s, res)
-			if ckpt != nil && o.checkpoint != o.resume {
-				rec := experiment.CellRecord{Grid: cliGridTitle, Method: variant, Dataset: dsName, Seed: s, Result: cr}
-				if err := ckpt.Append(rec); err != nil {
+			if cw != nil && o.checkpoint != o.resume {
+				rec := experiment.CellRecord{Grid: cliGridTitle, Method: variant, Dataset: dsName, Seed: s, Result: res}
+				if err := cw.Append(rec); err != nil {
 					return err
 				}
 			}
@@ -206,9 +206,9 @@ func run(ctx context.Context, o runOptions) error {
 		finalComputed = res
 		finalCfg = cfg
 		fmt.Printf("seed %d: %s\n", s, res)
-		if ckpt != nil {
-			rec := experiment.CellRecord{Grid: cliGridTitle, Method: variant, Dataset: dsName, Seed: s, Result: experiment.NewCellResult(res)}
-			if err := ckpt.Append(rec); err != nil {
+		if cw != nil {
+			rec := experiment.CellRecord{Grid: cliGridTitle, Method: variant, Dataset: dsName, Seed: s, Result: res}
+			if err := cw.Append(rec); err != nil {
 				return err
 			}
 		}

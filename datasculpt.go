@@ -203,9 +203,9 @@ func SaveDatasetDir(d *Dataset, dir string) error { return d.SaveDir(dir) }
 
 // NewOpenAI builds a ChatModel against any OpenAI-compatible
 // chat-completions endpoint, so the identical pipeline can run on a real
-// provider instead of the offline simulator. Behavior is tuned through
-// functional options: WithPricing, WithMaxRetries, WithHTTPClient,
-// WithRateLimit.
+// provider instead of the offline simulator. Each Chat is one HTTP
+// exchange; compose NewRetry and NewRateLimiter over it for retries and
+// pacing. Options: WithPricing, WithHTTPClient.
 func NewOpenAI(baseURL, apiKey, model string, opts ...llm.Option) *llm.OpenAIClient {
 	return llm.NewOpenAI(baseURL, apiKey, model, opts...)
 }
@@ -215,24 +215,10 @@ var (
 	// WithPricing sets per-1M-token prompt/completion prices for cost
 	// accounting.
 	WithPricing = llm.WithPricing
-	// WithMaxRetries bounds retry attempts on retryable failures.
-	WithMaxRetries = llm.WithMaxRetries
 	// WithHTTPClient substitutes the HTTP client (timeouts, proxies, test
 	// doubles).
 	WithHTTPClient = llm.WithHTTPClient
-	// WithRateLimit installs a client-side QPS bound so concurrent runs
-	// cannot stampede a provider.
-	WithRateLimit = llm.WithRateLimit
-	// WithMaxRetryDelay caps the client's exponential backoff.
-	WithMaxRetryDelay = llm.WithMaxRetryDelay
 )
-
-// NewOpenAIClient builds an OpenAI-compatible client.
-//
-// Deprecated: use NewOpenAI with functional options.
-func NewOpenAIClient(baseURL, apiKey, model string) *llm.OpenAIClient {
-	return llm.NewOpenAIClient(baseURL, apiKey, model)
-}
 
 // Sentinel errors returned (wrapped) by ChatModel implementations;
 // test with errors.Is.

@@ -39,7 +39,8 @@ func main() {
 	// 3. Hand-write a few LFs and evaluate them with the full PWS stack
 	// (label model + end model). Loaded datasets carry no simulator
 	// knowledge, so this is the "bring your own LFs / bring your own LLM
-	// client" path — see datasculpt.NewOpenAIClient for the latter.
+	// client" path — see datasculpt.NewOpenAI wrapped in
+	// datasculpt.NewRetry for the latter.
 	var lfs []datasculpt.LabelFunction
 	for _, spec := range []struct {
 		phrase string

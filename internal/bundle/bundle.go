@@ -361,3 +361,32 @@ func Load(path string) (*Bundle, error) {
 	}
 	return b, nil
 }
+
+// Agreement replays texts through both bundles offline (the same
+// featurize→predict path serving uses) and returns the fraction on
+// which they predict the same class name. Names, not indices: a
+// candidate trained with reordered or different classes must not
+// silently pass. An empty corpus agrees trivially (1).
+//
+// Both bundles must be valid (Validate, which New, Load and every
+// registry promote run): that pins EndModel.K to len(ClassNames), and
+// Predict returns indices in [0, K), so every index names a class.
+func Agreement(old, nb *Bundle, texts []string) float64 {
+	if len(texts) == 0 {
+		return 1
+	}
+	corpus := make([][]string, len(texts))
+	for i, t := range texts {
+		e := &dataset.Example{ID: -1, Text: t, Label: dataset.NoLabel, E1Pos: -1, E2Pos: -1}
+		corpus[i] = e.FeatureTokens()
+	}
+	po := old.EndModel.Predict(old.Featurizer.TransformAll(corpus))
+	pn := nb.EndModel.Predict(nb.Featurizer.TransformAll(corpus))
+	agree := 0
+	for i := range po {
+		if old.Dataset.ClassNames[po[i]] == nb.Dataset.ClassNames[pn[i]] {
+			agree++
+		}
+	}
+	return float64(agree) / float64(len(texts))
+}

@@ -279,3 +279,36 @@ func TestBundleValidateShapeMismatch(t *testing.T) {
 		t.Error("short weight matrix accepted")
 	}
 }
+
+// TestAgreement covers the replay shared by the registry's shadow gate
+// and the growth loop's post-promote verification: a bundle agrees with
+// itself, an empty corpus agrees trivially, and agreement compares class
+// names, so renaming every class drops it to zero.
+func TestAgreement(t *testing.T) {
+	d, cfg, res := trainSmall(t)
+	b, err := bundle.New(d, cfg, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := make([]string, len(d.Valid))
+	for i, e := range d.Valid {
+		texts[i] = e.Text
+	}
+	if got := bundle.Agreement(b, saveLoad(t, b), texts); got != 1 {
+		t.Errorf("identical bundle: agreement = %v, want 1", got)
+	}
+	if got := bundle.Agreement(b, b, nil); got != 1 {
+		t.Errorf("empty corpus: agreement = %v, want 1", got)
+	}
+	renamed := *b
+	renamed.Dataset.ClassNames = make([]string, len(b.Dataset.ClassNames))
+	for i, name := range b.Dataset.ClassNames {
+		renamed.Dataset.ClassNames[i] = "renamed-" + name
+	}
+	if err := renamed.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bundle.Agreement(b, &renamed, texts); got != 0 {
+		t.Errorf("renamed classes: agreement = %v, want 0", got)
+	}
+}

@@ -68,7 +68,7 @@ type Config struct {
 	// (paper: 10).
 	SCSamples int
 	// Sampler is the query-selection strategy: "random" (default),
-	// "uncertain" or "seu".
+	// "uncertain", "seu", "qbc" or "coreset".
 	Sampler string
 	// Filters configures the LF filter chain (default: all filters on).
 	Filters lf.FilterConfig
@@ -83,9 +83,6 @@ type Config struct {
 	// UncertainRefreshEvery controls how often (in iterations) the interim
 	// end model behind uncertainty sampling is retrained (default 5).
 	UncertainRefreshEvery int
-	// InterimTrainCap bounds the examples used to train interim models
-	// (default 4000); uncertainty estimates do not need the full corpus.
-	InterimTrainCap int
 	// MaxFailedIterations is the graceful-degradation failure budget for
 	// the query loop. 0 (the default, paper mode) is strict: the first
 	// iteration whose LLM call still fails after any retry middleware
@@ -180,9 +177,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.UncertainRefreshEvery <= 0 {
 		c.UncertainRefreshEvery = 5
-	}
-	if c.InterimTrainCap <= 0 {
-		c.InterimTrainCap = 4000
 	}
 	if c.MaxRevisions <= 0 {
 		c.MaxRevisions = 10

@@ -65,7 +65,7 @@ func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry) (*loop, error) {
 	validIx := lf.NewIndex(d.Valid)
 	l := &loop{
 		d: d, cfg: cfg, smp: smp,
-		chain: lf.NewFilterChainIndexed(d, cfg.Filters, trainIx, validIx),
+		chain: lf.NewFilterChain(d, cfg.Filters, trainIx, validIx),
 		state: &sampler.State{
 			Dataset:    d,
 			Used:       make([]bool, len(d.Train)),

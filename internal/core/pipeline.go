@@ -603,6 +603,10 @@ func (ev *evaluator) evaluate(lfs []lf.LabelFunction) (*Result, error) {
 	return res, nil
 }
 
+// interimTrainCap bounds the examples an interim end model trains on;
+// uncertainty estimates do not need the full corpus.
+const interimTrainCap = 4000
+
 // interimTrainProba trains a quick end model on the current LF set and
 // returns its class probabilities over the full train split together
 // with the label model's posteriors, feeding the model-driven samplers
@@ -632,12 +636,12 @@ func (ev *evaluator) interimTrainProba(lfs []lf.LabelFunction, rng *rand.Rand) (
 	if len(X) == 0 {
 		return nil, nil, fmt.Errorf("core: no covered instances yet")
 	}
-	if cap := ev.cfg.InterimTrainCap; len(X) > cap {
-		keep := rng.Perm(len(X))[:cap]
+	if len(X) > interimTrainCap {
+		keep := rng.Perm(len(X))[:interimTrainCap]
 		sort.Ints(keep) // keep the original example order, just thinned
-		sX := make([]*textproc.SparseVector, cap)
-		sY := make([][]float64, cap)
-		sW := make([]float64, cap)
+		sX := make([]*textproc.SparseVector, interimTrainCap)
+		sY := make([][]float64, interimTrainCap)
+		sW := make([]float64, interimTrainCap)
 		for i, ix := range keep {
 			sX[i], sY[i], sW[i] = X[ix], Y[ix], weights[ix]
 		}

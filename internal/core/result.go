@@ -10,52 +10,56 @@ import (
 )
 
 // Result collects everything Table 2 reports about one run, plus the
-// token/cost accounting of Figures 3-4 and diagnostic counts.
+// token/cost accounting of Figures 3-4 and diagnostic counts. Its JSON
+// form is the statistics a grid checkpoint record keeps: the identity,
+// rejection counts, LF set and artifacts are not serialized (grids
+// report statistics, and small records keep appends cheap).
 type Result struct {
-	// Dataset and Method identify the run.
-	Dataset, Method string
+	// Dataset and Method identify the run; a checkpoint record carries
+	// them itself.
+	Dataset, Method string `json:"-"`
 
 	// NumLFs is the size of the final LF set (#LFs row).
-	NumLFs int
+	NumLFs int `json:"num_lfs"`
 	// LFAccuracy is the mean per-LF accuracy on the train split (LF Acc.
 	// row); LFAccuracyKnown is false when train labels are unavailable
 	// (Spouse), where the paper prints "-".
-	LFAccuracy      float64
-	LFAccuracyKnown bool
+	LFAccuracy      float64 `json:"lf_accuracy"`
+	LFAccuracyKnown bool    `json:"lf_accuracy_known"`
 	// LFCoverage is the mean per-LF coverage on the train split (LF Cov.).
-	LFCoverage float64
+	LFCoverage float64 `json:"lf_coverage"`
 	// TotalCoverage is the fraction of train instances covered by any LF
 	// (Total Cov.).
-	TotalCoverage float64
+	TotalCoverage float64 `json:"total_coverage"`
 	// EndMetric is test accuracy, or binary F1 for imbalanced datasets
 	// (EM Acc/F1); MetricName says which.
-	EndMetric  float64
-	MetricName string
+	EndMetric  float64 `json:"end_metric"`
+	MetricName string  `json:"metric_name"`
 
 	// PromptTokens/CompletionTokens/Calls/CostUSD account for every LLM
 	// call of the run (Figures 3-4).
-	PromptTokens     int
-	CompletionTokens int
-	Calls            int
-	CostUSD          float64
+	PromptTokens     int     `json:"prompt_tokens"`
+	CompletionTokens int     `json:"completion_tokens"`
+	Calls            int     `json:"calls"`
+	CostUSD          float64 `json:"cost_usd"`
 
 	// ParseFailures counts LLM responses the parser rejected entirely.
-	ParseFailures int
+	ParseFailures int `json:"parse_failures,omitempty"`
 	// FailedIterations counts query iterations abandoned because the LLM
 	// call failed even after retries (graceful degradation under
 	// Config.MaxFailedIterations; 0 in strict paper mode, which aborts
 	// instead).
-	FailedIterations int
+	FailedIterations int `json:"failed_iterations,omitempty"`
 	// Rejections counts filtered candidates by reason.
-	Rejections map[lf.RejectReason]int
+	Rejections map[lf.RejectReason]int `json:"-"`
 
 	// LFs is the final label-function set.
-	LFs []lf.LabelFunction
+	LFs []lf.LabelFunction `json:"-"`
 
 	// Artifacts references the trained components behind EndMetric — the
 	// pieces a model bundle snapshots for serving. Always non-nil after a
 	// successful evaluation (individual fields may be nil; see Artifacts).
-	Artifacts *Artifacts
+	Artifacts *Artifacts `json:"-"`
 }
 
 // Artifacts bundles the trained components a run produces alongside its

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"datasculpt/internal/baselines"
+	"datasculpt/internal/ckpt"
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
@@ -184,7 +185,7 @@ func sweep(ctx context.Context, o Options, title string, methods []string, run c
 		}
 		for i, c := range cells {
 			if rec, ok := byKey[cellKey(c.method, c.ds, c.seed)]; ok {
-				results[i] = rec.Result.CoreResult(c.method, c.ds)
+				results[i] = rec.Result
 				resumed[i] = true
 				cellsResumed.Inc()
 			}
@@ -194,22 +195,22 @@ func sweep(ctx context.Context, o Options, title string, methods []string, run c
 		}
 	}
 
-	var ckpt *CheckpointWriter
+	var cw *ckpt.Writer
 	if o.Checkpoint != "" {
-		w, err := OpenCheckpoint(o.Checkpoint)
+		w, err := ckpt.Open(o.Checkpoint)
 		if err != nil {
 			return nil, err
 		}
 		defer w.Close()
-		ckpt = w
+		cw = w
 		// write restored cells through to a fresh checkpoint file so it
 		// is self-contained; appending to the file we resumed from would
 		// duplicate its lines
 		if o.Checkpoint != o.ResumeFrom {
 			for i, c := range cells {
 				if resumed[i] {
-					rec := CellRecord{Grid: title, Method: c.method, Dataset: c.ds, Seed: c.seed, Result: NewCellResult(results[i])}
-					if err := ckpt.Append(rec); err != nil {
+					rec := CellRecord{Grid: title, Method: c.method, Dataset: c.ds, Seed: c.seed, Result: results[i]}
+					if err := cw.Append(rec); err != nil {
 						return nil, err
 					}
 				}
@@ -257,9 +258,9 @@ func sweep(ctx context.Context, o Options, title string, methods []string, run c
 			if !o.KeepGoing {
 				fail(err)
 			}
-		} else if ckpt != nil {
-			rec := CellRecord{Grid: title, Method: c.method, Dataset: c.ds, Seed: c.seed, Result: NewCellResult(results[i])}
-			if aerr := ckpt.Append(rec); aerr != nil {
+		} else if cw != nil {
+			rec := CellRecord{Grid: title, Method: c.method, Dataset: c.ds, Seed: c.seed, Result: results[i]}
+			if aerr := cw.Append(rec); aerr != nil {
 				// a checkpoint problem shouldn't void the sweep itself —
 				// the cell is computed; only resumability is degraded
 				o.Obs.Logger.LogAttrs(ctx, slog.LevelWarn, "checkpoint append failed",

@@ -386,7 +386,7 @@ func (d *Daemon) decideOutcome(rec *CycleRecord, cand *bundle.Bundle, corpusText
 	// The registry's gate only sees recent live traffic, which a fresh
 	// or idle tenant lacks; verify against the cycle's own corpus and
 	// undo the swap on disagreement.
-	rec.VerifyAgreement = agreement(d.parent, cand, corpusTexts)
+	rec.VerifyAgreement = bundle.Agreement(d.parent, cand, corpusTexts)
 	if rec.VerifyAgreement < d.cfg.MinVerifyAgreement {
 		if _, err := d.cfg.Registry.Rollback(d.cfg.Tenant); err != nil {
 			return fmt.Errorf("growth: rolling back cycle %d: %w", rec.Cycle, err)
@@ -524,35 +524,4 @@ func growthDataset(base *dataset.Dataset, captured []*dataset.Example) (*dataset
 		return nil, fmt.Errorf("growth: assembling cycle dataset: %w", err)
 	}
 	return gd, nil
-}
-
-// agreement replays texts through both bundles offline (the same
-// featurize→predict path serving uses) and returns the fraction on
-// which they predict the same class name — the growth loop's
-// post-promote verification. An empty corpus verifies trivially.
-func agreement(old, nb *bundle.Bundle, texts []string) float64 {
-	if len(texts) == 0 {
-		return 1
-	}
-	corpus := make([][]string, len(texts))
-	for i, t := range texts {
-		e := &dataset.Example{ID: -1, Text: t, Label: dataset.NoLabel, E1Pos: -1, E2Pos: -1}
-		corpus[i] = e.FeatureTokens()
-	}
-	po := old.EndModel.Predict(old.Featurizer.TransformAll(corpus))
-	pn := nb.EndModel.Predict(nb.Featurizer.TransformAll(corpus))
-	same := 0
-	for i := range po {
-		oc, nc := "", ""
-		if po[i] >= 0 && po[i] < len(old.Dataset.ClassNames) {
-			oc = old.Dataset.ClassNames[po[i]]
-		}
-		if pn[i] >= 0 && pn[i] < len(nb.Dataset.ClassNames) {
-			nc = nb.Dataset.ClassNames[pn[i]]
-		}
-		if oc == nc && oc != "" {
-			same++
-		}
-	}
-	return float64(same) / float64(len(texts))
 }

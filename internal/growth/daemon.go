@@ -119,12 +119,12 @@ type Daemon struct {
 	res *Reservoir
 
 	// cycleMu serializes cycles; mu guards the fields Status reads.
-	cycleMu sync.Mutex
-	mu      sync.Mutex
-	parent  *bundle.Bundle
+	cycleMu    sync.Mutex
+	mu         sync.Mutex
+	parent     *bundle.Bundle
 	parentHash string
-	records []CycleRecord
-	running bool
+	records    []CycleRecord
+	running    bool
 
 	wg sync.WaitGroup
 
@@ -149,6 +149,9 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.Base == nil || cfg.Parent == nil {
 		return nil, fmt.Errorf("growth: nil base dataset or parent bundle")
+	}
+	if err := cfg.Parent.Validate(); err != nil {
+		return nil, fmt.Errorf("growth: parent: %w", err)
 	}
 	if cfg.Base.Task != dataset.TextClassification {
 		return nil, fmt.Errorf("growth: task %s unsupported (captured texts carry no entity annotations)", cfg.Base.Task)

@@ -162,6 +162,11 @@ func TestDaemonConfigValidation(t *testing.T) {
 		{"nil-registry", func(c *Config) { c.Registry = nil }},
 		{"nil-base", func(c *Config) { c.Base = nil }},
 		{"nil-parent", func(c *Config) { c.Parent = nil }},
+		{"invalid-parent", func(c *Config) {
+			p := *b
+			p.Dataset.ClassNames = p.Dataset.ClassNames[:1]
+			c.Parent = &p
+		}},
 		{"empty-state-dir", func(c *Config) { c.StateDir = "" }},
 	} {
 		cfg := base

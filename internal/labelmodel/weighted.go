@@ -39,7 +39,7 @@ func NewWeightedVoteFromValidation(valid []*dataset.Example, lfs []lf.LabelFunct
 }
 
 // NewWeightedVoteFromValidationIndexed is NewWeightedVoteFromValidation
-// over a prebuilt validation index, the way lf.NewFilterChainIndexed
+// over a prebuilt validation index, the way lf.NewFilterChain
 // reuses shared indices: the index is immutable, so one build serves
 // every fit of a run.
 func NewWeightedVoteFromValidationIndexed(ix *lf.Index, lfs []lf.LabelFunction) *WeightedVote {

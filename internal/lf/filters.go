@@ -60,19 +60,6 @@ type AccuracyFilter struct {
 	gold      []int
 }
 
-// NewAccuracyFilter builds the filter over the validation split. A
-// non-positive threshold selects DefaultAccuracyThreshold.
-func NewAccuracyFilter(valid []*dataset.Example, threshold float64) *AccuracyFilter {
-	if threshold <= 0 {
-		threshold = DefaultAccuracyThreshold
-	}
-	return &AccuracyFilter{
-		Threshold: threshold,
-		index:     NewIndex(valid),
-		gold:      dataset.Labels(valid),
-	}
-}
-
 // Pass evaluates the LF on the validation set. It returns whether the LF
 // survives, its measured accuracy, and how many validation instances it
 // was active on (accuracy is meaningless when active == 0).
@@ -113,18 +100,6 @@ type activeSet struct {
 	name  string
 	ids   []int32
 	votes []int8
-}
-
-// NewRedundancyFilter builds the filter over the (typically unlabeled)
-// train split. A non-positive maxConsensus selects DefaultMaxConsensus.
-func NewRedundancyFilter(train []*dataset.Example, maxConsensus float64) *RedundancyFilter {
-	if maxConsensus <= 0 {
-		maxConsensus = DefaultMaxConsensus
-	}
-	return &RedundancyFilter{
-		MaxConsensus: maxConsensus,
-		index:        NewIndex(train),
-	}
 }
 
 // activeSetOf materializes the candidate's activations on the train split.
@@ -237,16 +212,11 @@ type FilterChain struct {
 	rejected   []Rejected
 }
 
-// NewFilterChain wires the chain for one dataset, building fresh indices.
-func NewFilterChain(d *dataset.Dataset, cfg FilterConfig) *FilterChain {
-	return NewFilterChainIndexed(d, cfg, nil, nil)
-}
-
-// NewFilterChainIndexed wires the chain reusing prebuilt train/valid
-// indices (nil arguments build fresh ones). The pipeline shares one train
-// index between the redundancy filter, the samplers and the final vote
-// matrix; rebuilding it for Agnews' 96k documents is measurably wasteful.
-func NewFilterChainIndexed(d *dataset.Dataset, cfg FilterConfig, trainIx, validIx *Index) *FilterChain {
+// NewFilterChain wires the chain for one dataset over prebuilt train and
+// valid indices. The pipeline shares one train index between the
+// redundancy filter, the samplers and the final vote matrix; rebuilding
+// it for Agnews' 96k documents is measurably wasteful.
+func NewFilterChain(d *dataset.Dataset, cfg FilterConfig, trainIx, validIx *Index) *FilterChain {
 	c := &FilterChain{
 		task:       d.Task,
 		numClasses: d.NumClasses(),
@@ -259,9 +229,6 @@ func NewFilterChainIndexed(d *dataset.Dataset, cfg FilterConfig, trainIx, validI
 		if threshold <= 0 {
 			threshold = DefaultAccuracyThreshold
 		}
-		if validIx == nil {
-			validIx = NewIndex(d.Valid)
-		}
 		c.accuracy = &AccuracyFilter{
 			Threshold: threshold,
 			index:     validIx,
@@ -272,9 +239,6 @@ func NewFilterChainIndexed(d *dataset.Dataset, cfg FilterConfig, trainIx, validI
 		maxCons := cfg.MaxConsensus
 		if maxCons <= 0 {
 			maxCons = DefaultMaxConsensus
-		}
-		if trainIx == nil {
-			trainIx = NewIndex(d.Train)
 		}
 		c.redundancy = &RedundancyFilter{MaxConsensus: maxCons, index: trainIx}
 	}

@@ -69,9 +69,14 @@ func TestValidateCandidate(t *testing.T) {
 	}
 }
 
+// newChain builds a filter chain over fresh indices of d.
+func newChain(d *dataset.Dataset, cfg FilterConfig) *FilterChain {
+	return NewFilterChain(d, cfg, NewIndex(d.Train), NewIndex(d.Valid))
+}
+
 func TestAccuracyFilter(t *testing.T) {
 	d := smallDataset()
-	f := NewAccuracyFilter(d.Valid, 0.6)
+	f := newChain(d, FilterConfig{UseAccuracy: true, AccuracyThreshold: 0.6}).accuracy
 
 	// "free" is active on 3 valid instances: labels 1,1,0 -> accuracy 2/3 >= 0.6
 	freeLF, _ := NewKeywordLF("free", 1)
@@ -96,16 +101,18 @@ func TestAccuracyFilter(t *testing.T) {
 }
 
 func TestAccuracyFilterDefaultThreshold(t *testing.T) {
-	d := smallDataset()
-	f := NewAccuracyFilter(d.Valid, 0)
-	if f.Threshold != DefaultAccuracyThreshold {
-		t.Errorf("threshold = %v, want default", f.Threshold)
+	chain := newChain(smallDataset(), AllFilters())
+	if chain.accuracy.Threshold != DefaultAccuracyThreshold {
+		t.Errorf("threshold = %v, want default", chain.accuracy.Threshold)
+	}
+	if chain.redundancy.MaxConsensus != DefaultMaxConsensus {
+		t.Errorf("max consensus = %v, want default", chain.redundancy.MaxConsensus)
 	}
 }
 
 func TestRedundancyFilter(t *testing.T) {
 	d := smallDataset()
-	f := NewRedundancyFilter(d.Train, 0.95)
+	f := newChain(d, FilterConfig{UseRedundancy: true, MaxConsensus: 0.95}).redundancy
 
 	freeLF, _ := NewKeywordLF("free", 1)
 	if ok, _, _ := f.Pass(freeLF); !ok {
@@ -134,7 +141,7 @@ func TestRedundancyFilter(t *testing.T) {
 
 func TestFilterChainAllFilters(t *testing.T) {
 	d := smallDataset()
-	chain := NewFilterChain(d, AllFilters())
+	chain := newChain(d, AllFilters())
 
 	if f, reason := chain.Offer("free", 1); f == nil {
 		t.Fatalf("good candidate rejected: %s", reason)
@@ -162,7 +169,7 @@ func TestFilterChainAllFilters(t *testing.T) {
 
 func TestFilterChainNoAccuracy(t *testing.T) {
 	d := smallDataset()
-	chain := NewFilterChain(d, FilterConfig{UseAccuracy: false, UseRedundancy: true})
+	chain := newChain(d, FilterConfig{UseAccuracy: false, UseRedundancy: true})
 	// the inaccurate candidate now passes
 	if f, reason := chain.Offer("free", 0); f == nil {
 		t.Errorf("no-accuracy chain rejected candidate: %s", reason)
@@ -171,7 +178,7 @@ func TestFilterChainNoAccuracy(t *testing.T) {
 
 func TestFilterChainNoRedundancy(t *testing.T) {
 	d := smallDataset()
-	chain := NewFilterChain(d, FilterConfig{UseAccuracy: true, UseRedundancy: false})
+	chain := newChain(d, FilterConfig{UseAccuracy: true, UseRedundancy: false})
 	if f, _ := chain.Offer("free", 1); f == nil {
 		t.Fatal("first candidate rejected")
 	}
@@ -184,7 +191,7 @@ func TestFilterChainNoRedundancy(t *testing.T) {
 
 func TestFilterChainRedundantReason(t *testing.T) {
 	d := smallDataset()
-	chain := NewFilterChain(d, AllFilters())
+	chain := newChain(d, AllFilters())
 	if f, _ := chain.Offer("free", 1); f == nil {
 		t.Fatal("first candidate rejected")
 	}

@@ -227,9 +227,13 @@ func TestMeteredRecordsConcurrently(t *testing.T) {
 	}
 }
 
+// TestOpenAITypedErrors checks the client's classification and that a
+// server answering 429 and then 503 sees exactly one request per Chat.
 func TestOpenAITypedErrors(t *testing.T) {
 	status := atomic.Int32{}
+	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
 		w.WriteHeader(int(status.Load()))
 		if status.Load() == http.StatusOK {
 			fmt.Fprint(w, `{}`) // decodes but has no choices
@@ -237,22 +241,28 @@ func TestOpenAITypedErrors(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	c := NewOpenAI(srv.URL, "", "m", WithMaxRetries(1), WithRetryDelay(time.Millisecond))
-
-	status.Store(http.StatusTooManyRequests)
-	if _, err := c.Chat(context.Background(), msg("Query: x"), 0, 1); !errors.Is(err, ErrRateLimited) {
-		t.Errorf("429 error = %v, want ErrRateLimited", err)
-	}
-	status.Store(http.StatusServiceUnavailable)
-	if _, err := c.Chat(context.Background(), msg("Query: x"), 0, 1); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("503 error = %v, want ErrUnavailable", err)
-	}
-	status.Store(http.StatusOK)
-	if _, err := c.Chat(context.Background(), msg("Query: x"), 0, 1); !errors.Is(err, ErrBadResponse) {
-		t.Errorf("empty-choices error = %v, want ErrBadResponse", err)
+	c := NewOpenAI(srv.URL, "", "m")
+	for _, tc := range []struct {
+		status int32
+		want   error
+	}{
+		{http.StatusTooManyRequests, ErrRateLimited},
+		{http.StatusServiceUnavailable, ErrUnavailable},
+		{http.StatusOK, ErrBadResponse},
+	} {
+		status.Store(tc.status)
+		calls.Store(0)
+		if _, err := c.Chat(context.Background(), msg("Query: x"), 0, 1); !errors.Is(err, tc.want) {
+			t.Errorf("status %d: error = %v, want %v", tc.status, err, tc.want)
+		}
+		if calls.Load() != 1 {
+			t.Errorf("status %d: %d requests, want exactly 1", tc.status, calls.Load())
+		}
 	}
 }
 
+// TestOpenAIBadResponseNotRetried: the composed stack fails fast on a
+// malformed body.
 func TestOpenAIBadResponseNotRetried(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -260,8 +270,9 @@ func TestOpenAIBadResponseNotRetried(t *testing.T) {
 		fmt.Fprint(w, `not json`)
 	}))
 	t.Cleanup(srv.Close)
-	c := NewOpenAI(srv.URL, "", "m", WithMaxRetries(5), WithRetryDelay(time.Millisecond))
-	if _, err := c.Chat(context.Background(), msg("Query: x"), 0, 1); !errors.Is(err, ErrBadResponse) {
+	r := NewRetry(NewOpenAI(srv.URL, "", "m"), WithRetryAttempts(6),
+		WithRetryBackoff(time.Millisecond, time.Millisecond))
+	if _, err := r.Chat(context.Background(), msg("Query: x"), 0, 1); !errors.Is(err, ErrBadResponse) {
 		t.Fatalf("error = %v, want ErrBadResponse", err)
 	}
 	if calls.Load() != 1 {
@@ -269,46 +280,43 @@ func TestOpenAIBadResponseNotRetried(t *testing.T) {
 	}
 }
 
+// TestOpenAIContextCancelsBackoff: the composed stack abandons a long
+// backoff as soon as the caller's context is done.
 func TestOpenAIContextCancelsBackoff(t *testing.T) {
+	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	t.Cleanup(srv.Close)
-	c := NewOpenAI(srv.URL, "", "m", WithMaxRetries(3), WithRetryDelay(10*time.Second))
+	r := NewRetry(NewRateLimiter(NewOpenAI(srv.URL, "", "m"), 1000, 1),
+		WithRetryBackoff(10*time.Second, 10*time.Second))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Chat(ctx, msg("Query: x"), 0, 1)
-	if err == nil {
-		t.Fatal("canceled request succeeded")
+	_, err := r.Chat(ctx, msg("Query: x"), 0, 1)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the context's deadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("backoff ignored context: took %v", elapsed)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("requests = %d, want 1 before the backoff", calls.Load())
 	}
 }
 
 func TestOpenAIOptions(t *testing.T) {
 	h := &http.Client{Timeout: time.Second}
-	c := NewOpenAI("http://x", "k", "m",
-		WithPricing(1.5, 2.5),
-		WithMaxRetries(7),
-		WithRetryDelay(time.Millisecond),
-		WithHTTPClient(h),
-		WithRateLimit(10, 2),
-	)
+	c := NewOpenAI("http://x", "k", "m", WithPricing(1.5, 2.5), WithHTTPClient(h))
 	if p, cp := c.Pricing(); p != 1.5 || cp != 2.5 {
 		t.Errorf("pricing = %v/%v", p, cp)
 	}
-	if c.MaxRetries != 7 || c.RetryDelay != time.Millisecond || c.HTTPClient != h {
+	if c.HTTPClient != h || c.ModelName() != "m" {
 		t.Errorf("options not applied: %+v", c)
 	}
-	if c.gate == nil {
-		t.Error("rate limit gate not installed")
-	}
-	// deprecated shim still constructs a working client
-	old := NewOpenAIClient("http://x", "k", "m")
-	if old.MaxRetries != 3 || old.HTTPClient == nil {
-		t.Errorf("deprecated constructor defaults: %+v", old)
+	if NewOpenAI("http://x", "k", "m").HTTPClient == nil {
+		t.Error("default HTTP client not installed")
 	}
 }
 

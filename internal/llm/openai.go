@@ -18,11 +18,15 @@ import (
 // pointed at a real provider — swap the constructor and nothing else
 // changes.
 //
-// It honors context cancellation end-to-end: the HTTP request carries
-// the caller's ctx, and retry backoff aborts as soon as ctx is done.
+// Each Chat is exactly one HTTP exchange carrying the caller's ctx.
 // Failures carry typed categories — errors.Is(err, ErrRateLimited),
-// ErrUnavailable (both retried) and ErrBadResponse (returned
-// immediately).
+// ErrUnavailable (both retryable, with any Retry-After header attached
+// as a RetryAfterError) and ErrBadResponse (not). Retries and pacing
+// are middleware concerns; the documented stack is
+//
+//	NewMetered(NewCache(NewRetry(NewRateLimiter(client, qps, burst))))
+//
+// so every attempt, retries included, waits for its own rate slot.
 type OpenAIClient struct {
 	// BaseURL is the API root, e.g. "https://api.openai.com/v1".
 	BaseURL string
@@ -35,26 +39,6 @@ type OpenAIClient struct {
 	PromptPrice, CompletionPrice float64
 	// HTTPClient overrides the default client (30s timeout).
 	HTTPClient *http.Client
-	// MaxRetries bounds retry attempts on rate-limit/5xx responses
-	// (default 3). A zero set through WithMaxRetries(0) disables
-	// retries entirely — exactly one attempt; a zero from a struct
-	// literal still means "use the default".
-	MaxRetries int
-	// RetryDelay is the base backoff delay (default 500ms, doubled per
-	// retry up to MaxRetryDelay with jitter; a 429's Retry-After header
-	// overrides the computed delay).
-	RetryDelay time.Duration
-	// MaxRetryDelay caps every backoff delay, computed or
-	// provider-requested (default 15s).
-	MaxRetryDelay time.Duration
-
-	// retriesSet records that WithMaxRetries was called, so an explicit
-	// 0 can be told apart from the unset zero value.
-	retriesSet bool
-	// gate paces outgoing requests when WithRateLimit is set.
-	gate *sendGate
-	// sleep is swapped by tests to observe backoff without waiting.
-	sleep func(ctx context.Context, d time.Duration) error
 }
 
 // Option configures an OpenAIClient at construction.
@@ -68,66 +52,28 @@ func WithPricing(promptPer1M, completionPer1M float64) Option {
 	}
 }
 
-// WithMaxRetries bounds retry attempts on retryable failures.
-// WithMaxRetries(0) disables retries: the client performs exactly one
-// attempt.
-func WithMaxRetries(n int) Option {
-	return func(c *OpenAIClient) {
-		c.MaxRetries = n
-		c.retriesSet = true
-	}
-}
-
-// WithRetryDelay sets the base backoff delay (doubled per retry).
-func WithRetryDelay(d time.Duration) Option {
-	return func(c *OpenAIClient) { c.RetryDelay = d }
-}
-
-// WithMaxRetryDelay caps every backoff delay, computed or requested by
-// the provider's Retry-After header.
-func WithMaxRetryDelay(d time.Duration) Option {
-	return func(c *OpenAIClient) { c.MaxRetryDelay = d }
-}
-
 // WithHTTPClient substitutes the transport (proxies, custom TLS,
 // test servers).
 func WithHTTPClient(h *http.Client) Option {
 	return func(c *OpenAIClient) { c.HTTPClient = h }
 }
 
-// WithRateLimit caps outgoing requests at qps with the given burst — a
-// client-side token bucket so a Workers=N experiment sweep cannot flood
-// a real endpoint. Waits abort on context cancellation.
-func WithRateLimit(qps float64, burst int) Option {
-	return func(c *OpenAIClient) { c.gate = newSendGate(qps, burst) }
-}
-
 // NewOpenAI constructs a client for an OpenAI-compatible endpoint.
 //
-//	llm.NewOpenAI(url, key, "gpt-4o-mini",
-//	    llm.WithPricing(0.15, 0.60),
-//	    llm.WithRateLimit(2, 4),
-//	    llm.WithMaxRetries(5))
+//	llm.NewRetry(llm.NewRateLimiter(
+//	    llm.NewOpenAI(url, key, "gpt-4o-mini", llm.WithPricing(0.15, 0.60)),
+//	    2, 4))
 func NewOpenAI(baseURL, apiKey, model string, opts ...Option) *OpenAIClient {
 	c := &OpenAIClient{
 		BaseURL:    baseURL,
 		APIKey:     apiKey,
 		Model:      model,
 		HTTPClient: &http.Client{Timeout: 30 * time.Second},
-		MaxRetries: 3,
-		RetryDelay: 500 * time.Millisecond,
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
 	return c
-}
-
-// NewOpenAIClient constructs a client with defaults.
-//
-// Deprecated: use NewOpenAI with functional options.
-func NewOpenAIClient(baseURL, apiKey, model string) *OpenAIClient {
-	return NewOpenAI(baseURL, apiKey, model)
 }
 
 // ModelName implements ChatModel.
@@ -191,51 +137,7 @@ func (c *OpenAIClient) Chat(ctx context.Context, messages []Message, temperature
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	retries := c.MaxRetries
-	if retries < 0 {
-		retries = 0
-	}
-	if retries == 0 && !c.retriesSet {
-		retries = 3 // unset, not "explicitly none"
-	}
-	pol := backoffPolicy{base: c.RetryDelay, max: c.MaxRetryDelay, jitter: defaultRetryJitter}
-	if pol.base <= 0 {
-		pol.base = 500 * time.Millisecond
-	}
-	if pol.max <= 0 {
-		pol.max = 15 * time.Second
-	}
-	sleep := c.sleep
-	if sleep == nil {
-		sleep = sleepCtx
-	}
-
-	var lastErr error
-	var hint time.Duration
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			if err := sleep(ctx, pol.delay(attempt-1, hint, jitterDraw())); err != nil {
-				return nil, fmt.Errorf("llm: backoff aborted: %w", err)
-			}
-		}
-		if c.gate != nil {
-			if _, err := c.gate.wait(ctx); err != nil {
-				return nil, err
-			}
-		}
-		resp, err := c.doRequest(ctx, client, payload)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !Retryable(err) || ctx.Err() != nil {
-			// malformed exchanges don't heal with retries, and a dead
-			// context means the caller already moved on
-			return nil, err
-		}
-		hint, _ = RetryAfter(err)
-	}
-	return nil, fmt.Errorf("llm: chat request failed after %d attempts: %w", retries+1, lastErr)
+	return c.doRequest(ctx, client, payload)
 }
 
 // parseRetryAfter decodes a Retry-After header: delay-seconds or an

@@ -9,31 +9,7 @@ import (
 	"datasculpt/internal/obs"
 )
 
-// sendGate is a token-bucket pacer shared by the RateLimiter middleware
-// and the OpenAI client's WithRateLimit option. It admits `burst`
-// immediate sends, then one send per interval, and aborts waits when the
-// caller's context is done.
-type sendGate struct {
-	mu       sync.Mutex
-	interval time.Duration
-	burst    int
-	next     time.Time // earliest time the oldest outstanding slot frees
-	sleep    func(ctx context.Context, d time.Duration) error
-}
-
-// newSendGate builds a gate admitting qps sends per second after an
-// initial burst (burst < 1 is treated as 1).
-func newSendGate(qps float64, burst int) *sendGate {
-	if burst < 1 {
-		burst = 1
-	}
-	return &sendGate{
-		interval: time.Duration(float64(time.Second) / qps),
-		burst:    burst,
-		sleep:    sleepCtx,
-	}
-}
-
+// sleepCtx waits d, or returns ctx's error as soon as ctx is done.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -45,48 +21,22 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// wait blocks until a send slot is available or ctx is done. It reports
-// how long the caller actually waited, whether the wait completed or
-// was abandoned, so callers can account the time either way. A context
-// that is already done is observed before any slot is claimed — a
-// canceled caller neither proceeds nor burns rate budget.
-func (g *sendGate) wait(ctx context.Context) (waited time.Duration, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrRateLimited, err)
-	}
-
-	g.mu.Lock()
-	now := time.Now()
-	// the bucket never accumulates more than `burst` credit
-	floor := now.Add(-time.Duration(g.burst-1) * g.interval)
-	if g.next.Before(floor) {
-		g.next = floor
-	}
-	wait := g.next.Sub(now)
-	g.next = g.next.Add(g.interval)
-	g.mu.Unlock()
-
-	if wait <= 0 {
-		return 0, nil
-	}
-	start := time.Now()
-	if err := g.sleep(ctx, wait); err != nil {
-		return time.Since(start), fmt.Errorf("%w: %v", ErrRateLimited, err)
-	}
-	return time.Since(start), nil
-}
-
 // RateLimiter is a ChatModel middleware that caps the call rate against
 // a real endpoint with a token bucket: Burst calls pass immediately,
 // further calls are spaced 1/QPS apart. Waiting calls abort when their
 // context is canceled — including contexts canceled before the call —
 // returning an error wrapping ErrRateLimited.
 //
-// Compose it below the Cache (Cache -> RateLimiter -> client) so cache
-// hits never spend rate budget.
+// Compose it below the Cache and the Retry middleware
+// (Cache -> Retry -> RateLimiter -> client) so cache hits never spend
+// rate budget and every retried attempt waits for its own slot.
 type RateLimiter struct {
 	inner ChatModel
-	gate  *sendGate
+
+	mu       sync.Mutex
+	interval time.Duration
+	burst    int
+	next     time.Time // earliest time the oldest outstanding slot frees
 
 	// telemetry handles; nil (no-op) until Instrument
 	waitSeconds *obs.Histogram
@@ -96,7 +46,45 @@ type RateLimiter struct {
 // NewRateLimiter wraps a model with a qps token bucket (burst 1 when
 // burst < 1).
 func NewRateLimiter(inner ChatModel, qps float64, burst int) *RateLimiter {
-	return &RateLimiter{inner: inner, gate: newSendGate(qps, burst)}
+	if burst < 1 {
+		burst = 1
+	}
+	return &RateLimiter{
+		inner:    inner,
+		interval: time.Duration(float64(time.Second) / qps),
+		burst:    burst,
+	}
+}
+
+// wait blocks until a send slot is available or ctx is done. It reports
+// how long the caller actually waited, whether the wait completed or
+// was abandoned, so Chat can account the time either way. A context
+// that is already done is observed before any slot is claimed — a
+// canceled caller neither proceeds nor burns rate budget.
+func (r *RateLimiter) wait(ctx context.Context) (waited time.Duration, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrRateLimited, err)
+	}
+
+	r.mu.Lock()
+	now := time.Now()
+	// the bucket never accumulates more than `burst` credit
+	floor := now.Add(-time.Duration(r.burst-1) * r.interval)
+	if r.next.Before(floor) {
+		r.next = floor
+	}
+	wait := r.next.Sub(now)
+	r.next = r.next.Add(r.interval)
+	r.mu.Unlock()
+
+	if wait <= 0 {
+		return 0, nil
+	}
+	start := time.Now()
+	if err := sleepCtx(ctx, wait); err != nil {
+		return time.Since(start), fmt.Errorf("%w: %v", ErrRateLimited, err)
+	}
+	return time.Since(start), nil
 }
 
 // Instrument records wait telemetry into the registry and returns the
@@ -120,7 +108,7 @@ func (r *RateLimiter) Pricing() (float64, float64) { return r.inner.Pricing() }
 
 // Chat implements ChatModel, waiting for a send slot first.
 func (r *RateLimiter) Chat(ctx context.Context, messages []Message, temperature float64, n int) ([]Response, error) {
-	waited, err := r.gate.wait(ctx)
+	waited, err := r.wait(ctx)
 	if waited > 0 {
 		r.waitSeconds.Observe(waited.Seconds())
 	}

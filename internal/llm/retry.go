@@ -12,8 +12,8 @@ import (
 
 // backoffPolicy computes the wait before each retry: capped exponential
 // growth with downward jitter, overridden by a provider Retry-After hint
-// when one is available. It is shared by the Retry middleware and the
-// OpenAI client's built-in retry loop so the two never drift apart.
+// when one is available. Only the Retry middleware uses it: Retry is
+// the one place a ChatModel's transient failures are re-issued.
 type backoffPolicy struct {
 	base   time.Duration // delay before the first retry
 	max    time.Duration // hard cap on any computed or hinted delay
@@ -71,10 +71,11 @@ const (
 // hints exactly. Non-retryable failures (ErrBadResponse, context
 // cancellation) are returned immediately.
 //
-// Compose it directly above the endpoint and below the Cache
-// (Cache -> Retry -> client) so cache misses are retried but hits never
-// pay for it; when a FaultInjector is in the stack, Retry sits above it
-// so injected faults exercise this exact loop.
+// Compose it below the Cache and above the RateLimiter
+// (Cache -> Retry -> RateLimiter -> client) so cache misses are retried
+// but hits never pay for it, and each attempt waits for a rate slot;
+// when a FaultInjector is in the stack, Retry sits above it so injected
+// faults exercise this exact loop.
 type Retry struct {
 	inner    ChatModel
 	attempts int

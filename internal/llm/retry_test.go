@@ -309,39 +309,9 @@ func TestRetryAbsorbsInjectedFaults(t *testing.T) {
 	}
 }
 
-func TestOpenAIExplicitZeroRetries(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusTooManyRequests)
-	}))
-	t.Cleanup(srv.Close)
-
-	c := NewOpenAI(srv.URL, "", "m", WithMaxRetries(0))
-	if _, err := c.Chat(context.Background(), msg("Query: x"), 0, 1); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("err = %v, want ErrRateLimited", err)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("WithMaxRetries(0) performed %d attempts, want exactly 1", calls.Load())
-	}
-
-	// negative values clamp to a single attempt too
-	calls.Store(0)
-	c = NewOpenAI(srv.URL, "", "m", WithMaxRetries(-3))
-	c.Chat(context.Background(), msg("Query: x"), 0, 1)
-	if calls.Load() != 1 {
-		t.Errorf("WithMaxRetries(-3) performed %d attempts, want 1", calls.Load())
-	}
-
-	// a zero-valued struct literal still gets the default of 3 retries
-	calls.Store(0)
-	c = &OpenAIClient{BaseURL: srv.URL, Model: "m", RetryDelay: time.Millisecond}
-	c.Chat(context.Background(), msg("Query: x"), 0, 1)
-	if calls.Load() != 4 {
-		t.Errorf("zero-value client performed %d attempts, want 4", calls.Load())
-	}
-}
-
+// TestOpenAIHonorsRetryAfterHeader: the client surfaces a 429's
+// Retry-After header as a hint, and NewRetry over it waits exactly that
+// long before the one retry.
 func TestOpenAIHonorsRetryAfterHeader(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -355,10 +325,10 @@ func TestOpenAIHonorsRetryAfterHeader(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	c := NewOpenAI(srv.URL, "", "m", WithMaxRetries(2))
+	r := NewRetry(NewOpenAI(srv.URL, "", "m"))
 	var delays []time.Duration
-	c.sleep = noSleep(&delays)
-	resp, err := c.Chat(context.Background(), msg("Query: x"), 0, 1)
+	r.sleep = noSleep(&delays)
+	resp, err := r.Chat(context.Background(), msg("Query: x"), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,39 +338,8 @@ func TestOpenAIHonorsRetryAfterHeader(t *testing.T) {
 	if len(delays) != 1 || delays[0] != 7*time.Second {
 		t.Errorf("delays = %v, want [7s] from the Retry-After header", delays)
 	}
-}
-
-func TestOpenAIBackoffCappedAndJittered(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	t.Cleanup(srv.Close)
-
-	c := NewOpenAI(srv.URL, "", "m",
-		WithMaxRetries(6),
-		WithRetryDelay(time.Second),
-		WithMaxRetryDelay(2*time.Second))
-	var delays []time.Duration
-	c.sleep = noSleep(&delays)
-	if _, err := c.Chat(context.Background(), msg("Query: x"), 0, 1); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", err)
-	}
-	if len(delays) != 6 {
-		t.Fatalf("delays = %d, want 6", len(delays))
-	}
-	for i, d := range delays {
-		if d > 2*time.Second {
-			t.Errorf("delay %d = %v exceeds the 2s cap", i, d)
-		}
-		if d <= 0 {
-			t.Errorf("delay %d = %v, want > 0", i, d)
-		}
-	}
-	// by the third retry the uncapped delay would be 4s; the cap (minus
-	// jitter) must hold it at or under 2s while staying above the
-	// jitter floor
-	if min := time.Duration(float64(2*time.Second) * (1 - defaultRetryJitter)); delays[5] < min {
-		t.Errorf("capped delay %v fell below the jitter floor %v", delays[5], min)
+	if calls.Load() != 2 {
+		t.Errorf("requests = %d, want 2", calls.Load())
 	}
 }
 

@@ -2,12 +2,16 @@ package registry_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"datasculpt/internal/bundle"
+	"datasculpt/internal/core"
+	"datasculpt/internal/dataset"
 	"datasculpt/internal/obs"
 	"datasculpt/internal/registry"
 	"datasculpt/internal/serve"
@@ -82,6 +86,82 @@ func FuzzGatewayLabel(f *testing.F) {
 		}
 		if got != want {
 			t.Fatalf("body %q: %d predictions for %d texts", body, got, want)
+		}
+	})
+}
+
+// FuzzGatewayPromote posts arbitrary bodies to /v1/bundles/{tenant},
+// the bundle-upload trust boundary. Whatever arrives, the gateway must
+// answer below 500, and the served bundle (the tenant's generation)
+// moves on exactly when the answer is 200. The tenant has labeled
+// traffic first, so a decodable valid candidate also runs the shadow
+// gate's replay.
+func FuzzGatewayPromote(f *testing.F) {
+	// A small bundle keeps the valid seed short enough for the fuzzer
+	// to mutate and minimize quickly.
+	d, err := dataset.Load("youtube", 11, 0.2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := core.DefaultConfig(core.VariantBase)
+	cfg.Iterations = 4
+	cfg.Seed = 11
+	cfg.FeatureDim = 32
+	cfg.EndModel.Epochs = 1
+	res, err := core.Run(d, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := bundle.New(d, cfg, res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := json.Marshal(b)
+	if err != nil {
+		f.Fatal(err)
+	}
+	r, mreg := newRegistry(f, registry.Options{})
+	if err := r.RegisterBundle("t", b); err != nil {
+		f.Fatal(err)
+	}
+	texts := make([]string, 0, 8)
+	for _, e := range d.Valid[:8] {
+		texts = append(texts, e.Text)
+	}
+	if _, err := r.Label(context.Background(), "t", texts, false); err != nil {
+		f.Fatal(err)
+	}
+	h := registry.NewGateway(r, obs.New(nil, mreg, nil), registry.GatewayOptions{}).Handler()
+	generation := func() int {
+		for _, info := range r.List() {
+			if info.Tenant == "t" {
+				return info.Generation
+			}
+		}
+		f.Fatal("tenant t not listed")
+		return 0
+	}
+
+	for _, c := range goldenCases {
+		if c.method == http.MethodPost && c.path == "/v1/bundles/t" {
+			f.Add([]byte(c.body))
+		}
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := generation()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bundles/t", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		after := generation()
+		if ok := rec.Code == http.StatusOK; ok != (after != before) {
+			t.Fatalf("status %d but generation %d -> %d: %s", rec.Code, before, after, rec.Body)
 		}
 	})
 }

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"datasculpt/internal/bundle"
-	"datasculpt/internal/dataset"
 	"datasculpt/internal/obs"
 	"datasculpt/internal/serve"
 )
@@ -550,7 +549,7 @@ func (r *Registry) Promote(tenant string, nb *bundle.Bundle, force bool) (*Promo
 		if sample := e.sampleRecent(); len(sample) > 0 {
 			rep.Gated = true
 			rep.ShadowSample = len(sample)
-			rep.Agreement = shadowAgreement(old.b, nb, sample)
+			rep.Agreement = bundle.Agreement(old.b, nb, sample)
 			if rep.Agreement < r.opts.ShadowAgreement {
 				r.mShadowRej.With1(tenant).Inc()
 				return rep, ErrShadowGate
@@ -692,26 +691,4 @@ func (r *Registry) Close() {
 		}
 	}
 	r.rebalance(nil)
-}
-
-// shadowAgreement replays texts through both bundles offline (the same
-// featurize→predict path serving uses) and returns the fraction on
-// which they predict the same class name. Names, not indices: a
-// candidate trained with reordered or different classes must not
-// silently pass.
-func shadowAgreement(old, nb *bundle.Bundle, texts []string) float64 {
-	corpus := make([][]string, len(texts))
-	for i, t := range texts {
-		e := &dataset.Example{ID: -1, Text: t, Label: dataset.NoLabel, E1Pos: -1, E2Pos: -1}
-		corpus[i] = e.FeatureTokens()
-	}
-	po := old.EndModel.Predict(old.Featurizer.TransformAll(corpus))
-	pn := nb.EndModel.Predict(nb.Featurizer.TransformAll(corpus))
-	agree := 0
-	for i := range po {
-		if old.Dataset.ClassNames[po[i]] == nb.Dataset.ClassNames[pn[i]] {
-			agree++
-		}
-	}
-	return float64(agree) / float64(len(po))
 }
