@@ -70,9 +70,10 @@ stress:
 # cross a trust boundary: LLM completions, raw text and its feature
 # vectors, label and bundle-promote request bodies, bundle files, the
 # growth loop's on-disk step journal, grid checkpoint files and JSONL
-# corpus splits; plus arbitrary vote matrices through MeTaL's
-# per-pattern EM, which must match the row-by-row reference bit for
-# bit. `go test -fuzz` accepts a single target per invocation, hence one
+# corpus splits; raw keyword phrases (as a bundle file can carry them)
+# through the index's one-pass LF evaluation, which must match a full
+# Apply scan; plus arbitrary vote matrices through MeTaL's per-pattern
+# EM, which must match the row-by-row reference bit for bit. `go test -fuzz` accepts a single target per invocation, hence one
 # run each.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzParseResponse$$' -fuzztime 30s ./internal/prompt/
@@ -85,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzProposerReplay$$' -fuzztime 30s ./internal/core/
 	$(GO) test -run XXX -fuzz '^FuzzJSONLReader$$' -fuzztime 30s ./internal/dataset/
 	$(GO) test -run XXX -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s ./internal/experiment/
+	$(GO) test -run XXX -fuzz '^FuzzIndexEval$$' -fuzztime 30s ./internal/lf/
 	$(GO) test -run XXX -fuzz '^FuzzMeTaLPatterns$$' -fuzztime 30s ./internal/labelmodel/
 
 # total-coverage regression gate: fail if statement coverage drops below

@@ -277,42 +277,30 @@ func run(ctx context.Context, o runOptions) error {
 			"\n  datasculptd -bundle %s\n",
 			len(b.LFs), b.Dataset.MetricName, b.Provenance.EndMetric, o.saveBundle, o.saveBundle)
 	}
-	if o.analyze {
-		ix := lf.NewIndex(last.Train)
-		vm := lf.BuildVoteMatrix(ix, final.LFs)
-		var gold []int
-		if last.TrainLabeled {
-			gold = dataset.Labels(last.Train)
-		}
-		sums := lf.Analyze(vm, final.LFs, gold)
-		lf.SortByCoverage(sums)
-		fmt.Println("\nLF analysis (train split):")
-		fmt.Print(lf.FormatSummaries(sums))
+	if !o.analyze && !showLFs {
+		return nil
 	}
-
+	// One train index and vote matrix serve both reports.
+	vm := lf.BuildVoteMatrix(lf.NewIndex(last.Train), final.LFs)
+	var gold []int
+	if last.TrainLabeled {
+		gold = dataset.Labels(last.Train)
+	}
+	sums := lf.Analyze(vm, final.LFs, gold)
+	if o.analyze {
+		sorted := append([]lf.Summary(nil), sums...)
+		lf.SortByCoverage(sorted)
+		fmt.Println("\nLF analysis (train split):")
+		fmt.Print(lf.FormatSummaries(sorted))
+	}
 	if showLFs {
 		fmt.Println("\nGenerated label functions (last computed seed):")
-		r := final
-		ix := lf.NewIndex(last.Train)
-		vm := lf.BuildVoteMatrix(ix, r.LFs)
-		gold := dataset.Labels(last.Train)
-		type row struct {
-			name string
-			cov  float64
-			acc  float64
-			n    int
-		}
-		rows := make([]row, vm.NumLFs())
-		for j := 0; j < vm.NumLFs(); j++ {
-			a, n := vm.LFAccuracy(j, gold)
-			rows[j] = row{r.LFs[j].Name(), vm.Coverage(j), a, n}
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].cov > rows[j].cov })
-		for _, rw := range rows {
+		sort.Slice(sums, func(i, j int) bool { return sums[i].Coverage > sums[j].Coverage })
+		for _, s := range sums {
 			if last.TrainLabeled {
-				fmt.Printf("  %-40s cov=%.4f acc=%.3f (n=%d)\n", rw.name, rw.cov, rw.acc, rw.n)
+				fmt.Printf("  %-40s cov=%.4f acc=%.3f (n=%d)\n", s.Name, s.Coverage, s.Accuracy, s.Correct+s.Incorrect)
 			} else {
-				fmt.Printf("  %-40s cov=%.4f\n", rw.name, rw.cov)
+				fmt.Printf("  %-40s cov=%.4f\n", s.Name, s.Coverage)
 			}
 		}
 	}

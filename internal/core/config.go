@@ -109,8 +109,8 @@ type Config struct {
 	// VoteSpillMB, when positive, bounds the resident sparse bytes of the
 	// train-split vote matrix: columns beyond the budget spill LRU to an
 	// unlinked temp file and fault back in transparently
-	// (eval_votematrix_spill_* metrics). 0 (default) keeps the matrix
-	// fully resident with dense per-column storage, exactly as before.
+	// (eval_votematrix_spill_* metrics). 0 (default) keeps every column
+	// resident. The layout is the same either way, and so are the results.
 	VoteSpillMB int
 	// Parallelism bounds the worker goroutines the evaluation engine uses
 	// for vote-matrix column evaluation, the label model's EM steps,

@@ -80,25 +80,20 @@ func (m *DawidSkene) Fit(vm *lf.VoteMatrix, numClasses int) error {
 	}
 
 	active := collectActive(vm)
-	covered := vm.Covered()
+	rows := vm.Rows()
+	n := rows.NumRows()
+	logpost := make([][]float64, n)
+	gamma := make([][]float64, n)
 	nCovered := 0
-	for _, b := range covered {
-		if b {
+	for i := range logpost {
+		if js, _ := rows.Row(i); len(js) > 0 {
+			logpost[i] = make([]float64, numClasses)
+			gamma[i] = make([]float64, numClasses)
 			nCovered++
 		}
 	}
 	if nCovered == 0 {
 		return fmt.Errorf("dawid-skene: no example is covered by any LF")
-	}
-
-	n := vm.NumExamples()
-	logpost := make([][]float64, n)
-	gamma := make([][]float64, n)
-	for i := range logpost {
-		if covered[i] {
-			logpost[i] = make([]float64, numClasses)
-			gamma[i] = make([]float64, numClasses)
-		}
 	}
 
 	prevLL := math.Inf(-1)
@@ -189,27 +184,22 @@ func (m *DawidSkene) PredictProba(vm *lf.VoteMatrix) [][]float64 {
 	if vm.NumLFs() != len(m.confusion) {
 		panic(fmt.Sprintf("dawid-skene: matrix has %d LFs, fitted on %d", vm.NumLFs(), len(m.confusion)))
 	}
-	n := vm.NumExamples()
-	out := make([][]float64, n)
+	rows := vm.Rows()
+	out := make([][]float64, rows.NumRows())
 	logp := make([]float64, m.k)
-	row := make([]int, vm.NumLFs())
-	for i := 0; i < n; i++ {
-		vm.Row(i, row)
-		any := false
+	for i := range out {
+		js, vs := rows.Row(i)
+		if len(js) == 0 {
+			continue
+		}
 		for c := 0; c < m.k; c++ {
 			logp[c] = math.Log(m.prior[c])
 		}
-		for j, v := range row {
-			if v == lf.Abstain {
-				continue
-			}
-			any = true
+		for t, j := range js {
+			v := vs[t]
 			for c := 0; c < m.k; c++ {
 				logp[c] += math.Log(m.confusion[j][c][v])
 			}
-		}
-		if !any {
-			continue
 		}
 		lse := logSumExp(logp)
 		p := make([]float64, m.k)

@@ -186,44 +186,6 @@ func collectActive(vm *lf.VoteMatrix) []activeList {
 	return out
 }
 
-// voteCSR is the row-major view of a vote matrix: for example i, the
-// (LF, vote) pairs live in js/vs[start[i]:start[i+1]], with LF indices
-// ascending — the same order the column-sparse accumulation visits them,
-// which keeps the floating-point sums bit-identical to the historical
-// sequential E-step.
-type voteCSR struct {
-	start []int
-	js    []int32
-	vs    []int8
-}
-
-func buildCSR(vm *lf.VoteMatrix) voteCSR {
-	n, nLF := vm.NumExamples(), vm.NumLFs()
-	start := make([]int, n+1)
-	for j := 0; j < nLF; j++ {
-		ids, _ := vm.Active(j)
-		for _, id := range ids {
-			start[id+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
-	}
-	nnz := start[n]
-	csr := voteCSR{start: start, js: make([]int32, nnz), vs: make([]int8, nnz)}
-	fill := append([]int(nil), start[:n]...)
-	for j := 0; j < nLF; j++ {
-		ids, votes := vm.Active(j)
-		for t, id := range ids {
-			p := fill[id]
-			csr.js[p] = int32(j)
-			csr.vs[p] = votes[t]
-			fill[id] = p + 1
-		}
-	}
-	return csr
-}
-
 // votePatterns groups the covered rows of a vote matrix by their
 // ascending (LF, vote) list. Rows with equal lists get bit-identical
 // posteriors — scoreRow reads nothing but the list — so the E-step and
@@ -235,21 +197,20 @@ type votePatterns struct {
 	rep []int32 // per pattern: the first row carrying it
 }
 
-func groupPatterns(csr voteCSR) votePatterns {
-	n := len(csr.start) - 1
+func groupPatterns(rows lf.RowView) votePatterns {
+	n := rows.NumRows()
 	pats := votePatterns{of: make([]int32, n)}
 	ids := make(map[string]int32)
 	var key []byte
 	for i := 0; i < n; i++ {
-		lo, hi := csr.start[i], csr.start[i+1]
-		if lo == hi {
+		js, vs := rows.Row(i)
+		if len(js) == 0 {
 			pats.of[i] = -1
 			continue
 		}
 		key = key[:0]
-		for p := lo; p < hi; p++ {
-			j := uint32(csr.js[p])
-			key = append(key, byte(j), byte(j>>8), byte(j>>16), byte(j>>24), byte(csr.vs[p]))
+		for t, j := range js {
+			key = append(key, byte(j), byte(j>>8), byte(j>>16), byte(j>>24), byte(vs[t]))
 		}
 		id, ok := ids[string(key)]
 		if !ok {
@@ -266,12 +227,13 @@ func groupPatterns(csr voteCSR) votePatterns {
 // post[p*k:(p+1)*k] and, when lse is non-nil, its log-normalizer into
 // lse[p]. Patterns are sharded across workers; each owns its slots, so
 // the result is identical at every worker count.
-func (m *MeTaL) posteriors(csr voteCSR, pats votePatterns, k, workers int, ft factorTables, base, post, lse []float64) {
+func (m *MeTaL) posteriors(rows lf.RowView, pats votePatterns, k, workers int, ft factorTables, base, post, lse []float64) {
 	par.Chunks(workers, len(pats.rep), func(lo, hi int) {
 		logp := make([]float64, k)
 		for p := lo; p < hi; p++ {
 			copy(logp, base)
-			m.scoreRow(logp, csr, int(pats.rep[p]), k, ft)
+			js, vs := rows.Row(int(pats.rep[p]))
+			m.scoreRow(logp, js, vs, ft)
 			l := logSumExp(logp)
 			if lse != nil {
 				lse[p] = l
@@ -336,26 +298,33 @@ func (m *MeTaL) baseTerms(nLF, k int) []float64 {
 	return base
 }
 
+// addVote adds LF j's factors for vote v onto one example's per-class
+// log mass (len(row) == k): the vote factor unless useVote is false,
+// plus, with propensity on, the activation odds. scoreRow and
+// Predictor.Posterior both accumulate through it, which keeps the
+// served posterior bit-identical to PredictProba's.
+func (ft factorTables) addVote(row []float64, j, v int, useVote bool) {
+	k := len(row)
+	for c := 0; c < k; c++ {
+		var factor float64
+		if useVote {
+			factor = ft.logMiss[j]
+			if c == v {
+				factor = ft.logA[j]
+			}
+		}
+		if ft.thetaLog != nil {
+			factor += ft.thetaLog[j*k+c]
+		}
+		row[c] += factor
+	}
+}
+
 // scoreRow accumulates one example's active-LF factors onto row (already
 // initialized with the base terms), visiting LFs in ascending order.
-func (m *MeTaL) scoreRow(row []float64, csr voteCSR, i, k int, ft factorTables) {
-	for p := csr.start[i]; p < csr.start[i+1]; p++ {
-		j := int(csr.js[p])
-		v := int(csr.vs[p])
-		useVote := !m.voteless[j]
-		for c := 0; c < k; c++ {
-			var factor float64
-			if useVote {
-				factor = ft.logMiss[j]
-				if c == v {
-					factor = ft.logA[j]
-				}
-			}
-			if ft.thetaLog != nil {
-				factor += ft.thetaLog[j*k+c]
-			}
-			row[c] += factor
-		}
+func (m *MeTaL) scoreRow(row []float64, js []int32, vs []int8, ft factorTables) {
+	for t, j := range js {
+		ft.addVote(row, int(j), int(vs[t]), !m.voteless[j])
 	}
 }
 
@@ -406,8 +375,8 @@ func (m *MeTaL) Fit(vm *lf.VoteMatrix, numClasses int) error {
 	}
 
 	active := collectActive(vm)
-	csr := buildCSR(vm)
-	pats := groupPatterns(csr)
+	rows := vm.Rows()
+	pats := groupPatterns(rows)
 	nCovered := 0
 	for _, p := range pats.of {
 		if p >= 0 {
@@ -491,7 +460,7 @@ func (m *MeTaL) Fit(vm *lf.VoteMatrix, numClasses int) error {
 		// factor. Each distinct vote pattern is scored once.
 		ft := m.buildTables(nLF, numClasses, workers)
 		base := m.baseTerms(nLF, numClasses)
-		m.posteriors(csr, pats, numClasses, workers, ft, base, gamma, lse)
+		m.posteriors(rows, pats, numClasses, workers, ft, base, gamma, lse)
 		// Reductions row by row in ascending example order, off the
 		// parallel path: the sum order — and therefore every bit of the
 		// result — is independent of the worker count and of how rows
@@ -608,10 +577,10 @@ func (m *MeTaL) PredictProba(vm *lf.VoteMatrix) [][]float64 {
 	}
 	nLF := vm.NumLFs()
 	k := m.k
-	csr := buildCSR(vm)
-	pats := groupPatterns(csr)
+	rows := vm.Rows()
+	pats := groupPatterns(rows)
 	post := make([]float64, len(pats.rep)*k)
-	m.posteriors(csr, pats, k, m.Workers, m.buildTables(nLF, k, m.Workers), m.baseTerms(nLF, k), post, nil)
+	m.posteriors(rows, pats, k, m.Workers, m.buildTables(nLF, k, m.Workers), m.baseTerms(nLF, k), post, nil)
 
 	out := make([][]float64, len(pats.of))
 	nCov := 0

@@ -54,17 +54,17 @@ func (m *MajorityVote) PredictProba(vm *lf.VoteMatrix) [][]float64 {
 	if m.k == 0 {
 		panic("majority vote: PredictProba before Fit")
 	}
-	n := vm.NumExamples()
-	out := make([][]float64, n)
+	rows := vm.Rows()
+	out := make([][]float64, rows.NumRows())
 	counts := make([]float64, m.k)
-	for i := 0; i < n; i++ {
+	for i := range out {
 		for c := range counts {
 			counts[c] = 0
 		}
 		total := 0.0
-		for j := 0; j < vm.NumLFs(); j++ {
-			v := vm.Vote(i, j)
-			if v == lf.Abstain || v >= m.k {
+		_, vs := rows.Row(i)
+		for _, v := range vs {
+			if int(v) >= m.k {
 				continue
 			}
 			counts[v]++

@@ -147,7 +147,7 @@ func TestGroupPatterns(t *testing.T) {
 		{0, 1, a},
 		{1, a, 1},
 	}
-	pats := groupPatterns(buildCSR(denseVoteMatrix(votes, 3)))
+	pats := groupPatterns(denseVoteMatrix(votes, 3).Rows())
 	wantOf := []int32{0, -1, 0, 1, 2, 1, 3}
 	wantRep := []int32{0, 3, 4, 6}
 	if fmt.Sprint(pats.of) != fmt.Sprint(wantOf) || fmt.Sprint(pats.rep) != fmt.Sprint(wantRep) {

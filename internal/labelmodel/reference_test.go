@@ -58,10 +58,10 @@ func (m *MeTaL) fitRowByRow(vm *lf.VoteMatrix, numClasses int) error {
 	}
 
 	active := collectActive(vm)
-	covered := vm.Covered()
+	rows := vm.Rows()
 	nCovered := 0
-	for _, b := range covered {
-		if b {
+	for i := 0; i < rows.NumRows(); i++ {
+		if js, _ := rows.Row(i); len(js) > 0 {
 			nCovered++
 		}
 	}
@@ -129,14 +129,13 @@ func (m *MeTaL) fitRowByRow(vm *lf.VoteMatrix, numClasses int) error {
 
 	n := vm.NumExamples()
 	workers := m.Workers
-	csr := buildCSR(vm)
 	logpost := make([][]float64, n)
 	gamma := make([][]float64, n)
 	lse := make([]float64, n)
 	backing := make([]float64, 2*nCovered*numClasses) // one alloc for all rows
 	off := 0
 	for i := range logpost {
-		if covered[i] {
+		if js, _ := rows.Row(i); len(js) > 0 {
 			logpost[i] = backing[off : off+numClasses : off+numClasses]
 			gamma[i] = backing[off+numClasses : off+2*numClasses : off+2*numClasses]
 			off += 2 * numClasses
@@ -161,7 +160,8 @@ func (m *MeTaL) fitRowByRow(vm *lf.VoteMatrix, numClasses int) error {
 					continue
 				}
 				copy(row, base)
-				m.scoreRow(row, csr, i, numClasses, ft)
+				js, vs := rows.Row(i)
+				m.scoreRow(row, js, vs, ft)
 				l := logSumExp(row)
 				lse[i] = l
 				for c, g := range row {
@@ -282,21 +282,21 @@ func (m *MeTaL) predictProbaRowByRow(vm *lf.VoteMatrix) [][]float64 {
 	n := vm.NumExamples()
 	nLF := vm.NumLFs()
 	workers := m.Workers
-	csr := buildCSR(vm)
+	rows := vm.Rows()
 	ft := m.buildTables(nLF, m.k, workers)
 	base := m.baseTerms(nLF, m.k)
 
 	out := make([][]float64, n)
 	nCov := 0
 	for i := 0; i < n; i++ {
-		if csr.start[i+1] > csr.start[i] {
+		if js, _ := rows.Row(i); len(js) > 0 {
 			nCov++
 		}
 	}
 	backing := make([]float64, nCov*m.k)
 	off := 0
 	for i := 0; i < n; i++ {
-		if csr.start[i+1] > csr.start[i] {
+		if js, _ := rows.Row(i); len(js) > 0 {
 			out[i] = backing[off : off+m.k : off+m.k]
 			off += m.k
 		}
@@ -309,7 +309,8 @@ func (m *MeTaL) predictProbaRowByRow(vm *lf.VoteMatrix) [][]float64 {
 				continue
 			}
 			copy(logp, base)
-			m.scoreRow(logp, csr, i, m.k, ft)
+			js, vs := rows.Row(i)
+			m.scoreRow(logp, js, vs, ft)
 			l := logSumExp(logp)
 			for c := range p {
 				p[c] = math.Exp(logp[c] - l)

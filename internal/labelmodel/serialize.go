@@ -184,20 +184,7 @@ func (p *Predictor) Posterior(js, vs []int) []float64 {
 		if v < 0 || v >= p.k {
 			panic(fmt.Sprintf("metal: vote %d out of range for %d classes", v, p.k))
 		}
-		useVote := !p.voteless[j]
-		for c := 0; c < p.k; c++ {
-			var factor float64
-			if useVote {
-				factor = p.ft.logMiss[j]
-				if c == v {
-					factor = p.ft.logA[j]
-				}
-			}
-			if p.ft.thetaLog != nil {
-				factor += p.ft.thetaLog[j*p.k+c]
-			}
-			row[c] += factor
-		}
+		p.ft.addVote(row, j, v, !p.voteless[j])
 	}
 	l := logSumExp(row)
 	for c := range row {

@@ -64,21 +64,14 @@ func (m *Triplet) Fit(vm *lf.VoteMatrix, numClasses int) error {
 	}
 	// Iterate per example over active LFs only: with sparse LFs (coverage
 	// a few percent) this is far below the naive O(n·m²).
-	n := vm.NumExamples()
-	var activeJ []int
-	for i := 0; i < n; i++ {
-		activeJ = activeJ[:0]
-		for j := 0; j < nLF; j++ {
-			if vm.Vote(i, j) != lf.Abstain {
-				activeJ = append(activeJ, j)
-			}
-		}
-		for ai := 0; ai < len(activeJ); ai++ {
-			a := activeJ[ai]
-			sa := float64(2*vm.Vote(i, a) - 1)
-			for bi := ai + 1; bi < len(activeJ); bi++ {
-				b := activeJ[bi]
-				sb := float64(2*vm.Vote(i, b) - 1)
+	rows := vm.Rows()
+	for i := 0; i < rows.NumRows(); i++ {
+		js, vs := rows.Row(i)
+		for ai, a := range js {
+			sa := float64(2*int(vs[ai]) - 1)
+			for bi := ai + 1; bi < len(js); bi++ {
+				b := js[bi]
+				sb := float64(2*int(vs[bi]) - 1)
 				M[a][b] += sa * sb
 				overlap[a][b]++
 			}
@@ -170,27 +163,22 @@ func (m *Triplet) PredictProba(vm *lf.VoteMatrix) [][]float64 {
 	if vm.NumLFs() != len(m.acc) {
 		panic(fmt.Sprintf("triplet: matrix has %d LFs, fitted on %d", vm.NumLFs(), len(m.acc)))
 	}
-	n := vm.NumExamples()
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
+	rows := vm.Rows()
+	out := make([][]float64, rows.NumRows())
+	for i := range out {
+		js, vs := rows.Row(i)
+		if len(js) == 0 {
+			continue
+		}
 		// log-odds of class 1
 		lo := math.Log(m.prior[1] / m.prior[0])
-		any := false
-		for j := 0; j < vm.NumLFs(); j++ {
-			v := vm.Vote(i, j)
-			if v == lf.Abstain {
-				continue
-			}
-			any = true
+		for t, j := range js {
 			w := math.Log(m.acc[j] / (1 - m.acc[j]))
-			if v == 1 {
+			if vs[t] == 1 {
 				lo += w
 			} else {
 				lo -= w
 			}
-		}
-		if !any {
-			continue
 		}
 		p1 := 1 / (1 + math.Exp(-lo))
 		out[i] = []float64{1 - p1, p1}

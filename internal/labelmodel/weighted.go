@@ -82,18 +82,18 @@ func (m *WeightedVote) PredictProba(vm *lf.VoteMatrix) [][]float64 {
 	if vm.NumLFs() != len(m.Accuracies) {
 		panic(fmt.Sprintf("weighted vote: matrix has %d LFs, configured with %d", vm.NumLFs(), len(m.Accuracies)))
 	}
-	n := vm.NumExamples()
-	out := make([][]float64, n)
+	rows := vm.Rows()
+	out := make([][]float64, rows.NumRows())
 	scores := make([]float64, m.k)
-	row := make([]int, vm.NumLFs())
-	for i := 0; i < n; i++ {
-		vm.Row(i, row)
+	for i := range out {
 		for c := range scores {
 			scores[c] = 0
 		}
 		any := false
-		for j, v := range row {
-			if v == lf.Abstain || v >= m.k {
+		js, vs := rows.Row(i)
+		for t, j := range js {
+			v := int(vs[t])
+			if v >= m.k {
 				continue
 			}
 			any = true

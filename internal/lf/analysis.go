@@ -50,40 +50,32 @@ func Analyze(vm *VoteMatrix, lfs []LabelFunction, gold []int) []Summary {
 		return out
 	}
 
-	// count active LFs and agreement per example once
-	row := make([]int, m)
+	// one pass over the rows: each example's voters and their agreement
+	rows := vm.Rows()
 	for i := 0; i < n; i++ {
-		vm.Row(i, row)
-		activeCount := 0
-		for _, v := range row {
-			if v != Abstain {
-				activeCount++
-			}
-		}
-		if activeCount == 0 {
+		js, vs := rows.Row(i)
+		if len(js) == 0 {
 			continue
 		}
-		var g int = dataset.NoLabel
+		g := dataset.NoLabel
 		if gold != nil {
 			g = gold[i]
 		}
-		for j, v := range row {
-			if v == Abstain {
-				continue
-			}
+		for t, j := range js {
+			v := vs[t]
 			s := &out[j]
 			s.Active++
-			if activeCount > 1 {
+			if len(js) > 1 {
 				s.Overlap++
-				for j2, v2 := range row {
-					if j2 != j && v2 != Abstain && v2 != v {
+				for _, v2 := range vs {
+					if v2 != v {
 						s.Conflict++
 						break
 					}
 				}
 			}
 			if g != dataset.NoLabel {
-				if v == g {
+				if int(v) == g {
 					s.Correct++
 				} else {
 					s.Incorrect++

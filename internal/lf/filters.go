@@ -64,15 +64,14 @@ type AccuracyFilter struct {
 // survives, its measured accuracy, and how many validation instances it
 // was active on (accuracy is meaningless when active == 0).
 func (f *AccuracyFilter) Pass(cand LabelFunction) (ok bool, accuracy float64, active int) {
-	split := f.index.Split()
 	correct := 0
-	for _, id := range f.index.ActiveDocs(cand) {
-		vote := cand.Apply(split[id])
-		if vote == Abstain || f.gold[id] == dataset.NoLabel {
+	ids, votes := f.index.Eval(cand)
+	for t, id := range ids {
+		if f.gold[id] == dataset.NoLabel {
 			continue
 		}
 		active++
-		if vote == f.gold[id] {
+		if int(votes[t]) == f.gold[id] {
 			correct++
 		}
 	}
@@ -104,17 +103,15 @@ type activeSet struct {
 
 // activeSetOf materializes the candidate's activations on the train split.
 func (f *RedundancyFilter) activeSetOf(cand LabelFunction) activeSet {
-	ids := f.index.ActiveDocs(cand)
-	votes := make([]int8, len(ids))
-	split := f.index.Split()
-	for t, id := range ids {
-		votes[t] = int8(cand.Apply(split[id]))
-	}
+	ids, votes := f.index.Eval(cand)
 	return activeSet{name: cand.Name(), ids: ids, votes: votes}
 }
 
-// setConsensus merges two sorted active sets: |agreeing intersection| /
-// |union|, the same quantity Consensus computes over dense columns.
+// setConsensus is the agreement ratio of two LFs, the redundancy metric
+// of the paper's filter: the number of examples where both vote and
+// agree, divided by the number where either votes
+// (intersection-over-union of agreeing activations). It merges the two
+// sorted active sets in O(|a| + |b|).
 func setConsensus(a, b activeSet) float64 {
 	i, j, inter, union := 0, 0, 0, 0
 	for i < len(a.ids) && j < len(b.ids) {

@@ -68,7 +68,7 @@ func (ix *Index) DocFreq(token string) int { return len(ix.posting(token)) }
 // list; multi-word phrases intersect the words' posting lists and
 // verify contiguity on the survivors.
 func (ix *Index) Docs(phrase string) []int32 {
-	words := splitPhrase(phrase)
+	words := textproc.SplitPhrase(phrase)
 	switch len(words) {
 	case 0:
 		return nil
@@ -80,33 +80,12 @@ func (ix *Index) Docs(phrase string) []int32 {
 	return out
 }
 
-func splitPhrase(phrase string) []string {
-	var out []string
-	start := -1
-	for i := 0; i < len(phrase); i++ {
-		if phrase[i] == ' ' {
-			if start >= 0 {
-				out = append(out, phrase[start:i])
-				start = -1
-			}
-			continue
-		}
-		if start < 0 {
-			start = i
-		}
-	}
-	if start >= 0 {
-		out = append(out, phrase[start:])
-	}
-	return out
-}
-
 // CountDocs returns how many documents contain the canonical phrase —
 // len(Docs(phrase)) without materializing the id slice for multi-word
 // phrases. Hot callers that only need coverage (the SEU keyword-utility
 // cache) use this to stay allocation-free.
 func (ix *Index) CountDocs(phrase string) int {
-	words := splitPhrase(phrase)
+	words := textproc.SplitPhrase(phrase)
 	switch len(words) {
 	case 0:
 		return 0
@@ -121,7 +100,7 @@ func (ix *Index) CountDocs(phrase string) int {
 // ForEachDoc calls fn for every document containing the canonical
 // phrase, in ascending id order, without allocating an id slice.
 func (ix *Index) ForEachDoc(phrase string, fn func(id int32)) {
-	words := splitPhrase(phrase)
+	words := textproc.SplitPhrase(phrase)
 	switch len(words) {
 	case 0:
 		return
@@ -186,28 +165,41 @@ func containsID(list []int32, id int32) bool {
 	return lo < len(list) && list[lo] == id
 }
 
-// ActiveDocs returns the ascending document ids on which the LF does not
-// abstain. Keyword LFs use the fast posting-list path; every other LF is
-// evaluated by a full scan.
-func (ix *Index) ActiveDocs(f LabelFunction) []int32 {
+// Eval evaluates the LF once over the indexed split: it returns the
+// ascending ids of the documents the LF votes on and the aligned votes.
+// A keyword LF reads its documents straight off the posting lists with
+// no per-document re-apply (Docs and ContainsPhrase split the phrase
+// with the same textproc.SplitPhrase, so this is exact); an entity
+// keyword LF applies once per posting candidate; any other LF applies
+// once per document. The returned ids may alias index storage and must
+// not be mutated; votes is freshly allocated.
+func (ix *Index) Eval(f LabelFunction) (ids []int32, votes []int8) {
 	switch t := f.(type) {
 	case *KeywordLF:
-		return ix.Docs(t.Keyword)
+		if t.Class == Abstain {
+			return nil, nil // an abstain "vote" is no vote
+		}
+		ids = ix.Docs(t.Keyword)
+		votes = make([]int8, len(ids))
+		for i := range votes {
+			votes[i] = int8(t.Class)
+		}
+		return ids, votes
 	case *EntityKeywordLF:
-		var out []int32
 		for _, id := range ix.Docs(t.Keyword) {
-			if t.Apply(ix.split[id]) != Abstain {
-				out = append(out, id)
+			if v := t.Apply(ix.split[id]); v != Abstain {
+				ids = append(ids, id)
+				votes = append(votes, int8(v))
 			}
 		}
-		return out
+		return ids, votes
 	default:
-		var out []int32
 		for i, e := range ix.split {
-			if f.Apply(e) != Abstain {
-				out = append(out, int32(i))
+			if v := f.Apply(e); v != Abstain {
+				ids = append(ids, int32(i))
+				votes = append(votes, int8(v))
 			}
 		}
-		return out
+		return ids, votes
 	}
 }

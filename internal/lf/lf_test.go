@@ -267,20 +267,33 @@ func TestVoteMatrixRowAndUnlabeled(t *testing.T) {
 	}
 }
 
+// setOf builds the active set of a dense vote column (Abstain where
+// inactive).
+func setOf(col []int8) activeSet {
+	var s activeSet
+	for i, v := range col {
+		if v != Abstain {
+			s.ids = append(s.ids, int32(i))
+			s.votes = append(s.votes, v)
+		}
+	}
+	return s
+}
+
+// TestConsensus pins setConsensus, the redundancy filter's agreement
+// ratio, on hand-checked cases.
 func TestConsensus(t *testing.T) {
-	a := []int8{1, 1, Abstain, Abstain, 0}
-	b := []int8{1, Abstain, Abstain, 1, 0}
+	a := setOf([]int8{1, 1, Abstain, Abstain, 0})
+	b := setOf([]int8{1, Abstain, Abstain, 1, 0})
 	// union: idx 0,1,3,4 (=4); agree: idx 0,4 (=2)
-	if got := Consensus(a, b); got != 0.5 {
+	if got := setConsensus(a, b); got != 0.5 {
 		t.Errorf("consensus = %v, want 0.5", got)
 	}
-	if got := Consensus([]int8{Abstain}, []int8{Abstain}); got != 0 {
+	if got := setConsensus(setOf([]int8{Abstain}), setOf([]int8{Abstain})); got != 0 {
 		t.Errorf("all-abstain consensus = %v", got)
 	}
 	// disagreeing votes never count as intersection
-	c := []int8{1}
-	d := []int8{0}
-	if got := Consensus(c, d); got != 0 {
+	if got := setConsensus(setOf([]int8{1}), setOf([]int8{0})); got != 0 {
 		t.Errorf("disagreeing consensus = %v", got)
 	}
 }
@@ -294,8 +307,8 @@ func TestConsensusSymmetricProperty(t *testing.T) {
 			a[i] = int8(r%3) - 1 // -1..1
 			b[i] = int8((r/3)%3) - 1
 		}
-		s := Consensus(a, b)
-		return s == Consensus(b, a) && s >= 0 && s <= 1
+		s := setConsensus(setOf(a), setOf(b))
+		return s == setConsensus(setOf(b), setOf(a)) && s >= 0 && s <= 1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -90,7 +90,9 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 }
 
 // TestVoteMatrixColumnRowConsistencyProperty: Row and Column views of the
-// matrix must agree, and coverage must equal the active fraction.
+// matrix must agree, coverage must equal the active fraction, and the
+// row view must agree with Vote on the resident matrix and on a spilling
+// copy whose budget forces evictions.
 func TestVoteMatrixColumnRowConsistencyProperty(t *testing.T) {
 	vocab := []string{"alpha", "beta", "gamma", "delta", "free", "cash"}
 	prop := func(seed int64) bool {
@@ -113,7 +115,14 @@ func TestVoteMatrixColumnRowConsistencyProperty(t *testing.T) {
 			}
 			lfs = append(lfs, f)
 		}
-		vm := BuildVoteMatrix(NewIndex(split), lfs)
+		ix := NewIndex(split)
+		vm := BuildVoteMatrix(ix, lfs)
+		spilled := NewVoteMatrix(ix.Size())
+		if err := spilled.EnableSpill(16, t.TempDir(), nil); err != nil {
+			t.Fatal(err)
+		}
+		defer spilled.Close()
+		spilled.AppendLFs(ix, lfs, 2)
 		for j := 0; j < vm.NumLFs(); j++ {
 			col := vm.Column(j)
 			active := 0
@@ -133,9 +142,37 @@ func TestVoteMatrixColumnRowConsistencyProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return rowsMatchVote(vm) && rowsMatchVote(spilled)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// rowsMatchVote reports whether the row view lists, for every example,
+// exactly the LFs whose Vote is not Abstain, in ascending order, with
+// those votes.
+func rowsMatchVote(vm *VoteMatrix) bool {
+	rows := vm.Rows()
+	if rows.NumRows() != vm.NumExamples() {
+		return false
+	}
+	for i := 0; i < vm.NumExamples(); i++ {
+		js, vs := rows.Row(i)
+		t := 0
+		for j := 0; j < vm.NumLFs(); j++ {
+			v := vm.Vote(i, j)
+			if v == Abstain {
+				continue
+			}
+			if t == len(js) || int(js[t]) != j || int(vs[t]) != v {
+				return false
+			}
+			t++
+		}
+		if t != len(js) {
+			return false
+		}
+	}
+	return true
 }

@@ -54,11 +54,9 @@ type SpillStats struct {
 	Reloads       int   // fault-ins performed over the matrix lifetime
 }
 
-// EnableSpill puts the matrix in memory-bounded mode: dense per-column
-// storage is disabled for all subsequently appended columns (random
-// access degrades to a binary search over the sparse list), and once the
-// resident sparse bytes exceed budgetBytes, the least recently used
-// columns are evicted to an unlinked temp file in dir ("" = os.TempDir())
+// EnableSpill puts the matrix in memory-bounded mode: once the resident
+// sparse bytes exceed budgetBytes, the least recently used columns are
+// evicted to an unlinked temp file in dir ("" = os.TempDir())
 // and transparently re-loaded on access. Metrics (may be nil) receives
 // eval_votematrix_spill_* series.
 //
@@ -243,22 +241,4 @@ func (vm *VoteMatrix) spillAdmitNew(base int) {
 		added += int64(vm.counts[j]) * spillBytesPerVote
 	}
 	s.admitLocked(vm, added, -1)
-}
-
-// sparseVote binary-searches column j's active list for document i.
-func (vm *VoteMatrix) sparseVote(i, j int) int {
-	ids, votes := vm.activeCol(j)
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case int(ids[mid]) < i:
-			lo = mid + 1
-		case int(ids[mid]) > i:
-			hi = mid
-		default:
-			return int(votes[mid])
-		}
-	}
-	return int(Abstain)
 }

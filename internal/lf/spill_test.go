@@ -2,6 +2,7 @@ package lf
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -39,7 +40,8 @@ func buildSpillPair(t *testing.T, seed int64, budget int64, metrics *obs.Registr
 
 // TestSpillEquivalence: a spilling matrix under a budget tight enough to
 // evict most columns must agree with the plain matrix on every accessor —
-// votes, rows, columns, active lists, stats, majority votes.
+// votes, rows, the row view, columns, active lists, stats, majority
+// votes.
 func TestSpillEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		reg := obs.NewRegistry()
@@ -91,10 +93,17 @@ func TestSpillEquivalence(t *testing.T) {
 				t.Fatalf("MajorityVotes[%d] diverges: %d vs %d", i, pm[i], sm[i])
 			}
 		}
-		pc, sc := plain.Covered(), spilled.Covered()
-		for i := range pc {
-			if pc[i] != sc[i] {
-				t.Fatalf("Covered[%d] diverges", i)
+		// the row view of each matrix agrees with its own Vote, and the
+		// two views are identical
+		if !rowsMatchVote(plain) || !rowsMatchVote(spilled) {
+			t.Fatalf("seed %d: Rows disagrees with Vote", seed)
+		}
+		pv, sv := plain.Rows(), spilled.Rows()
+		for i := 0; i < plain.NumExamples(); i++ {
+			pj, pvs := pv.Row(i)
+			sj, svs := sv.Row(i)
+			if !slices.Equal(pj, sj) || !slices.Equal(pvs, svs) {
+				t.Fatalf("Rows().Row(%d) diverges", i)
 			}
 		}
 		for j := 0; j < plain.NumLFs(); j++ {

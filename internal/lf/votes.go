@@ -7,27 +7,26 @@ import (
 	"datasculpt/internal/par"
 )
 
-// VoteMatrix holds the votes of m label functions over n examples. Two
-// representations are kept per LF column: a dense int8 slice (class
-// indices are tiny; Agnews at full scale is 96k × ~300 LFs, which fits in
-// ~29MB this way) for random access, and the sparse active list — the
-// ascending document ids the LF votes on, with their votes — which is
-// what keyword LFs naturally produce and what makes every statistic and
-// the label model's E-step O(nnz) instead of O(n·m).
+// VoteMatrix holds the votes of m label functions over n examples in one
+// layout: per LF, the sparse active list — the ascending document ids
+// the LF votes on, with the aligned votes. It is what keyword LFs
+// naturally produce (each votes on a few percent of a split) and what
+// makes every statistic and the label models O(nnz) instead of O(n·m).
+// Readers that need an example's votes together take the row-major
+// transpose from Rows; random access (Vote) is a binary search.
 //
 // The matrix is append-only: AppendLFs grows it by evaluating only the
 // new columns, which is how the pipeline's evaluator amortizes matrix
 // construction across iterations (the LF set only ever grows during a
 // run).
-// With EnableSpill the matrix becomes memory-bounded: dense columns are
-// not built, sparse columns are evicted LRU to an unlinked temp file once
-// resident bytes exceed the budget, and accesses fault them back in
-// transparently (see spill.go).
+// With EnableSpill the matrix becomes memory-bounded: sparse columns are
+// evicted LRU to an unlinked temp file once resident bytes exceed the
+// budget, and accesses fault them back in transparently (see spill.go).
+// The layout is the same either way; only eviction differs.
 type VoteMatrix struct {
 	n, m  int
-	cols  [][]int8
 	names []string
-	// active[j] lists the ascending doc ids where cols[j] != Abstain;
+	// active[j] lists the ascending doc ids LF j votes on;
 	// activeVotes[j] holds the aligned votes. In spill mode an evicted
 	// column has active[j] == nil and lives in the spill file.
 	active      [][]int32
@@ -73,53 +72,28 @@ func (vm *VoteMatrix) AppendLFs(ix *Index, lfs []LabelFunction, workers int) int
 		return 0
 	}
 	base := vm.m
-	vm.cols = append(vm.cols, make([][]int8, len(lfs))...)
 	vm.names = append(vm.names, make([]string, len(lfs))...)
 	vm.active = append(vm.active, make([][]int32, len(lfs))...)
 	vm.activeVotes = append(vm.activeVotes, make([][]int8, len(lfs))...)
 	vm.counts = append(vm.counts, make([]int32, len(lfs))...)
-	split := ix.Split()
-	spilling := vm.spill != nil
 	// Dynamic scheduling with a small grain: column costs are wildly
 	// uneven (a rare keyword touches a handful of postings, a generic
 	// one thousands). Each index writes only its own column slots.
 	par.For(workers, len(lfs), 2, func(t int) {
 		f := lfs[t]
-		// In spill mode the dense column is never built: it costs n bytes
-		// per LF regardless of coverage, which is exactly the memory the
-		// budget exists to bound. Random access degrades to binary search.
-		var col []int8
-		if !spilling {
-			col = make([]int8, vm.n)
-			for i := range col {
-				col[i] = Abstain
-			}
-		}
-		// ActiveDocs may return a posting list owned by the index, so the
-		// kept ids are copied rather than filtered in place.
-		ids := ix.ActiveDocs(f)
-		votes := make([]int8, 0, len(ids))
-		kept := make([]int32, 0, len(ids))
-		for _, id := range ids {
-			v := int8(f.Apply(split[id]))
-			if v == Abstain {
-				continue // defensive: ActiveDocs should pre-filter
-			}
-			if col != nil {
-				col[id] = v
-			}
-			kept = append(kept, id)
-			votes = append(votes, v)
-		}
+		ids, votes := ix.Eval(f)
+		// Eval may return a posting list owned by the index, so the
+		// matrix keeps its own copy of the ids.
+		kept := make([]int32, len(ids))
+		copy(kept, ids)
 		j := base + t
-		vm.cols[j] = col
 		vm.names[j] = f.Name()
 		vm.active[j] = kept
 		vm.activeVotes[j] = votes
 		vm.counts[j] = int32(len(kept))
 	})
 	vm.m += len(lfs)
-	if spilling {
+	if vm.spill != nil {
 		vm.spillAdmitNew(base)
 	}
 	return len(lfs)
@@ -131,13 +105,23 @@ func (vm *VoteMatrix) NumExamples() int { return vm.n }
 // NumLFs returns m.
 func (vm *VoteMatrix) NumLFs() int { return vm.m }
 
-// Vote returns the vote of LF j on example i (Abstain when inactive).
-// In spill mode this is a binary search over the sparse column.
+// Vote returns the vote of LF j on example i (Abstain when inactive):
+// a binary search over the sparse column.
 func (vm *VoteMatrix) Vote(i, j int) int {
-	if vm.spill != nil {
-		return vm.sparseVote(i, j)
+	ids, votes := vm.activeCol(j)
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		switch {
+		case int(ids[mid]) < i:
+			lo = mid + 1
+		case int(ids[mid]) > i:
+			hi = mid
+		default:
+			return int(votes[mid])
+		}
 	}
-	return int(vm.cols[j][i])
+	return Abstain
 }
 
 // Row copies example i's votes into dst (length m) and returns it;
@@ -161,6 +145,58 @@ func (vm *VoteMatrix) Active(j int) (ids []int32, votes []int8) {
 	return vm.activeCol(j)
 }
 
+// RowView is the row-major transpose of a vote matrix: for each example,
+// the LFs that vote on it, in ascending LF order, with their votes. That
+// is the order every row reader accumulates in, so a model's floating-
+// point sums do not depend on which view it reads.
+type RowView struct {
+	start []int // example i's entries are [start[i], start[i+1])
+	lfs   []int32
+	votes []int8
+}
+
+// Rows builds the row view in two O(nnz) passes over the sparse columns.
+// It is built per call and not cached, so in spill mode it adds nothing
+// to the resident columns beyond the call that uses it: the columns are
+// faulted in one at a time, and the view holds its own 5 bytes per vote
+// plus one offset per example.
+func (vm *VoteMatrix) Rows() RowView {
+	start := make([]int, vm.n+1)
+	for j := 0; j < vm.m; j++ {
+		ids, _ := vm.activeCol(j)
+		for _, id := range ids {
+			start[id+1]++
+		}
+	}
+	for i := 0; i < vm.n; i++ {
+		start[i+1] += start[i]
+	}
+	nnz := start[vm.n]
+	rv := RowView{start: start, lfs: make([]int32, nnz), votes: make([]int8, nnz)}
+	fill := append([]int(nil), start[:vm.n]...)
+	for j := 0; j < vm.m; j++ {
+		ids, votes := vm.activeCol(j)
+		for t, id := range ids {
+			p := fill[id]
+			rv.lfs[p] = int32(j)
+			rv.votes[p] = votes[t]
+			fill[id] = p + 1
+		}
+	}
+	return rv
+}
+
+// NumRows returns the number of examples.
+func (rv RowView) NumRows() int { return len(rv.start) - 1 }
+
+// Row returns the LFs voting on example i, ascending, and the aligned
+// votes (shared storage; callers must not mutate). Both are empty for
+// an uncovered example.
+func (rv RowView) Row(i int) (lfs []int32, votes []int8) {
+	lo, hi := rv.start[i], rv.start[i+1]
+	return rv.lfs[lo:hi], rv.votes[lo:hi]
+}
+
 // Coverage returns the fraction of examples on which LF j is active —
 // the "LF Cov." statistic of Table 2.
 func (vm *VoteMatrix) Coverage(j int) float64 {
@@ -172,8 +208,7 @@ func (vm *VoteMatrix) Coverage(j int) float64 {
 
 // Stats is the single-pass summary of a vote matrix: the Table 2
 // aggregate statistics plus the covered-example count, all computed in
-// one O(nnz) sweep over the sparse columns instead of the repeated
-// O(n·m) dense scans the per-statistic accessors imply.
+// one O(nnz) sweep over the sparse columns.
 type Stats struct {
 	// MeanCoverage averages per-LF coverage ("LF Cov.").
 	MeanCoverage float64
@@ -263,18 +298,6 @@ func (vm *VoteMatrix) MeanCoverage() float64 {
 	return vm.ComputeStats(nil, 1).MeanCoverage
 }
 
-// Covered reports, per example, whether at least one LF is active.
-func (vm *VoteMatrix) Covered() []bool {
-	out := make([]bool, vm.n)
-	for j := 0; j < vm.m; j++ {
-		ids, _ := vm.activeCol(j)
-		for _, id := range ids {
-			out[id] = true
-		}
-	}
-	return out
-}
-
 // TotalCoverage returns the fraction of examples covered by any LF — the
 // "Total Cov." statistic of Table 2.
 func (vm *VoteMatrix) TotalCoverage() float64 {
@@ -318,9 +341,8 @@ func (vm *VoteMatrix) MeanLFAccuracy(gold []int) (float64, bool) {
 
 // MajorityVotes returns, per example, the plurality class among active
 // votes (ties broken toward the lowest class), or Abstain for uncovered
-// examples. Used for quick diagnostics and the majority-vote label model.
-// The sweep is O(nnz) over the sparse columns (plus an O(n·numClasses)
-// tally), so it never touches dense storage and works in spill mode.
+// examples. The triplet label model takes its class prior from it. The
+// sweep is O(nnz) over the sparse columns plus an O(n·numClasses) tally.
 func (vm *VoteMatrix) MajorityVotes(numClasses int) []int {
 	out := make([]int, vm.n)
 	counts := make([]int32, vm.n*numClasses)
@@ -349,39 +371,10 @@ func (vm *VoteMatrix) MajorityVotes(numClasses int) []int {
 	return out
 }
 
-// Consensus computes the agreement ratio of two vote columns: the number
-// of examples where both are active with equal votes, divided by the
-// number where either is active (intersection-over-union of agreeing
-// activations). This is the redundancy metric of the paper's filter.
-func Consensus(a, b []int8) float64 {
-	if len(a) != len(b) {
-		panic("lf: consensus over unequal columns")
-	}
-	inter, union := 0, 0
-	for i := range a {
-		av, bv := a[i], b[i]
-		if av == Abstain && bv == Abstain {
-			continue
-		}
-		union++
-		if av != Abstain && av == bv {
-			inter++
-		}
-	}
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// Column exposes the raw votes of LF j (shared storage; callers must not
-// mutate). In spill mode there is no dense storage, so the column is
-// materialized per call — an O(n) allocation; sparse consumers should
-// use Active instead.
+// Column materializes the votes of LF j as a dense length-n column
+// (Abstain where inactive) — an O(n) allocation per call; sparse
+// consumers should use Active instead.
 func (vm *VoteMatrix) Column(j int) []int8 {
-	if vm.spill == nil {
-		return vm.cols[j]
-	}
 	col := make([]int8, vm.n)
 	for i := range col {
 		col[i] = Abstain

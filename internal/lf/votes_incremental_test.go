@@ -169,9 +169,12 @@ func TestComputeStatsMatchesAccessors(t *testing.T) {
 
 	wantAcc, wantOK := vm.MeanLFAccuracy(gold)
 	covered := 0
-	for _, b := range vm.Covered() {
-		if b {
-			covered++
+	for i := 0; i < vm.NumExamples(); i++ {
+		for j := 0; j < vm.NumLFs(); j++ {
+			if vm.Vote(i, j) != Abstain {
+				covered++
+				break
+			}
 		}
 	}
 	for _, workers := range []int{1, 4, 0} {

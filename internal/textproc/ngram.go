@@ -89,11 +89,14 @@ func CandidateKeywords(tokens []string, limit int) []string {
 // which mirrors how the paper compiles keywords into Python substring
 // programs over normalized text.
 func ContainsPhrase(tokens []string, phrase string) bool {
-	want := splitSpace(phrase)
-	return containsSeq(tokens, want)
+	return containsSeq(tokens, SplitPhrase(phrase))
 }
 
-func splitSpace(phrase string) []string {
+// SplitPhrase splits a phrase into its words at runs of spaces, dropping
+// empty words. It is the one phrase splitter: ContainsPhrase and the
+// inverted index's posting-list lookups both use it, so a phrase matches
+// the same documents whichever path evaluates it.
+func SplitPhrase(phrase string) []string {
 	var out []string
 	start := -1
 	for i := 0; i < len(phrase); i++ {
