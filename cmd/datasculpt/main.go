@@ -116,6 +116,9 @@ func run(ctx context.Context, o runOptions) error {
 	dsName, variant, model, smp, labelModel := o.dataset, o.variant, o.model, o.sampler, o.labelModel
 	iterations, seeds, scale := o.iterations, o.seeds, o.scale
 	noAccuracy, noRedundancy, showLFs := o.noAccuracy, o.noRedundancy, o.showLFs
+	if seeds < 1 {
+		return fmt.Errorf("-seeds must be at least 1, got %d", seeds)
+	}
 	if o.obs == nil {
 		o.obs = obs.Default()
 	}

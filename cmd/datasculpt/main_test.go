@@ -76,4 +76,8 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		model: "no-such-model", sampler: "random", labelModel: "metal", iterations: 2, seeds: 1, scale: 0.3}); err == nil {
 		t.Error("unknown model accepted")
 	}
+	if err := run(context.Background(), runOptions{dataset: "youtube", variant: "base",
+		model: "gpt-3.5", sampler: "random", labelModel: "metal", iterations: 2, seeds: 0, scale: 0.3}); err == nil {
+		t.Error("zero seeds accepted")
+	}
 }

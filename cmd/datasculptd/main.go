@@ -119,7 +119,7 @@ func main() {
 	flag.StringVar(&cfg.defaultTenant, "default-tenant", "default", "tenant the bare /v1/label alias routes to")
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "max texts per micro-batch")
-	flag.IntVar(&cfg.parallelism, "parallelism", 0, "featurize/predict worker goroutines per batch (0 = GOMAXPROCS, 1 = sequential; results identical)")
+	flag.IntVar(&cfg.parallelism, "parallelism", 0, "featurize/predict worker goroutines per batch (<= 1 = sequential; results identical)")
 	flag.IntVar(&cfg.queueDepth, "queue-depth", 0, "max texts waiting in the coalescer queue before requests shed with 429 (0 = 16*max-batch)")
 	flag.IntVar(&cfg.maxResident, "max-resident", 8, "max tenants with a mapped server at once (LRU evicts beyond this)")
 	flag.Float64Var(&cfg.shadowAgreement, "shadow-agreement", 0.9, "min agreement with the incumbent on recent traffic for a promotion to pass the shadow gate")

@@ -523,7 +523,9 @@ func (g *Gateway) handleRollback(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "server is shutting down")
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
+		// The client named a tenant and nothing else: any other failure
+		// (say, a rollback target file that no longer loads) is ours.
+		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 	default:
 		writeJSON(w, rep)
 	}

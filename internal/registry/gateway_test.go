@@ -2,6 +2,7 @@ package registry_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -355,5 +356,58 @@ func TestGatewayPromoteOverHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("label after promote: status %d", resp.StatusCode)
+	}
+}
+
+// TestGatewayRollbackTargetGone: when the server's own file-backed
+// rollback target no longer loads, rollback is a server fault (500
+// internal), not a bad request, and the promoted bundle keeps serving.
+func TestGatewayRollbackTargetGone(t *testing.T) {
+	_, d, path := trained(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := filepath.Join(t.TempDir(), "a.json")
+	if err := os.WriteFile(own, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, mreg := newRegistry(t, registry.Options{MaxResident: 1})
+	if err := r.Register("a", own); err != nil {
+		t.Fatal(err)
+	}
+	// Registering b evicts a, so a's rollback target is its file.
+	if err := r.Register("b", path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Promote("a", freshCopy(t), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(own); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(registry.NewGateway(r, obs.New(nil, mreg, nil), registry.GatewayOptions{}).Handler())
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Post(ts.URL+"/v1/bundles/a/rollback", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "internal" {
+		t.Fatalf("rollback to a deleted file: status %d, code %q, decode err %v; want 500 internal",
+			resp.StatusCode, env.Error.Code, err)
+	}
+	if infos := r.List(); infos[0].Generation != 1 || infos[0].Source != "api-promote" {
+		t.Fatalf("failed rollback changed the tenant: %+v", infos[0])
+	}
+	if _, err := r.Label(context.Background(), "a", []string{d.Valid[0].Text}, false); err != nil {
+		t.Fatalf("label after failed rollback: %v", err)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,20 +107,13 @@ type PromoteReport struct {
 
 // handle is one mapped serve.Server plus its reference count. It is
 // created with one reference (the registry's); every in-flight request
-// takes another. When the count hits zero the server is closed — which
-// drains its queue — and done is closed, so code that wants to re-serve
-// the same bundle object can wait for the old server to be fully gone.
+// takes another. When the count hits zero the server is closed, which
+// drains its queue, and the registry's server count drops by one.
 type handle struct {
-	srv  *serve.Server
-	b    *bundle.Bundle
-	refs atomic.Int64
-	done chan struct{}
-}
-
-func newHandle(srv *serve.Server, b *bundle.Bundle) *handle {
-	h := &handle{srv: srv, b: b, done: make(chan struct{})}
-	h.refs.Store(1)
-	return h
+	srv     *serve.Server
+	b       *bundle.Bundle
+	refs    atomic.Int64
+	servers *sync.WaitGroup
 }
 
 // acquire takes a reference; it fails (false) once the count has hit
@@ -139,8 +133,23 @@ func (h *handle) acquire() bool {
 func (h *handle) release() {
 	if h.refs.Add(-1) == 0 {
 		h.srv.Close()
-		close(h.done)
+		h.servers.Done()
 	}
+}
+
+// artifact is a bundle the registry can serve again: one held in memory
+// (uploads, promotions, a displaced server's bundle) or a file to reload.
+// The zero artifact is none.
+type artifact struct {
+	b    *bundle.Bundle
+	path string
+}
+
+func (a artifact) load() (*bundle.Bundle, error) {
+	if a.b != nil {
+		return a.b, nil
+	}
+	return bundle.Load(a.path)
 }
 
 // entry is one registered tenant.
@@ -152,22 +161,11 @@ type entry struct {
 	mu sync.Mutex
 	// cur is the mapped server, nil when evicted or not yet loaded.
 	cur atomic.Pointer[handle]
-	// lastHandle is the most recently created handle for this entry,
-	// kept so a remap of the same bundle object can wait for the old
-	// server (which shares the bundle's worker knobs) to finish closing.
-	lastHandle *handle
-	// pinned is the in-memory bundle served for tenants whose content
-	// does not live on disk (uploads, promotions); nil means reload
-	// from source on demand.
-	pinned *bundle.Bundle
-	source string
-	// prev / prevSource / prevHandle record the bundle a Rollback
-	// returns to, and the handle that last served it.
-	prev       *bundle.Bundle
-	prevSource string
-	prevHandle *handle
-	gen        int
-	info       atomic.Pointer[Info]
+	// art is what a remap serves; prev is what Rollback returns to (the
+	// zero artifact when there is nothing to roll back to).
+	art, prev artifact
+	gen       int
+	info      atomic.Pointer[Info]
 
 	// recent is a ring buffer of the tenant's latest request texts —
 	// the shadow-scoring sample for promotions.
@@ -224,6 +222,9 @@ type Registry struct {
 	order   []string // registration order, for stable listings
 	clock   int64
 	closed  bool
+	// servers counts the servers this registry created and has not yet
+	// closed; Close waits for it to reach zero.
+	servers sync.WaitGroup
 
 	mLoads     *obs.CounterVec
 	mEvictions *obs.CounterVec
@@ -285,13 +286,13 @@ func (r *Registry) Register(tenant, path string) error {
 	if err != nil {
 		return err
 	}
-	return r.install(tenant, b, path, false)
+	return r.install(tenant, b, artifact{path: path}, path)
 }
 
 // RegisterBundle maps a tenant to an in-memory bundle, which stays
-// pinned (evictions close its server but keep the bundle). The caller
-// must hand over ownership: the registry adjusts the bundle's worker
-// configuration and the same *Bundle must not be registered twice.
+// pinned (evictions close its server but keep the bundle). The registry
+// only reads the bundle, so the caller may keep reading it too, and may
+// register the same *Bundle under several tenants.
 func (r *Registry) RegisterBundle(tenant string, b *bundle.Bundle) error {
 	if b == nil {
 		return errors.New("registry: nil bundle")
@@ -299,17 +300,17 @@ func (r *Registry) RegisterBundle(tenant string, b *bundle.Bundle) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	return r.install(tenant, b, "inline", true)
+	return r.install(tenant, b, artifact{b: b}, "inline")
 }
 
-func (r *Registry) install(tenant string, b *bundle.Bundle, source string, pin bool) error {
+// install registers a new tenant serving b, which was loaded from art.
+func (r *Registry) install(tenant string, b *bundle.Bundle, art artifact, source string) error {
 	if err := validTenant(tenant); err != nil {
 		return err
 	}
-	e := &entry{tenant: tenant, source: source}
-	if pin {
-		e.pinned = b
-	}
+	e := &entry{tenant: tenant, art: art}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -326,24 +327,15 @@ func (r *Registry) install(tenant string, b *bundle.Bundle, source string, pin b
 	r.mTenants.Set(float64(len(r.tenants)))
 	r.mu.Unlock()
 
-	e.mu.Lock()
-	srv, err := serve.New(b, r.o, r.serveOpts(tenant))
-	if err != nil {
-		e.mu.Unlock()
+	if _, err := r.mapIn(e, b); err != nil {
 		r.mu.Lock()
 		delete(r.tenants, tenant)
-		r.order = r.order[:len(r.order)-1]
+		r.order = slices.DeleteFunc(r.order, func(t string) bool { return t == tenant })
 		r.mTenants.Set(float64(len(r.tenants)))
 		r.mu.Unlock()
 		return err
 	}
-	h := newHandle(srv, b)
-	e.lastHandle = h
 	e.setInfo(b, source, 0)
-	e.cur.Store(h)
-	e.mu.Unlock()
-	r.mLoads.With1(tenant).Inc()
-	r.rebalance(e)
 	return nil
 }
 
@@ -396,69 +388,78 @@ func (r *Registry) Label(ctx context.Context, tenant string, texts []string, exp
 	return h.srv.Label(ctx, texts, explain)
 }
 
-// acquireServer returns a referenced handle for the tenant's current
-// server; the caller must release it.
-func (r *Registry) acquireServer(tenant string) (*handle, *entry, error) {
+// touch looks a tenant up and marks it used for the LRU.
+func (r *Registry) touch(tenant string) (*entry, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	e := r.tenants[tenant]
 	if e == nil {
-		r.mu.Unlock()
-		return nil, nil, ErrUnknownTenant
+		return nil, ErrUnknownTenant
 	}
 	r.clock++
 	e.lastUsed = r.clock
-	r.mu.Unlock()
+	return e, nil
+}
 
+// acquireServer returns a referenced handle for the tenant's current
+// server; the caller must release it.
+func (r *Registry) acquireServer(tenant string) (*handle, *entry, error) {
+	e, err := r.touch(tenant)
+	if err != nil {
+		return nil, nil, err
+	}
 	for {
 		if h := e.cur.Load(); h != nil && h.acquire() {
 			return h, e, nil
 		}
 		e.mu.Lock()
-		if h := e.cur.Load(); h != nil && h.acquire() {
-			e.mu.Unlock()
-			return h, e, nil
-		}
-		h, err := r.mapIn(e)
-		if err != nil {
-			e.mu.Unlock()
-			return nil, nil, err
+		h := e.cur.Load()
+		if h == nil {
+			var b *bundle.Bundle
+			if b, err = e.art.load(); err == nil {
+				h, err = r.mapIn(e, b)
+			}
+			if err != nil {
+				e.mu.Unlock()
+				return nil, nil, err
+			}
 		}
 		ok := h.acquire()
 		e.mu.Unlock()
 		if ok {
 			return h, e, nil
 		}
-		// The freshly mapped server was already evicted by a racing
-		// tenant storm — take the slow path again.
+		// The server was evicted by a racing tenant storm before we
+		// could take a reference; take the slow path again.
 	}
 }
 
-// mapIn (entry.mu held) maps the tenant's bundle into a live server.
-func (r *Registry) mapIn(e *entry) (*handle, error) {
-	b := e.pinned
-	if b == nil {
-		var err error
-		b, err = bundle.Load(e.source)
-		if err != nil {
-			return nil, err
-		}
-	} else if e.lastHandle != nil {
-		// Re-serving the exact bundle object a previous server used:
-		// wait for that server to finish closing so the two never share
-		// the bundle's mutable worker configuration.
-		<-e.lastHandle.done
-	}
+// mapIn (entry.mu held) serves b and makes it the tenant's current
+// server, releasing the server it displaces, if any. It fails with
+// ErrClosed once Close has begun, so Close never misses a server.
+func (r *Registry) mapIn(e *entry, b *bundle.Bundle) (*handle, error) {
 	srv, err := serve.New(b, r.o, r.serveOpts(e.tenant))
 	if err != nil {
 		return nil, err
 	}
-	h := newHandle(srv, b)
-	e.lastHandle = h
-	e.cur.Store(h)
+	r.mu.Lock()
+	closed := r.closed
+	if !closed {
+		r.servers.Add(1)
+	}
+	r.mu.Unlock()
+	if closed {
+		srv.Close()
+		return nil, ErrClosed
+	}
+	h := &handle{srv: srv, b: b, servers: &r.servers}
+	h.refs.Store(1)
+	if old := e.cur.Swap(h); old != nil {
+		old.release()
+	}
 	r.mLoads.With1(e.tenant).Inc()
 	r.rebalance(e)
 	return h, nil
@@ -523,29 +524,21 @@ func (r *Registry) Promote(tenant string, nb *bundle.Bundle, force bool) (*Promo
 	if err := nb.Validate(); err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrClosed
-	}
-	e := r.tenants[tenant]
-	if e != nil {
-		r.clock++
-		e.lastUsed = r.clock
-	}
-	r.mu.Unlock()
-	if e == nil {
-		if err := r.install(tenant, nb, "api-promote", true); err != nil {
+	e, err := r.touch(tenant)
+	if errors.Is(err, ErrUnknownTenant) {
+		if err := r.install(tenant, nb, artifact{b: nb}, "api-promote"); err != nil {
 			return nil, err
 		}
 		return &PromoteReport{Tenant: tenant}, nil
 	}
+	if err != nil {
+		return nil, err
+	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	old := e.cur.Load()
 	rep := &PromoteReport{Tenant: tenant}
-	if !force && old != nil {
+	if old := e.cur.Load(); !force && old != nil {
 		if sample := e.sampleRecent(); len(sample) > 0 {
 			rep.Gated = true
 			rep.ShadowSample = len(sample)
@@ -556,118 +549,62 @@ func (r *Registry) Promote(tenant string, nb *bundle.Bundle, force bool) (*Promo
 			}
 		}
 	}
-	srv, err := serve.New(nb, r.o, r.serveOpts(tenant))
-	if err != nil {
+	if err := r.swap(e, nb, artifact{b: nb}, "api-promote"); err != nil {
 		return nil, err
 	}
-	h := newHandle(srv, nb)
-	// The outgoing bundle becomes the rollback target.
-	switch {
-	case old != nil:
-		e.prev, e.prevSource, e.prevHandle = old.b, "", old
-	case e.pinned != nil:
-		e.prev, e.prevSource, e.prevHandle = e.pinned, "", e.lastHandle
-	default:
-		e.prev, e.prevSource, e.prevHandle = nil, e.source, nil
-	}
-	e.lastHandle = h
-	e.pinned = nb
-	e.source = ""
-	e.gen++
-	rep.Generation = e.gen
-	e.setInfo(nb, "api-promote", e.gen)
-	if old == nil {
-		e.cur.Store(h)
-	} else if e.cur.CompareAndSwap(old, h) {
-		old.release()
-	} else {
-		// old was evicted between our load and the swap; the LRU
-		// already released it.
-		e.cur.Store(h)
-	}
 	r.mSwaps.With1(tenant).Inc()
-	r.mLoads.With1(tenant).Inc()
-	r.rebalance(e)
+	rep.Generation = e.gen
 	return rep, nil
 }
 
 // Rollback re-promotes the tenant's previous bundle (the one the last
-// Promote or Rollback displaced), without a shadow gate. The displaced
-// current bundle becomes the new rollback target, so two rollbacks
-// toggle between the last two artifacts.
+// Promote or Rollback displaced), without a shadow gate and with the
+// same zero downtime. The displaced current bundle becomes the new
+// rollback target, so two rollbacks toggle between the last two
+// artifacts. A failed Rollback leaves the current server in place.
 func (r *Registry) Rollback(tenant string) (*PromoteReport, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrClosed
-	}
-	e := r.tenants[tenant]
-	if e != nil {
-		r.clock++
-		e.lastUsed = r.clock
-	}
-	r.mu.Unlock()
-	if e == nil {
-		return nil, ErrUnknownTenant
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.prev == nil && e.prevSource == "" {
-		return nil, ErrNoPrevious
-	}
-	pb := e.prev
-	if pb == nil {
-		var err error
-		pb, err = bundle.Load(e.prevSource)
-		if err != nil {
-			return nil, err
-		}
-	}
-	old := e.cur.Load()
-	// Capture the new rollback target before overwriting it.
-	var newPrev *bundle.Bundle
-	var newPrevSource string
-	var newPrevHandle *handle
-	switch {
-	case old != nil:
-		newPrev, newPrevHandle = old.b, old
-	case e.pinned != nil:
-		newPrev, newPrevHandle = e.pinned, e.lastHandle
-	default:
-		newPrevSource = e.source
-	}
-	// Unmap the current server first so its drain cannot overlap the
-	// previous bundle's new server.
-	if old != nil && e.cur.CompareAndSwap(old, nil) {
-		old.release()
-	}
-	if e.prev != nil && e.prevHandle != nil {
-		// Wait for the server that last served pb to be fully closed
-		// before building a new one over the same object.
-		<-e.prevHandle.done
-	}
-	srv, err := serve.New(pb, r.o, r.serveOpts(tenant))
+	e, err := r.touch(tenant)
 	if err != nil {
-		r.rebalance(e)
 		return nil, err
 	}
-	h := newHandle(srv, pb)
-	e.lastHandle = h
-	e.pinned = pb
-	e.source = ""
-	e.prev, e.prevSource, e.prevHandle = newPrev, newPrevSource, newPrevHandle
-	e.gen++
-	e.setInfo(pb, "rollback", e.gen)
-	e.cur.Store(h)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.prev == (artifact{}) {
+		return nil, ErrNoPrevious
+	}
+	pb, err := e.prev.load()
+	if err != nil {
+		return nil, err
+	}
+	if err := r.swap(e, pb, e.prev, "rollback"); err != nil {
+		return nil, err
+	}
 	r.mRollbacks.With1(tenant).Inc()
-	r.mLoads.With1(tenant).Inc()
-	r.rebalance(e)
 	return &PromoteReport{Tenant: tenant, Generation: e.gen}, nil
 }
 
-// Close unmaps every tenant and waits for all servers to drain their
-// in-flight requests. Further calls return ErrClosed. Idempotent.
+// swap (entry.mu held) is the one path Promote and Rollback replace a
+// tenant's bundle by: it maps b (loaded from art) in place of the
+// current server, makes the displaced artifact the rollback target and
+// bumps the generation. A mapped server's bundle is held in memory, so
+// rolling back to it needs no reload.
+func (r *Registry) swap(e *entry, b *bundle.Bundle, art artifact, source string) error {
+	displaced := e.art
+	if old := e.cur.Load(); old != nil {
+		displaced = artifact{b: old.b}
+	}
+	if _, err := r.mapIn(e, b); err != nil {
+		return err
+	}
+	e.art, e.prev = art, displaced
+	e.gen++
+	e.setInfo(b, source, e.gen)
+	return nil
+}
+
+// Close unmaps every tenant and waits for every server the registry
+// created to drain its in-flight requests and close. Further calls
+// return ErrClosed. Idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	r.closed = true
@@ -677,18 +614,13 @@ func (r *Registry) Close() {
 	}
 	r.mu.Unlock()
 	for _, e := range entries {
+		// entry.mu waits out a mapIn that passed its closed check.
 		e.mu.Lock()
-		if h := e.cur.Load(); h != nil && e.cur.CompareAndSwap(h, nil) {
+		if h := e.cur.Swap(nil); h != nil {
 			h.release()
 		}
-		last, prev := e.lastHandle, e.prevHandle
 		e.mu.Unlock()
-		if prev != nil {
-			<-prev.done
-		}
-		if last != nil {
-			<-last.done
-		}
 	}
 	r.rebalance(nil)
+	r.servers.Wait()
 }

@@ -3,8 +3,11 @@ package registry_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -353,5 +356,154 @@ func TestPromoteRegistersNewTenant(t *testing.T) {
 	}
 	if _, err := r.Label(context.Background(), "fresh", []string{d.Valid[0].Text}, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAgreementDuringRemap: the growth loop replays a promoted bundle
+// through bundle.Agreement while the same tenant keeps being remapped
+// under MaxResident 1. Serving must only read the bundle, so under
+// -race the replay and the remaps never touch the same field.
+func TestAgreementDuringRemap(t *testing.T) {
+	_, d, path := trained(t)
+	r, _ := newRegistry(t, registry.Options{MaxResident: 1, Serve: serve.Options{Workers: 2}})
+	for _, tenant := range []string{"a", "b"} {
+		if err := r.Register(tenant, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	promoted := freshCopy(t)
+	if _, err := r.Promote("a", promoted, true); err != nil {
+		t.Fatal(err)
+	}
+	texts := []string{d.Valid[0].Text, d.Valid[1].Text, d.Valid[2].Text}
+	parent := freshCopy(t)
+
+	done := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			// Each label of a evicts b and each label of b evicts a, so
+			// every round serves the promoted bundle from a new server.
+			for _, tenant := range []string{"a", "b"} {
+				if _, err := r.Label(context.Background(), tenant, texts[:1], false); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case err, ok := <-done:
+			if ok {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+			if got := bundle.Agreement(parent, promoted, texts); got != 1 {
+				t.Fatalf("agreement of identical artifacts = %v, want 1", got)
+			}
+		}
+	}
+}
+
+// TestSharedBundle: one *bundle.Bundle registered under two tenants is
+// served by two servers at once. Both serve the offline predictions bit
+// for bit, and serving leaves the bundle's featurizer and end model,
+// worker bounds included, exactly as they were.
+func TestSharedBundle(t *testing.T) {
+	_, d, _ := trained(t)
+	b := freshCopy(t)
+	featBefore, emBefore := *b.Featurizer, *b.EndModel
+	r, _ := newRegistry(t, registry.Options{Serve: serve.Options{Workers: 3}})
+	for _, tenant := range []string{"x", "y"} {
+		if err := r.RegisterBundle(tenant, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var texts []string
+	for _, e := range d.Valid {
+		texts = append(texts, e.Text)
+	}
+	X := b.Featurizer.TransformAll(dataset.FeatureCorpus(d.Valid))
+	want := b.EndModel.PredictProbaAll(X)
+
+	var wg sync.WaitGroup
+	errc := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tenant := []string{"x", "y"}[w%2]
+			for i := w; i < len(texts); i += 8 {
+				preds, err := r.Label(context.Background(), tenant, texts[i:i+1], false)
+				if err != nil {
+					errc <- err
+					return
+				}
+				for c, p := range preds[0].Proba {
+					if math.Float64bits(p) != math.Float64bits(want[i][c]) {
+						errc <- fmt.Errorf("tenant %s text %d class %d: served %v, offline %v", tenant, i, c, p, want[i][c])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if b.Featurizer.Workers != 0 {
+		t.Errorf("bundle featurizer workers = %d after serving, want 0", b.Featurizer.Workers)
+	}
+	if !reflect.DeepEqual(*b.Featurizer, featBefore) || !reflect.DeepEqual(*b.EndModel, emBefore) {
+		t.Error("serving changed the shared bundle's featurizer or end model")
+	}
+}
+
+// TestCloseDuringRemaps: Close lands while two tenants keep evicting
+// each other under MaxResident 1. It must return once every server the
+// registry created has closed, and every later call must see ErrClosed.
+func TestCloseDuringRemaps(t *testing.T) {
+	_, d, path := trained(t)
+	mreg := obs.NewRegistry()
+	r := registry.New(obs.New(nil, mreg, nil), registry.Options{MaxResident: 1, Serve: serve.Options{Workers: 1}})
+	for _, tenant := range []string{"a", "b"} {
+		if err := r.Register(tenant, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg, started sync.WaitGroup
+	for _, tenant := range []string{"a", "b"} {
+		wg.Add(1)
+		started.Add(1)
+		go func(tenant string) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				_, err := r.Label(context.Background(), tenant, []string{d.Valid[0].Text}, false)
+				if i == 0 {
+					started.Done()
+				}
+				if errors.Is(err, registry.ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(tenant)
+	}
+	started.Wait()
+	r.Close()
+	wg.Wait()
+	if got := gauge(mreg, "serve_bundles_resident"); got != 0 {
+		t.Errorf("resident after close = %v, want 0", got)
+	}
+	if _, err := r.Rollback("a"); !errors.Is(err, registry.ErrClosed) {
+		t.Errorf("rollback after close: err = %v, want ErrClosed", err)
 	}
 }

@@ -23,9 +23,11 @@ import (
 
 	"datasculpt/internal/bundle"
 	"datasculpt/internal/dataset"
+	"datasculpt/internal/endmodel"
 	"datasculpt/internal/labelmodel"
 	"datasculpt/internal/lf"
 	"datasculpt/internal/obs"
+	"datasculpt/internal/textproc"
 )
 
 // ErrClosed is returned by Label once Close has begun.
@@ -127,7 +129,9 @@ type segment struct {
 // Server coalesces label requests into batches over a loaded bundle.
 type Server struct {
 	b         *bundle.Bundle
-	predictor *labelmodel.Predictor // nil when the bundle has no label model
+	feat      *textproc.Featurizer         // b's, bound to Options.Workers
+	em        *endmodel.LogisticRegression // b's, bound to Options.Workers
+	predictor *labelmodel.Predictor        // nil when the bundle has no label model
 	opts      Options
 	o         *obs.Obs
 
@@ -162,8 +166,10 @@ type Server struct {
 }
 
 // New wires a server around a validated bundle. The obs bundle may be
-// nil (telemetry disabled). The server owns the bundle's worker
-// configuration from here on.
+// nil (telemetry disabled). The bundle stays read-only: the server binds
+// Options.Workers to its own shallow copies of the featurizer and end
+// model, which share the bundle's weights, so any number of servers,
+// shadow gates and offline replays may read one bundle at once.
 func New(b *bundle.Bundle, o *obs.Obs, opts Options) (*Server, error) {
 	if b == nil {
 		return nil, errors.New("serve: nil bundle")
@@ -175,11 +181,14 @@ func New(b *bundle.Bundle, o *obs.Obs, opts Options) (*Server, error) {
 		o = obs.Default()
 	}
 	opts = opts.withDefaults()
-	b.Featurizer.Workers = opts.Workers
-	b.EndModel.SetParallelism(opts.Workers)
+	feat, em := *b.Featurizer, *b.EndModel
+	feat.Workers = opts.Workers
+	em.SetParallelism(opts.Workers)
 
 	s := &Server{
 		b:     b,
+		feat:  &feat,
+		em:    &em,
 		opts:  opts,
 		o:     o,
 		queue: make(chan *request, opts.QueueDepth),
@@ -402,7 +411,7 @@ func (s *Server) process(batch []segment, n int) {
 	}
 	var P [][]float64
 	if len(corpus) > 0 {
-		P = s.b.EndModel.PredictProbaAll(s.b.Featurizer.TransformAll(corpus))
+		P = s.em.PredictProbaAll(s.feat.TransformAll(corpus))
 	}
 
 	i := 0

@@ -22,7 +22,7 @@ var (
 )
 
 // trained runs the pipeline once per test binary and hands every test
-// the same bundle (tests must not mutate it beyond worker knobs).
+// the same bundle, which servers only read (tests must not mutate it).
 func trained(t *testing.T) (*bundle.Bundle, *dataset.Dataset) {
 	t.Helper()
 	trainOnce.Do(func() {
