@@ -112,7 +112,8 @@ func goldenProposer(t *testing.T, buf *bytes.Buffer, d *dataset.Dataset, cfg Con
 
 // TestRunsGolden pins the pipeline's outputs bit for bit: RunContext
 // over every variant × sampler pair the paper tables sweep, a relation
-// dataset, the revision pass, a fault-degraded run, and the growth
+// dataset, two multi-class datasets, the revision pass, a fault-degraded
+// run, and the growth
 // Proposer's journal and evaluation. Everything is a deterministic
 // function of the seeded configs, so any drift is a behaviour change.
 func TestRunsGolden(t *testing.T) {
@@ -144,6 +145,23 @@ func TestRunsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	run("spouse/base/random", spouse, goldenConfig(VariantBase, "random"))
+
+	// Multi-class runs: Agnews (K=4) with interim refits and TREC (K=6),
+	// so the end model's class blocks of four and of four plus two are
+	// pinned along with the binary ones.
+	agnews, err := dataset.Load("agnews", 23, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agnewsCfg := goldenConfig(VariantBase, "uncertain")
+	agnewsCfg.UncertainRefreshEvery = 3
+	run("agnews/base/uncertain", agnews, agnewsCfg)
+
+	trec, err := dataset.Load("trec", 23, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("trec/base/random", trec, goldenConfig(VariantBase, "random"))
 
 	revise := goldenConfig(VariantSC, "random")
 	revise.Iterations = 12
