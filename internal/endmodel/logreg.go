@@ -8,11 +8,14 @@
 //
 // Weights are stored feature-major: the K class weights of feature f sit
 // next to each other at W[f*K : f*K+K]. A sparse example touches only
-// its non-zero features, so one pass over its indices reads (logits) or
-// updates (SGD step and L2 shrink) every class of each feature from one
-// contiguous run. Each class still sums and updates in the order the
-// class-major layout used, so the arithmetic is unchanged. Saved models
-// keep the class-major sparse JSON layout (see serialize.go).
+// its non-zero features. The kernels (logits, and step for the SGD
+// update and L2 shrink) walk the classes in blocks of 4, 2 and 1; one
+// pass over the example's indices serves a block, reading or updating
+// its classes of each feature from one contiguous run while their sums
+// or gradients stay in registers. Each class still sums and updates in
+// the order the class-major layout used, so the arithmetic is
+// unchanged. Saved models keep the class-major sparse JSON layout (see
+// serialize.go).
 package endmodel
 
 import (
@@ -175,51 +178,119 @@ func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim 
 					m.B[c] -= g
 				}
 			}
-			// One pass per touched feature: the gradient step, then the
-			// lazy L2 shrink, for every class. Per weight that is the
-			// class-major sequence old, -= g·v (skipped when g == 0),
-			// *= shrink.
-			vals := x.Val[:len(x.Idx)]
-			for t, fi := range x.Idx {
-				v := float64(vals[t])
-				row := m.W[int(fi)*k : int(fi)*k+k]
-				row = row[:len(grad)]
-				if cfg.L2 > 0 {
-					for c, g := range grad {
-						if g != 0 {
-							row[c] -= g * v
-						}
-						row[c] *= shrink
-					}
-				} else {
-					for c, g := range grad {
-						if g != 0 {
-							row[c] -= g * v
-						}
-					}
-				}
-			}
+			m.step(x, grad, shrink)
 		}
 		lr *= cfg.LRDecay
 	}
 	return m, nil
 }
 
-// logits writes raw class scores for x into out (length K) in one pass
-// over x's features; each class sums bias first, then features in
+// step applies one example's SGD update to the weights of its features:
+// per weight, the class-major sequence old, -= g·v (skipped when
+// g == 0), *= shrink. Classes go in blocks of 4, then 2, then 1. A block
+// whose gradients are all non-zero runs the fused r = (r - g·v)·shrink
+// with its gradients in registers; otherwise every class of the block
+// takes the per-class path of stepClasses. Without L2, shrink is exactly
+// 1 and multiplying by it leaves every weight bit-identical.
+func (m *LogisticRegression) step(x *textproc.SparseVector, grad []float64, shrink float64) {
+	k := m.K
+	idx := x.Idx
+	vals := x.Val[:len(idx)]
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		g0, g1, g2, g3 := grad[c], grad[c+1], grad[c+2], grad[c+3]
+		if g0 == 0 || g1 == 0 || g2 == 0 || g3 == 0 {
+			m.stepClasses(idx, vals, c, grad[c:c+4], shrink)
+			continue
+		}
+		for t, fi := range idx {
+			v := float64(vals[t])
+			o := int(fi)*k + c
+			r := m.W[o : o+4 : o+4]
+			r[0] = (r[0] - g0*v) * shrink
+			r[1] = (r[1] - g1*v) * shrink
+			r[2] = (r[2] - g2*v) * shrink
+			r[3] = (r[3] - g3*v) * shrink
+		}
+	}
+	if c+2 <= k {
+		g0, g1 := grad[c], grad[c+1]
+		if g0 == 0 || g1 == 0 {
+			m.stepClasses(idx, vals, c, grad[c:c+2], shrink)
+		} else {
+			for t, fi := range idx {
+				v := float64(vals[t])
+				o := int(fi)*k + c
+				r := m.W[o : o+2 : o+2]
+				r[0] = (r[0] - g0*v) * shrink
+				r[1] = (r[1] - g1*v) * shrink
+			}
+		}
+		c += 2
+	}
+	if c < k {
+		m.stepClasses(idx, vals, c, grad[c:c+1], shrink)
+	}
+}
+
+// stepClasses updates the block of classes c..c+len(g)-1 one class at a
+// time: a class whose gradient is 0 is only shrunk.
+func (m *LogisticRegression) stepClasses(idx []int32, vals []float32, c int, g []float64, shrink float64) {
+	k := m.K
+	for t, fi := range idx {
+		v := float64(vals[t])
+		o := int(fi)*k + c
+		r := m.W[o : o+len(g) : o+len(g)]
+		for j, gj := range g {
+			if gj != 0 {
+				r[j] -= gj * v
+			}
+			r[j] *= shrink
+		}
+	}
+}
+
+// logits writes raw class scores for x into out (length K). Classes go in
+// blocks of 4, then 2, then 1, each block summing in registers over one
+// pass of x's features; each class sums bias first, then features in
 // ascending index order.
 func (m *LogisticRegression) logits(x *textproc.SparseVector, out []float64) {
 	k := m.K
 	out = out[:k]
-	copy(out, m.B)
-	vals := x.Val[:len(x.Idx)]
-	for t, fi := range x.Idx {
-		v := float64(vals[t])
-		row := m.W[int(fi)*k : int(fi)*k+k]
-		row = row[:len(out)]
-		for c, w := range row {
-			out[c] += w * v
+	idx := x.Idx
+	vals := x.Val[:len(idx)]
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		s0, s1, s2, s3 := m.B[c], m.B[c+1], m.B[c+2], m.B[c+3]
+		for t, fi := range idx {
+			v := float64(vals[t])
+			o := int(fi)*k + c
+			w := m.W[o : o+4 : o+4]
+			s0 += w[0] * v
+			s1 += w[1] * v
+			s2 += w[2] * v
+			s3 += w[3] * v
 		}
+		out[c], out[c+1], out[c+2], out[c+3] = s0, s1, s2, s3
+	}
+	if c+2 <= k {
+		s0, s1 := m.B[c], m.B[c+1]
+		for t, fi := range idx {
+			v := float64(vals[t])
+			o := int(fi)*k + c
+			w := m.W[o : o+2 : o+2]
+			s0 += w[0] * v
+			s1 += w[1] * v
+		}
+		out[c], out[c+1] = s0, s1
+		c += 2
+	}
+	if c < k {
+		s := m.B[c]
+		for t, fi := range idx {
+			s += m.W[int(fi)*k+c] * float64(vals[t])
+		}
+		out[c] = s
 	}
 }
 

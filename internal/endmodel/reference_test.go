@@ -141,11 +141,70 @@ func randomTrainingSet(rng *rand.Rand, n, k, dim int, weighted, soft bool) ([]*t
 	return X, Y, W
 }
 
-// TestTrainMatchesClassMajorReference pins the fused feature-major
-// kernels to the historical class-major ones: every weight, bias and
-// predicted probability must be bit-identical.
+// predict is the argmax of the reference logits, first class on ties.
+func (m *refModel) predict(X []*textproc.SparseVector) []int {
+	out := make([]int, len(X))
+	scores := make([]float64, m.K)
+	for i, x := range X {
+		m.logits(x, scores)
+		for c := 1; c < m.K; c++ {
+			if scores[c] > scores[out[i]] {
+				out[i] = c
+			}
+		}
+	}
+	return out
+}
+
+// assertMatchesReference requires m's weights, biases, probabilities
+// (batch at one and two workers, and one at a time) and argmax labels on
+// X to equal the reference's bit for bit.
+func assertMatchesReference(t *testing.T, m *LogisticRegression, ref *refModel, X []*textproc.SparseVector) {
+	t.Helper()
+	k := ref.K
+	for c := 0; c < k; c++ {
+		if math.Float64bits(m.B[c]) != math.Float64bits(ref.B[c]) {
+			t.Fatalf("bias %d: %v != reference %v", c, m.B[c], ref.B[c])
+		}
+		for f := 0; f < ref.Dim; f++ {
+			if got, want := m.W[f*k+c], ref.W[c][f]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("W[class %d][feature %d] = %v, reference %v", c, f, got, want)
+			}
+		}
+	}
+	want := ref.predictProbaAll(X)
+	sameRow := func(what string, i int, got []float64) {
+		t.Helper()
+		for c := range want[i] {
+			if math.Float64bits(got[c]) != math.Float64bits(want[i][c]) {
+				t.Fatalf("%s: proba[%d][%d] = %v, reference %v", what, i, c, got[c], want[i][c])
+			}
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		m.SetParallelism(workers)
+		got := m.PredictProbaAll(X)
+		for i := range want {
+			sameRow(fmt.Sprintf("PredictProbaAll, workers %d", workers), i, got[i])
+		}
+	}
+	for i, x := range X {
+		sameRow("PredictProba", i, m.PredictProba(x))
+	}
+	wantLabels := ref.predict(X)
+	for i, got := range m.Predict(X) {
+		if got != wantLabels[i] {
+			t.Fatalf("Predict[%d] = %d, reference %d", i, got, wantLabels[i])
+		}
+	}
+}
+
+// TestTrainMatchesClassMajorReference pins the class-blocked
+// feature-major kernels to the historical class-major ones: every
+// weight, bias, predicted probability and label must be bit-identical.
+// K = 2..8 covers every remainder of the blocks of 4, 2 and 1.
 func TestTrainMatchesClassMajorReference(t *testing.T) {
-	for _, k := range []int{2, 3, 4, 7} {
+	for k := 2; k <= 8; k++ {
 		for _, weighted := range []bool{false, true} {
 			for _, l2 := range []float64{-1, 0} { // -1 trains without L2, 0 selects the default
 				for _, soft := range []bool{false, true} {
@@ -155,37 +214,78 @@ func TestTrainMatchesClassMajorReference(t *testing.T) {
 						const dim = 96
 						X, Y, W := randomTrainingSet(rng, 300, k, dim, weighted, soft)
 						cfg := TrainConfig{Seed: int64(k), Epochs: 3, L2: l2}
-						ref := refTrain(X, Y, W, k, dim, cfg)
 						m, err := Train(X, Y, W, k, dim, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for c := 0; c < k; c++ {
-							if math.Float64bits(m.B[c]) != math.Float64bits(ref.B[c]) {
-								t.Fatalf("bias %d: %v != reference %v", c, m.B[c], ref.B[c])
-							}
-							for f := 0; f < dim; f++ {
-								if got, want := m.W[f*k+c], ref.W[c][f]; math.Float64bits(got) != math.Float64bits(want) {
-									t.Fatalf("W[class %d][feature %d] = %v, reference %v", c, f, got, want)
-								}
-							}
-						}
-						want := ref.predictProbaAll(X)
-						for _, workers := range []int{1, 2} {
-							m.SetParallelism(workers)
-							got := m.PredictProbaAll(X)
-							for i := range want {
-								for c := range want[i] {
-									if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {
-										t.Fatalf("workers %d: proba[%d][%d] = %v, reference %v", workers, i, c, got[i][c], want[i][c])
-									}
-								}
-							}
-						}
+						assertMatchesReference(t, m, refTrain(X, Y, W, k, dim, cfg), X)
 					})
 				}
 			}
 		}
+	}
+}
+
+// mixedBlock reports whether some block of 4, 2 or 1 classes (the
+// kernels' blocking) holds both a zero and a non-zero gradient.
+func mixedBlock(g []float64) bool {
+	for c := 0; c < len(g); {
+		n := 1
+		if len(g)-c >= 4 {
+			n = 4
+		} else if len(g)-c >= 2 {
+			n = 2
+		}
+		zeros := 0
+		for _, x := range g[c : c+n] {
+			if x == 0 {
+				zeros++
+			}
+		}
+		if zeros > 0 && zeros < n {
+			return true
+		}
+		c += n
+	}
+	return false
+}
+
+// TestTrainMatchesReferenceUnderUnderflow scales the features up until
+// softmax underflows: most probabilities become exactly 0 or 1, so an
+// example's gradients are 0 for some classes of a block and not for
+// others, and the blocks' per-class fallback runs.
+func TestTrainMatchesReferenceUnderUnderflow(t *testing.T) {
+	for k := 3; k <= 8; k++ {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(k)))
+			const dim = 96
+			X, Y, _ := randomTrainingSet(rng, 300, k, dim, false, false)
+			for _, x := range X {
+				for j := range x.Val {
+					x.Val[j] *= 300
+				}
+			}
+			cfg := TrainConfig{Seed: int64(k), Epochs: 3}
+			ref := refTrain(X, Y, nil, k, dim, cfg)
+			mixed := 0
+			for i, p := range ref.predictProbaAll(X) {
+				g := make([]float64, k)
+				for c := range g {
+					g[c] = p[c] - Y[i][c]
+				}
+				if mixedBlock(g) {
+					mixed++
+				}
+			}
+			if mixed == 0 {
+				t.Fatal("no example has a block of mixed zero and non-zero gradients")
+			}
+			m, err := Train(X, Y, nil, k, dim, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesReference(t, m, ref, X)
+		})
 	}
 }
 

@@ -346,14 +346,6 @@ func (r *Registry) Tenants() []string {
 	return append([]string(nil), r.order...)
 }
 
-// Has reports whether tenant is registered.
-func (r *Registry) Has(tenant string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.tenants[tenant]
-	return ok
-}
-
 // List describes every registered bundle, in registration order.
 func (r *Registry) List() []Info {
 	r.mu.Lock()
