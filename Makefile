@@ -73,8 +73,11 @@ stress:
 # corpus splits; raw keyword phrases (as a bundle file can carry them)
 # through the index's one-pass LF evaluation, which must match a full
 # Apply scan; plus arbitrary vote matrices through MeTaL's per-pattern
-# EM, which must match the row-by-row reference bit for bit. `go test -fuzz` accepts a single target per invocation, hence one
-# run each.
+# EM, which must match the row-by-row reference bit for bit; and
+# arbitrary label values through the metric families, whose Prometheus
+# and JSON exports must stay well-formed under a capped series count.
+# `go test -fuzz` accepts a single target per invocation, hence one run
+# each.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzParseResponse$$' -fuzztime 30s ./internal/prompt/
 	$(GO) test -run XXX -fuzz '^FuzzSelfConsistency$$' -fuzztime 30s ./internal/prompt/
@@ -88,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s ./internal/experiment/
 	$(GO) test -run XXX -fuzz '^FuzzIndexEval$$' -fuzztime 30s ./internal/lf/
 	$(GO) test -run XXX -fuzz '^FuzzMeTaLPatterns$$' -fuzztime 30s ./internal/labelmodel/
+	$(GO) test -run XXX -fuzz '^FuzzMetricFamilies$$' -fuzztime 30s ./internal/obs/
 
 # total-coverage regression gate: fail if statement coverage drops below
 # the recorded pre-PR baseline

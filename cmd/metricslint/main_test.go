@@ -19,15 +19,15 @@ func selfTestRegistry() *obs.Registry {
 	r.Histogram("lint_plain_seconds", "scalar histogram", []float64{0.1, 1}).Observe(0.5)
 
 	cv := r.CounterVec("lint_requests_total", "dimensional counter", "tenant", "code")
-	cv.With2("acme", "ok").AddInt(9)
-	cv.With2("tricky\"quote\\slash\nnewline", "shed").Inc()
+	cv.With("acme", "ok").AddInt(9)
+	cv.With("tricky\"quote\\slash\nnewline", "shed").Inc()
 	cv.SetMaxSeries(2)
-	cv.With2("flood-1", "ok").Inc() // forces the overflow fold
-	r.GaugeVec("lint_inflight", "dimensional gauge", "tenant").With1("acme").Set(2)
+	cv.With("flood-1", "ok").Inc() // forces the overflow fold
+	r.GaugeVec("lint_inflight", "dimensional gauge", "tenant").With("acme").Set(2)
 	hv := r.HistogramVec("lint_request_seconds", "dimensional histogram",
 		obs.DurationBuckets, "tenant")
-	hv.With1("acme").Observe(0.02)
-	hv.With1("other").Observe(3)
+	hv.With("acme").Observe(0.02)
+	hv.With("other").Observe(3)
 	return r
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"datasculpt/internal/textproc"
@@ -379,15 +380,11 @@ func (g *generator) textExample() *Example {
 	}
 }
 
-// insertPhrase splices the phrase's tokens at a random position.
+// insertPhrase splices the phrase's tokens at a random position, in
+// place when tokens has the capacity.
 func insertPhrase(rng *rand.Rand, tokens []string, phrase string) []string {
-	parts := strings.Split(phrase, " ")
 	pos := rng.Intn(len(tokens) + 1)
-	out := make([]string, 0, len(tokens)+len(parts))
-	out = append(out, tokens[:pos]...)
-	out = append(out, parts...)
-	out = append(out, tokens[pos:]...)
-	return out
+	return slices.Insert(tokens, pos, strings.Split(phrase, " ")...)
 }
 
 // relationExample generates one Spouse-style passage: a target entity pair

@@ -63,23 +63,3 @@ var PaperTable5 = map[string]PaperAverages{
 	"no accuracy":   {NumLFs: 246.7, LFAcc: 0.693, LFCov: 0.021, TotalCov: 0.862, EM: 0.679},
 	"no redundancy": {NumLFs: 235.7, LFAcc: 0.807, LFCov: 0.031, TotalCov: 0.782, EM: 0.737},
 }
-
-// PaperFigure34 records the headline cost facts of Figures 3-4: across
-// six datasets DataSculpt-Base consumed 38,992 tokens (~$0.06) while
-// PromptedLF consumed over 170M tokens (>$250) with GPT-3.5.
-type PaperFigure34 struct {
-	BaseTokens        float64
-	BaseCostUSD       float64
-	PromptedTokens    float64
-	PromptedCostUSD   float64
-	TokenRatioAtLeast float64
-}
-
-// PaperFigures holds the headline Figure 3/4 numbers.
-var PaperFigures = PaperFigure34{
-	BaseTokens:        38992,
-	BaseCostUSD:       0.06,
-	PromptedTokens:    170e6,
-	PromptedCostUSD:   250,
-	TokenRatioAtLeast: 1000,
-}

@@ -159,7 +159,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 	if err := d.finalize(rec, man, cycleDir); err != nil {
 		return nil, err
 	}
-	d.mCycles.With2(d.cfg.Tenant, rec.Outcome).Inc()
+	d.mCycles.With(d.cfg.Tenant, rec.Outcome).Inc()
 	d.mNewLFs.AddInt(rec.NewLFs)
 	d.mCycleSec.Observe(time.Since(start).Seconds())
 	span.SetStr("outcome", rec.Outcome)

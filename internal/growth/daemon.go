@@ -205,11 +205,11 @@ func New(cfg Config) (*Daemon, error) {
 		records:    records,
 	}
 	reg := cfg.Obs.Metrics
-	d.mCaptured = reg.CounterVec("growth_captured_texts_total", "Served texts admitted to the growth reservoir.", "tenant").With1(cfg.Tenant)
+	d.mCaptured = reg.CounterVec("growth_captured_texts_total", "Served texts admitted to the growth reservoir.", "tenant").With(cfg.Tenant)
 	d.mCycles = reg.CounterVec("growth_cycles_total", "Completed growth cycles by outcome.", "tenant", "outcome")
-	d.mNewLFs = reg.CounterVec("growth_new_lfs_total", "Label functions proposed and accepted by growth cycles.", "tenant").With1(cfg.Tenant)
-	d.mCycleSec = reg.HistogramVec("growth_cycle_seconds", "Growth cycle wall clock.", obs.LongDurationBuckets, "tenant").With1(cfg.Tenant)
-	d.mFill = reg.GaugeVec("growth_reservoir_fill", "Texts currently held in the growth reservoir.", "tenant").With1(cfg.Tenant)
+	d.mNewLFs = reg.CounterVec("growth_new_lfs_total", "Label functions proposed and accepted by growth cycles.", "tenant").With(cfg.Tenant)
+	d.mCycleSec = reg.HistogramVec("growth_cycle_seconds", "Growth cycle wall clock.", obs.LongDurationBuckets, "tenant").With(cfg.Tenant)
+	d.mFill = reg.GaugeVec("growth_reservoir_fill", "Texts currently held in the growth reservoir.", "tenant").With(cfg.Tenant)
 	return d, nil
 }
 

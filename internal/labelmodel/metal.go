@@ -114,10 +114,6 @@ func (m *MeTaL) Name() string { return "metal" }
 // Accuracies returns the fitted per-LF accuracies (shared slice).
 func (m *MeTaL) Accuracies() []float64 { return m.acc }
 
-// Propensities returns the fitted θ_jc matrix (shared; nil when
-// ModelPropensity is off).
-func (m *MeTaL) Propensities() [][]float64 { return m.theta }
-
 // Priors returns the class priors (shared slice).
 func (m *MeTaL) Priors() []float64 { return m.prior }
 

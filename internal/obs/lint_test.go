@@ -34,13 +34,13 @@ func TestLintAcceptsRegistryOutput(t *testing.T) {
 	r.Gauge("plain_gauge", "plain gauge").Set(-2.5)
 	r.Histogram("plain_seconds", "plain histogram", []float64{0.1, 1}).Observe(0.5)
 	cv := r.CounterVec("dim_total", "dimensional counter", "tenant", "code")
-	cv.With2("acme", "ok").Inc()
-	cv.With2("tricky\"quote\\slash\nnewline", "shed").Inc()
+	cv.With("acme", "ok").Inc()
+	cv.With("tricky\"quote\\slash\nnewline", "shed").Inc()
 	cv.SetMaxSeries(1)
-	cv.With2("overflow-me", "ok").Inc()
+	cv.With("overflow-me", "ok").Inc()
 	hv := r.HistogramVec("dim_seconds", "dimensional histogram", DurationBuckets, "tenant")
-	hv.With1("acme").Observe(0.02)
-	hv.With1("other").Observe(3)
+	hv.With("acme").Observe(0.02)
+	hv.With("other").Observe(3)
 	SetRuntimeGauges(r)
 
 	var buf bytes.Buffer

@@ -40,6 +40,9 @@ func TestCounterGaugeExactUnderConcurrency(t *testing.T) {
 	if r.Counter("ops_total", "") != c {
 		t.Error("re-registration returned a new counter")
 	}
+	if got := r.SeriesValue("ops_total"); got != c.Value() {
+		t.Errorf("SeriesValue of the scalar = %v, want %v", got, c.Value())
+	}
 	c.Add(-100)
 	if got := c.Value(); got != float64(goroutines*perG)*1.5 {
 		t.Errorf("negative Add moved the counter to %v", got)

@@ -297,7 +297,7 @@ func (g *Gateway) instrument(next http.Handler) http.Handler {
 		}
 		span.End()
 
-		g.mHTTP.With2(route, strconv.Itoa(sw.status)).Inc()
+		g.mHTTP.With(route, strconv.Itoa(sw.status)).Inc()
 		if meta.tenant != "" {
 			g.slo.Observe(meta.tenant, dur.Seconds(), sw.status >= 500)
 		}

@@ -452,7 +452,7 @@ func (r *Registry) mapIn(e *entry, b *bundle.Bundle) (*handle, error) {
 	if old := e.cur.Swap(h); old != nil {
 		old.release()
 	}
-	r.mLoads.With1(e.tenant).Inc()
+	r.mLoads.With(e.tenant).Inc()
 	r.rebalance(e)
 	return h, nil
 }
@@ -491,7 +491,7 @@ func (r *Registry) rebalance(keep *entry) {
 			continue // lost a race with a swap on this entry; re-count
 		}
 		resident--
-		r.mEvictions.With1(victim.tenant).Inc()
+		r.mEvictions.With(victim.tenant).Inc()
 		releases = append(releases, h)
 	}
 	r.mResident.Set(float64(resident))
@@ -536,7 +536,7 @@ func (r *Registry) Promote(tenant string, nb *bundle.Bundle, force bool) (*Promo
 			rep.ShadowSample = len(sample)
 			rep.Agreement = bundle.Agreement(old.b, nb, sample)
 			if rep.Agreement < r.opts.ShadowAgreement {
-				r.mShadowRej.With1(tenant).Inc()
+				r.mShadowRej.With(tenant).Inc()
 				return rep, ErrShadowGate
 			}
 		}
@@ -544,7 +544,7 @@ func (r *Registry) Promote(tenant string, nb *bundle.Bundle, force bool) (*Promo
 	if err := r.swap(e, nb, artifact{b: nb}, "api-promote"); err != nil {
 		return nil, err
 	}
-	r.mSwaps.With1(tenant).Inc()
+	r.mSwaps.With(tenant).Inc()
 	rep.Generation = e.gen
 	return rep, nil
 }
@@ -571,7 +571,7 @@ func (r *Registry) Rollback(tenant string) (*PromoteReport, error) {
 	if err := r.swap(e, pb, e.prev, "rollback"); err != nil {
 		return nil, err
 	}
-	r.mRollbacks.With1(tenant).Inc()
+	r.mRollbacks.With(tenant).Inc()
 	return &PromoteReport{Tenant: tenant, Generation: e.gen}, nil
 }
 

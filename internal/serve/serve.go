@@ -199,21 +199,21 @@ func New(b *bundle.Bundle, o *obs.Obs, opts Options) (*Server, error) {
 	reg := o.Metrics
 	tenant := opts.Tenant
 	requests := reg.CounterVec("serve_requests_total", "Label requests received, by tenant and outcome.", "tenant", "code")
-	s.mReqOK = requests.With2(tenant, codeOK)
-	s.mReqShed = requests.With2(tenant, codeShed)
-	s.mReqClosed = requests.With2(tenant, codeClosed)
-	s.mReqCanceled = requests.With2(tenant, codeCanceled)
+	s.mReqOK = requests.With(tenant, codeOK)
+	s.mReqShed = requests.With(tenant, codeShed)
+	s.mReqClosed = requests.With(tenant, codeClosed)
+	s.mReqCanceled = requests.With(tenant, codeCanceled)
 	errs := reg.CounterVec("serve_errors_total", "Requests that failed, by tenant and cause.", "tenant", "code")
-	s.mErrClosed = errs.With2(tenant, codeClosed)
-	s.mErrCanceled = errs.With2(tenant, codeCanceled)
-	s.mTexts = reg.CounterVec("serve_texts_total", "Texts labeled.", "tenant").With1(tenant)
-	s.mBatches = reg.CounterVec("serve_batches_total", "Micro-batches dispatched.", "tenant").With1(tenant)
-	s.mShed = reg.CounterVec("serve_shed_total", "Requests rejected by admission control (queue full).", "tenant").With1(tenant)
-	s.mDropped = reg.CounterVec("serve_dropped_total", "Queued texts dropped because their request's context ended before the batch fired.", "tenant").With1(tenant)
-	s.mInflight = reg.GaugeVec("serve_inflight", "Label requests currently in flight.", "tenant").With1(tenant)
-	s.mQueue = reg.GaugeVec("serve_queue_depth", "Texts admitted to the coalescer queue and not yet dequeued.", "tenant").With1(tenant)
-	s.mBatchSz = reg.HistogramVec("serve_batch_size", "Texts per dispatched micro-batch.", obs.BatchSizeBuckets, "tenant").With1(tenant)
-	s.mLatency = reg.HistogramVec("serve_request_seconds", "Label request latency.", obs.DurationBuckets, "tenant").With1(tenant)
+	s.mErrClosed = errs.With(tenant, codeClosed)
+	s.mErrCanceled = errs.With(tenant, codeCanceled)
+	s.mTexts = reg.CounterVec("serve_texts_total", "Texts labeled.", "tenant").With(tenant)
+	s.mBatches = reg.CounterVec("serve_batches_total", "Micro-batches dispatched.", "tenant").With(tenant)
+	s.mShed = reg.CounterVec("serve_shed_total", "Requests rejected by admission control (queue full).", "tenant").With(tenant)
+	s.mDropped = reg.CounterVec("serve_dropped_total", "Queued texts dropped because their request's context ended before the batch fired.", "tenant").With(tenant)
+	s.mInflight = reg.GaugeVec("serve_inflight", "Label requests currently in flight.", "tenant").With(tenant)
+	s.mQueue = reg.GaugeVec("serve_queue_depth", "Texts admitted to the coalescer queue and not yet dequeued.", "tenant").With(tenant)
+	s.mBatchSz = reg.HistogramVec("serve_batch_size", "Texts per dispatched micro-batch.", obs.BatchSizeBuckets, "tenant").With(tenant)
+	s.mLatency = reg.HistogramVec("serve_request_seconds", "Label request latency.", obs.DurationBuckets, "tenant").With(tenant)
 
 	s.loop.Add(1)
 	go s.batchLoop()
