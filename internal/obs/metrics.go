@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -432,7 +431,7 @@ func (r *Registry) SeriesValue(name string, values ...string) float64 {
 	if f == nil || len(values) != len(f.labels) {
 		return 0
 	}
-	s := f.find(strings.Join(values, vecKeySep))
+	s := f.find(labelSetKey(values))
 	if s == nil {
 		return 0
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,9 +31,22 @@ const OverflowLabelValue = "_overflow"
 // excluded) unless SetMaxSeries overrides it.
 const DefaultMaxSeries = 256
 
-// vecKeySep joins label values into map keys; it cannot occur in UTF-8
-// text labels that matter (0x1f is a C0 control).
-const vecKeySep = "\x1f"
+// labelSetKey is the series map key of a label set. A one-label family
+// keys a series by its value alone, so looking up an existing series
+// allocates nothing; with several labels each value is prefixed by its
+// length, so no two label sets share a key whatever bytes they hold.
+func labelSetKey(values []string) string {
+	if len(values) == 1 {
+		return values[0]
+	}
+	b := make([]byte, 0, 64)
+	for _, v := range values {
+		b = strconv.AppendInt(b, int64(len(v)), 10)
+		b = append(b, ':')
+		b = append(b, v...)
+	}
+	return string(b)
+}
 
 // series is one (label values → scalar) binding; exactly one of c, g, h
 // is set, by the family's kind.
@@ -99,7 +113,7 @@ func (f *family) with(values []string) *series {
 		panic(fmt.Sprintf("obs: metric %q takes %d label values, got %d",
 			f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, vecKeySep)
+	key := labelSetKey(values)
 	if s := f.find(key); s != nil {
 		return s
 	}
@@ -117,7 +131,7 @@ func (f *family) with(values []string) *series {
 		for i := range ovf {
 			ovf[i] = OverflowLabelValue
 		}
-		key = strings.Join(ovf, vecKeySep)
+		key = labelSetKey(ovf)
 		if s, ok := f.series[key]; ok {
 			return s
 		}

@@ -176,6 +176,44 @@ func TestVecLabelEscaping(t *testing.T) {
 	}
 }
 
+// TestVecLabelSetsKeyedApart: label sets whose values join to the same
+// string under any separator stay distinct series, each exported under
+// its own labels.
+func TestVecLabelSetsKeyedApart(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("pairs_total", "", "x", "y")
+	a, b := cv.With("a\x1fb", "c"), cv.With("a", "b\x1fc")
+	if a == b {
+		t.Fatal("two label sets share one series")
+	}
+	a.Inc()
+	b.Add(2)
+	cv.With("", "ab").Add(4)
+	cv.With("ab", "").Add(8)
+	for _, c := range []struct {
+		x, y string
+		want float64
+	}{{"a\x1fb", "c", 1}, {"a", "b\x1fc", 2}, {"", "ab", 4}, {"ab", "", 8}} {
+		if got := r.SeriesValue("pairs_total", c.x, c.y); got != c.want {
+			t.Errorf("series (%q, %q) = %v, want %v", c.x, c.y, got, c.want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"pairs_total{x=\"a\x1fb\",y=\"c\"} 1\n",
+		"pairs_total{x=\"a\",y=\"b\x1fc\"} 2\n",
+		"pairs_total{x=\"\",y=\"ab\"} 4\n",
+		"pairs_total{x=\"ab\",y=\"\"} 8\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestVecMisusePanics(t *testing.T) {
 	r := NewRegistry()
 	mustPanic := func(what string, f func()) {

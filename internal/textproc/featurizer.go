@@ -3,7 +3,7 @@ package textproc
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"datasculpt/internal/par"
@@ -49,7 +49,7 @@ func NewFeaturizer(dim int) *Featurizer {
 // FNV-1a 32-bit constants (hash/fnv's, inlined so hashing a term costs
 // zero allocations — the hash.Hash32 interface value and its internal
 // state otherwise escape on every call, and hashTerm runs once per token
-// per document across Fit, Transform, and DocFreq).
+// per document across Fit and Transform).
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
@@ -143,11 +143,10 @@ func (f *Featurizer) FitTransform(corpus [][]string) ([]*SparseVector, error) {
 	var mu sync.Mutex
 	par.Chunks(f.Workers, len(corpus), func(lo, hi int) {
 		df := make([]int32, f.Dim)
-		var keys []int64
+		s := getScratch(f.Dim)
+		defer scratchPool.Put(s)
 		for i := lo; i < hi; i++ {
-			keys = f.sortedKeys(corpus[i], keys[:0])
-			countDF(df, keys)
-			out[i] = tfVector(keys)
+			out[i] = s.drain(f.Dim, s.add(f, corpus[i]), df, nil)
 		}
 		mu.Lock()
 		for b, n := range df {
@@ -161,38 +160,116 @@ func (f *Featurizer) FitTransform(corpus [][]string) ([]*SparseVector, error) {
 	}
 	par.Chunks(f.Workers, len(out), func(lo, hi int) {
 		for _, v := range out[lo:hi] {
-			f.scale(v)
+			for i, b := range v.Idx {
+				v.Val[i] *= f.idf[b]
+			}
+			v.Normalize()
 		}
 	})
 	return out, nil
 }
 
-// sortedKeys appends one packed key per token to keys, bucket<<1 | 1 for
-// a negative sign, and sorts them. Sorting groups each bucket's
-// occurrences into one run, in the ascending bucket order SparseVector
-// stores. The bucket is an int32, so the shifted key cannot overflow an
-// int64 at any Dim.
-func (f *Featurizer) sortedKeys(tokens []string, keys []int64) []int64 {
-	for _, t := range tokens {
-		b, sign := f.hashTerm(t)
-		k := int64(b) << 1
-		if sign < 0 {
-			k |= 1
-		}
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
+// scratch is one goroutine's per-document accumulator: the signed token
+// count of every bucket and a bitmap of the buckets the document
+// touched. Between documents both are all zero; drain restores that.
+type scratch struct {
+	count   []int32
+	touched []uint64
 }
 
-// countDF adds one to df for every distinct bucket among the sorted keys,
-// including buckets whose signed occurrences cancel out.
-func countDF(df []int32, keys []int64) {
-	for i, k := range keys {
-		if i == 0 || k>>1 != keys[i-1]>>1 {
-			df[k>>1]++
+// scratchPool holds scratches for every Featurizer. It cannot be a
+// Featurizer field: servers copy featurizers by value.
+var scratchPool sync.Pool
+
+// getScratch returns a zeroed scratch covering at least dim buckets.
+func getScratch(dim int) *scratch {
+	if s, _ := scratchPool.Get().(*scratch); s != nil && len(s.count) >= dim {
+		return s
+	}
+	return &scratch{count: make([]int32, dim), touched: make([]uint64, (dim+63)/64)}
+}
+
+// add counts one document's tokens into s and returns how many distinct
+// buckets they hit.
+func (s *scratch) add(f *Featurizer, tokens []string) int {
+	buckets := 0
+	for _, t := range tokens {
+		b, sign := f.hashTerm(t)
+		if w, bit := b>>6, uint64(1)<<(b&63); s.touched[w]&bit == 0 {
+			s.touched[w] |= bit
+			buckets++
+		}
+		if sign < 0 {
+			s.count[b]--
+		} else {
+			s.count[b]++
 		}
 	}
+	return buckets
+}
+
+// drain turns the counts in s into the document's vector and zeroes s.
+// Walking the bitmap visits the touched buckets in ascending order, the
+// order SparseVector stores. Each bucket whose signed count does not
+// cancel out gets its signed sub-linear TF, times idf[b] when idf is not
+// nil. When df is not nil, every touched bucket, cancelled or not, adds
+// one to it. buckets is add's count; it sizes the vector exactly.
+func (s *scratch) drain(dim, buckets int, df []int32, idf []float32) *SparseVector {
+	v := &SparseVector{Idx: make([]int32, 0, buckets), Val: make([]float32, 0, buckets)}
+	touched := s.touched[:(dim+63)/64]
+	for w, word := range touched {
+		if word == 0 {
+			continue
+		}
+		touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			tf := s.count[b]
+			s.count[b] = 0
+			if df != nil {
+				df[b]++
+			}
+			if tf == 0 {
+				continue // signed collisions cancelled out
+			}
+			mag := tfMagnitude(tf)
+			if idf != nil {
+				mag *= idf[b]
+			}
+			v.Idx = append(v.Idx, int32(b))
+			v.Val = append(v.Val, mag)
+		}
+	}
+	return v
+}
+
+// tfTable[n] is the sub-linear TF magnitude of a count of n.
+var tfTable = func() (t [64]float32) {
+	for n := 1; n < len(t); n++ {
+		t[n] = float32(1 + math.Log(float64(n)))
+	}
+	return t
+}()
+
+// tfMagnitude is the signed sub-linear TF of a non-zero signed count:
+// (1 + ln|tf|) with tf's sign. Sub-linear TF damping keeps long reviews
+// (IMDB) comparable to short comments (Youtube). Small counts read the
+// table, which holds the same float32 values the expression yields.
+func tfMagnitude(tf int32) float32 {
+	n := tf
+	if n < 0 {
+		n = -n
+	}
+	var mag float32
+	if int(n) < len(tfTable) {
+		mag = tfTable[n]
+	} else {
+		mag = float32(1 + math.Log(float64(n)))
+	}
+	if tf < 0 {
+		mag = -mag
+	}
+	return mag
 }
 
 // FinishFit freezes the IDF weights accumulated since BeginFit. It
@@ -223,53 +300,20 @@ func (f *Featurizer) Fitted() bool { return f.docs > 0 }
 // TF-IDF vector. Transform panics if the featurizer is unfitted, because
 // that is always a programming error rather than a data condition.
 func (f *Featurizer) Transform(tokens []string) *SparseVector {
+	s := getScratch(f.Dim)
+	v := f.transform(s, tokens)
+	scratchPool.Put(s)
+	return v
+}
+
+// transform is Transform with the caller's scratch.
+func (f *Featurizer) transform(s *scratch, tokens []string) *SparseVector {
 	if !f.Fitted() {
 		panic("featurizer: Transform before Fit")
 	}
-	v := tfVector(f.sortedKeys(tokens, make([]int64, 0, len(tokens))))
-	f.scale(v)
-	return v
-}
-
-// tfVector merges sorted keys into the document's signed sub-linear TF
-// vector, before IDF weighting: one entry per bucket whose signed count
-// does not cancel out.
-func tfVector(keys []int64) *SparseVector {
-	buckets := 0
-	for i, k := range keys {
-		if i == 0 || k>>1 != keys[i-1]>>1 {
-			buckets++
-		}
-	}
-	v := &SparseVector{Idx: make([]int32, 0, buckets), Val: make([]float32, 0, buckets)}
-	for i := 0; i < len(keys); {
-		b := int32(keys[i] >> 1)
-		tf := 0
-		for ; i < len(keys) && int32(keys[i]>>1) == b; i++ {
-			tf += 1 - 2*int(keys[i]&1)
-		}
-		if tf == 0 {
-			continue // signed collisions cancelled out
-		}
-		// Sub-linear TF damping keeps long reviews (IMDB) comparable to
-		// short comments (Youtube).
-		mag := float32(1 + math.Log(math.Abs(float64(tf))))
-		if tf < 0 {
-			mag = -mag
-		}
-		v.Idx = append(v.Idx, b)
-		v.Val = append(v.Val, mag)
-	}
-	return v
-}
-
-// scale weights a TF vector by the frozen IDF in place and L2-normalizes
-// it.
-func (f *Featurizer) scale(v *SparseVector) {
-	for i, b := range v.Idx {
-		v.Val[i] *= f.idf[b]
-	}
+	v := s.drain(f.Dim, s.add(f, tokens), nil, f.idf)
 	v.Normalize()
+	return v
 }
 
 // TransformAll maps Transform over a corpus, sharding documents across
@@ -277,21 +321,11 @@ func (f *Featurizer) scale(v *SparseVector) {
 func (f *Featurizer) TransformAll(corpus [][]string) []*SparseVector {
 	out := make([]*SparseVector, len(corpus))
 	par.Chunks(f.Workers, len(corpus), func(lo, hi int) {
+		s := getScratch(f.Dim)
+		defer scratchPool.Put(s)
 		for i := lo; i < hi; i++ {
-			out[i] = f.Transform(corpus[i])
+			out[i] = f.transform(s, corpus[i])
 		}
 	})
 	return out
-}
-
-// DocFreq returns the fraction of fitted documents whose hash signature
-// includes the given term's bucket. It upper-bounds the term's true
-// document frequency (bucket collisions only inflate it) and is used by
-// the SEU sampler to prune ultra-rare candidate keywords cheaply.
-func (f *Featurizer) DocFreq(term string) float64 {
-	if !f.Fitted() {
-		return 0
-	}
-	b, _ := f.hashTerm(term)
-	return float64(f.df[b]) / float64(f.docs)
 }

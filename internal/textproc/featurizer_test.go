@@ -144,21 +144,6 @@ func TestFeaturizerVectorInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestDocFreq(t *testing.T) {
-	corpus := [][]string{{"spam", "free"}, {"spam"}, {"ham"}}
-	f := NewFeaturizer(4096)
-	if err := f.Fit(corpus); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.DocFreq("spam"); math.Abs(got-2.0/3.0) > 1e-9 {
-		t.Errorf("DocFreq(spam) = %v, want 2/3", got)
-	}
-	unfitted := NewFeaturizer(16)
-	if got := unfitted.DocFreq("x"); got != 0 {
-		t.Errorf("unfitted DocFreq = %v", got)
-	}
-}
-
 func TestCosineBoundsProperty(t *testing.T) {
 	// |cosine| <= 1 for arbitrary sparse vectors (Cauchy-Schwarz), and
 	// Dot is symmetric.

@@ -1,6 +1,7 @@
 package textproc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -8,8 +9,9 @@ import (
 
 // FuzzTokenize drives the tokenizer with arbitrary (possibly invalid)
 // UTF-8. Tokenize feeds every downstream consumer — keyword matching,
-// n-gram candidates, feature hashing — so it must never panic and its
-// output contract must hold for any input: non-empty lowercase tokens
+// n-gram candidates, feature hashing — so it must never panic, it must
+// match referenceTokenize token for token whichever path the text takes,
+// and its output contract must hold for any input: non-empty lowercase tokens
 // with no separators, stable under re-tokenization (the canonicalization
 // keyword LFs rely on: NormalizePhrase of a phrase already canonical is
 // the identity).
@@ -27,11 +29,16 @@ func FuzzTokenize(f *testing.F) {
 		"o''o", "'", "a'9", "İstanbul",
 		"0ϓ", // U+03D3: uppercase letter with no lowercase mapping
 		string([]byte{0xff, 0xfe, 'a', 'b'}),
+		"'x A1'B2 1'a DON'T", "McDONALD'S 42nd 007",
+		"plain ASCII until a late byte\xff",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		tokens := Tokenize(text)
+		if want := referenceTokenize(text); !slices.Equal(tokens, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", text, tokens, want)
+		}
 		for _, tok := range tokens {
 			if tok == "" {
 				t.Fatal("empty token")

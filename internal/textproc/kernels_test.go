@@ -7,13 +7,14 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // referenceTransform is Transform as it was written before the packed-key
 // kernel: a per-document accumulation map, emptied of cancelled buckets
 // and handed to referenceFromMap. Kept verbatim as the oracle the
-// map-free kernel must match bit for bit.
+// bucket-count kernel must match bit for bit.
 func referenceTransform(f *Featurizer, tokens []string) *SparseVector {
 	acc := make(map[int32]float32, len(tokens))
 	for _, t := range tokens {
@@ -90,13 +91,22 @@ func fitted(t testing.TB, dim int, corpus [][]string) *Featurizer {
 	return f
 }
 
-// TestTransformMatchesMapReference: the packed-key kernel reproduces the
-// map-based Transform bit for bit. The narrow widths force signed
-// collisions, including buckets whose counts cancel to zero.
+// TestTransformMatchesMapReference: the bucket-count kernel reproduces
+// the map-based Transform bit for bit. The narrow widths force signed
+// collisions, including buckets whose counts cancel to zero; the
+// repeated words give counts on both sides of the TF table's end.
 func TestTransformMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	var repeated [][]string
+	for _, n := range []int{63, 64, 65, 300} {
+		doc := make([]string, 0, n+7)
+		for j := 0; j < n; j++ {
+			doc = append(doc, "w1")
+		}
+		repeated = append(repeated, doc, append(doc, "w2", "w2", "w3", "w4", "w5", "w6", "w7"))
+	}
 	for _, dim := range []int{1, 2, 7, 8192} {
-		docs := randomDocs(rng, 400, 120, 60)
+		docs := append(randomDocs(rng, 400, 120, 60), repeated...)
 		f := fitted(t, dim, docs[:200])
 		cancelled := 0
 		for i, doc := range docs {
@@ -120,19 +130,72 @@ func TestTransformMatchesMapReference(t *testing.T) {
 }
 
 // TestTransformAllocsConstant: Transform allocates the same few objects
-// (key scratch, vector header, index and value slices) whatever the
-// document length.
+// (vector header, index and value slices) whatever the document length;
+// its bucket counts live in a pooled scratch. Under the race detector
+// the pool drops scratches at random, so only the kernel with a held
+// scratch is measured there.
 func TestTransformAllocsConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := fitted(t, DefaultFeatureDim, randomDocs(rng, 50, 40, 500))
+	s := getScratch(f.Dim)
 	for _, n := range []int{1, 30, 300, 3000} {
 		doc := make([]string, n)
 		for j := range doc {
 			doc[j] = fmt.Sprintf("w%d", rng.Intn(500))
 		}
-		if allocs := testing.AllocsPerRun(50, func() { f.Transform(doc) }); allocs > 4 {
-			t.Errorf("Transform of %d tokens allocates %v objects, want <= 4", n, allocs)
+		if allocs := testing.AllocsPerRun(50, func() { f.transform(s, doc) }); allocs > 3 {
+			t.Errorf("transform of %d tokens allocates %v objects, want <= 3", n, allocs)
 		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(50, func() { f.Transform(doc) }); allocs > 3 {
+			t.Errorf("Transform of %d tokens allocates %v objects, want <= 3", n, allocs)
+		}
+	}
+}
+
+// TestTransformAllParallelSharedPool: featurizers of a narrow and the
+// default width draw scratches from the one pool at the same time, so a
+// pooled scratch sized for one width serves the other. Every vector must
+// still match the reference bit for bit; run under -race, no two
+// goroutines may share a scratch.
+func TestTransformAllParallelSharedPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	docs := randomDocs(rng, 300, 100, 80)
+	var fs []*Featurizer
+	var want [][]*SparseVector
+	for _, dim := range []int{7, DefaultFeatureDim} {
+		f := fitted(t, dim, docs)
+		f.Workers = 3
+		ref := make([]*SparseVector, len(docs))
+		for i, doc := range docs {
+			ref[i] = referenceTransform(f, doc)
+		}
+		fs, want = append(fs, f), append(want, ref)
+	}
+	const goroutines, rounds = 4, 5
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				f, ref := fs[(k+r)%len(fs)], want[(k+r)%len(fs)]
+				for i, v := range f.TransformAll(docs) {
+					if err := sameBits(v, ref[i]); err != nil {
+						errs <- fmt.Errorf("dim %d doc %d: %v", f.Dim, i, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

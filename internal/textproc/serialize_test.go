@@ -3,6 +3,7 @@ package textproc
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -46,8 +47,8 @@ func TestFeaturizerRoundTripBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if f.DocFreq("melody") != g.DocFreq("melody") {
-		t.Error("DocFreq differs after round trip")
+	if f.docs != g.docs || !slices.Equal(f.df, g.df) {
+		t.Error("document frequencies differ after round trip")
 	}
 }
 

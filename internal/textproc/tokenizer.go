@@ -15,13 +15,62 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize lower-cases the input and splits it into word tokens. Letters,
 // digits and in-word apostrophes are kept; every other rune is a boundary.
 // The output is suitable for n-gram extraction and keyword matching: the
 // keyword-based label functions of the paper match on exactly these tokens.
+//
+// A token of an ASCII text that has no upper-case letter is a substring of
+// the text, not a copy, so the tokens keep the text alive. A caller that
+// keeps a token beyond the text's lifetime must strings.Clone it.
 func Tokenize(text string) []string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return tokenizeRunes(text)
+		}
+	}
+	return tokenizeASCII(text)
+}
+
+// tokenizeASCII is Tokenize for a text with no byte >= 0x80, where a
+// byte is a rune and unicode.IsLetter and IsDigit reduce to [A-Za-z] and
+// [0-9]. One pass finds the token spans under the rune path's rules;
+// strings.ToLower returns a span without upper case as it is, so such a
+// token is a substring of the text.
+func tokenizeASCII(text string) []string {
+	tokens := make([]string, 0, len(text)/5+1)
+	start := -1
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		switch {
+		case isASCIILetter(c) || '0' <= c && c <= '9':
+			if start < 0 {
+				start = i
+			}
+		case c == '\'' && start >= 0 && i+1 < len(text) && isASCIILetter(text[i+1]):
+			// keep in-word apostrophes: "don't" stays one token
+		case start >= 0:
+			tokens = append(tokens, strings.ToLower(text[start:i]))
+			start = -1
+		}
+	}
+	if start >= 0 {
+		tokens = append(tokens, strings.ToLower(text[start:]))
+	}
+	return tokens
+}
+
+// isASCIILetter is unicode.IsLetter for an ASCII byte.
+func isASCIILetter(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+}
+
+// tokenizeRunes is Tokenize for a text with a byte >= 0x80: it decodes
+// the text to runes and applies the Unicode letter and digit classes.
+func tokenizeRunes(text string) []string {
 	tokens := make([]string, 0, len(text)/5+1)
 	var b strings.Builder
 	flush := func() {
@@ -55,11 +104,17 @@ func JoinTokens(tokens []string) string {
 
 // NormalizePhrase tokenizes a free-form phrase (e.g. a keyword returned by
 // an LLM) and returns its canonical form together with its n-gram length.
-// An empty phrase returns ("", 0).
+// An empty phrase returns ("", 0). The canonical form never shares
+// memory with the phrase: a one-token phrase's token can be a substring
+// of it, and a keyword LF named by it would keep a whole LLM response
+// alive.
 func NormalizePhrase(phrase string) (string, int) {
 	toks := Tokenize(phrase)
-	if len(toks) == 0 {
+	switch len(toks) {
+	case 0:
 		return "", 0
+	case 1:
+		return strings.Clone(toks[0]), 1
 	}
 	return JoinTokens(toks), len(toks)
 }

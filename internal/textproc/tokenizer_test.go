@@ -2,10 +2,41 @@ package textproc
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unsafe"
 )
+
+// referenceTokenize is Tokenize as it was written before the ASCII fast
+// path: the text decoded to runes, each token built rune by rune. Kept
+// verbatim as the oracle both of Tokenize's paths must match.
+func referenceTokenize(text string) []string {
+	tokens := make([]string, 0, len(text)/5+1)
+	var b strings.Builder
+	flush := func() {
+		if b.Len() > 0 {
+			tokens = append(tokens, b.String())
+			b.Reset()
+		}
+	}
+	runes := []rune(text)
+	for i, r := range runes {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			b.WriteRune(unicode.ToLower(r))
+		case r == '\'' && b.Len() > 0 && i+1 < len(runes) && unicode.IsLetter(runes[i+1]):
+			// keep in-word apostrophes: "don't" stays one token
+			b.WriteRune(r)
+		default:
+			flush()
+		}
+	}
+	flush()
+	return tokens
+}
 
 func TestTokenizeBasic(t *testing.T) {
 	cases := []struct {
@@ -31,6 +62,47 @@ func TestTokenizeBasic(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
 		}
+	}
+}
+
+// TestTokenizeASCIIEdgeCases pins the ASCII fast path's apostrophe,
+// case and digit rules, and the switch to the rune path on a non-ASCII
+// byte however late it comes; every case must also match the reference.
+func TestTokenizeASCIIEdgeCases(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"o''o", []string{"o", "o"}},
+		{"end'", []string{"end"}},
+		{"'x", []string{"x"}},
+		{"A1'B2", []string{"a1'b2"}},
+		{"1'a 2'3 a'1", []string{"1'a", "2", "3", "a", "1"}},
+		{"rock'n'roll DON'T Don't", []string{"rock'n'roll", "don't", "don't"}},
+		{"iPhone McDONALD'S eBay", []string{"iphone", "mcdonald's", "ebay"}},
+		{"2024 007 42nd", []string{"2024", "007", "42nd"}},
+		{"tab\tnew\nline\x00nul~tilde_under", []string{"tab", "new", "line", "nul", "tilde", "under"}},
+		{"Plain ASCII until the very END caf\u00e9", []string{"plain", "ascii", "until", "the", "very", "end", "café"}},
+		{"Plain ASCII then one bad byte\xff", []string{"plain", "ascii", "then", "one", "bad", "byte"}},
+		{"DON'T\u00a0stop", []string{"don't", "stop"}},
+	}
+	for _, c := range cases {
+		got := Tokenize(c.in)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("Tokenize(%q) = %q, want %q", c.in, got, c.want)
+		}
+		if ref := referenceTokenize(c.in); !slices.Equal(got, ref) {
+			t.Errorf("Tokenize(%q) = %q, reference %q", c.in, got, ref)
+		}
+	}
+}
+
+// TestTokenizeLowerASCIIAllocs: a lower-case ASCII text allocates only
+// the token slice, because each token is a substring of the text.
+func TestTokenizeLowerASCIIAllocs(t *testing.T) {
+	text := "great food and friendly staff, we'll be back for the tacos 2 times a week"
+	if allocs := testing.AllocsPerRun(100, func() { Tokenize(text) }); allocs != 1 {
+		t.Errorf("Tokenize allocates %v objects, want 1", allocs)
 	}
 }
 
@@ -84,6 +156,14 @@ func TestNormalizePhrase(t *testing.T) {
 		got, n := NormalizePhrase(c.in)
 		if got != c.want || n != c.wantN {
 			t.Errorf("NormalizePhrase(%q) = (%q,%d), want (%q,%d)", c.in, got, n, c.want, c.wantN)
+		}
+		// The canonical form names keyword LFs, which outlive the LLM
+		// response it was parsed from: it must not point into the phrase.
+		if got != "" {
+			p, g := uintptr(unsafe.Pointer(unsafe.StringData(c.in))), uintptr(unsafe.Pointer(unsafe.StringData(got)))
+			if p <= g && g < p+uintptr(len(c.in)) {
+				t.Errorf("NormalizePhrase(%q) shares the phrase's memory", c.in)
+			}
 		}
 	}
 }
