@@ -94,10 +94,12 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzMetricFamilies$$' -fuzztime 30s ./internal/obs/
 
 # total-coverage regression gate: fail if statement coverage drops below
-# the recorded pre-PR baseline
+# the recorded pre-PR baseline. The profile goes to a private mktemp file,
+# removed on exit, so concurrent checkouts never read each other's.
 cover-check:
-	$(GO) test -coverprofile=/tmp/datasculpt-cover.out ./... > /dev/null
-	@total=$$($(GO) tool cover -func=/tmp/datasculpt-cover.out | tail -1 | awk '{sub(/%/, "", $$3); print $$3}'); \
+	@profile=$$(mktemp); trap 'rm -f "$$profile"' EXIT; \
+	$(GO) test -coverprofile="$$profile" ./... > /dev/null || exit 1; \
+	total=$$($(GO) tool cover -func="$$profile" | tail -1 | awk '{sub(/%/, "", $$3); print $$3}'); \
 	echo "total coverage: $$total% (floor: $(COVERAGE_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVERAGE_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "FAIL: coverage $$total% is below the floor $(COVERAGE_FLOOR)%"; exit 1; }
@@ -108,7 +110,9 @@ cover-check:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# full benchmark suite at reduced scale (one pass per table/figure)
+# every root benchmark at reduced scale, one pass each: the grid, one
+# pipeline run and the DESIGN.md §5 ablations (the paper's tables come
+# from cmd/benchtab)
 bench:
 	$(GO) test -bench . -benchtime=1x -run XXX -v .
 

@@ -1,14 +1,13 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus ablations of this reproduction's own design
-// choices (DESIGN.md §5). Each benchmark runs the corresponding
-// experiment sweep at a reduced scale (single seed, 15% split sizes) so
-// the whole suite completes in minutes on one core; `cmd/benchtab`
-// regenerates the tables at the paper's full protocol. The rendered
-// tables are emitted via b.Log so `go test -bench . -v` doubles as a
-// report generator.
+// Benchmarks of the experiment grid (serial vs parallel) and ablations
+// of this reproduction's own design choices (DESIGN.md §5), each at a
+// reduced scale (single seed, 15% split sizes) so the whole suite
+// completes in minutes on one core. The paper's tables and figures are
+// regenerated by `cmd/benchtab`, not here. Each ablation's report is
+// emitted via b.Log, so `go test -bench . -v` prints it.
 package datasculpt_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -20,8 +19,8 @@ import (
 	"datasculpt/internal/lf"
 )
 
-// benchOptions is the reduced-protocol sweep configuration shared by the
-// table benchmarks.
+// benchOptions is the reduced-protocol sweep configuration of the grid
+// benchmarks.
 func benchOptions() experiment.Options {
 	return experiment.Options{Seeds: 1, Scale: 0.15, Iterations: 50}
 }
@@ -34,7 +33,7 @@ func gridBench(b *testing.B, workers int) {
 	o := benchOptions()
 	o.Workers = workers
 	for i := 0; i < b.N; i++ {
-		g, err := experiment.MainResults(o)
+		g, err := experiment.MainResultsContext(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,94 +51,6 @@ func BenchmarkGridSerial(b *testing.B) { gridBench(b, 1) }
 // available cores (on a single-core host the two benchmarks tie, which
 // bounds the scheduler's overhead at ~zero).
 func BenchmarkGridParallel(b *testing.B) { gridBench(b, 8) }
-
-func BenchmarkTable1Datasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out, err := experiment.RenderTable1(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-func BenchmarkTable2MainResults(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := experiment.MainResults(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiment.RenderGrid(g))
-			b.Log("\n" + experiment.RenderPaperComparison(g, experiment.PaperTable2))
-		}
-	}
-}
-
-func BenchmarkFigure3Tokens(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := experiment.MainResults(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiment.RenderFigure3(g))
-		}
-	}
-}
-
-func BenchmarkFigure4Cost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := experiment.MainResults(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiment.RenderFigure4(g))
-		}
-	}
-}
-
-func BenchmarkTable3LLMs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := experiment.LLMAblation(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiment.RenderGrid(g))
-			b.Log("\n" + experiment.RenderPaperComparison(g, experiment.PaperTable3))
-		}
-	}
-}
-
-func BenchmarkTable4Samplers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := experiment.SamplerAblation(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiment.RenderGrid(g))
-			b.Log("\n" + experiment.RenderPaperComparison(g, experiment.PaperTable4))
-		}
-	}
-}
-
-func BenchmarkTable5Filters(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := experiment.FilterAblation(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiment.RenderGrid(g))
-			b.Log("\n" + experiment.RenderPaperComparison(g, experiment.PaperTable5))
-		}
-	}
-}
 
 // ---- Reproduction design-choice ablations (DESIGN.md §5) ----
 
@@ -315,7 +226,7 @@ func BenchmarkAblationPropensityModel(b *testing.B) {
 }
 
 // BenchmarkPipelineYoutube measures one full default pipeline run — the
-// unit of work every table cell above repeats.
+// unit of work every grid cell repeats.
 func BenchmarkPipelineYoutube(b *testing.B) {
 	d, err := datasculpt.LoadDataset("youtube", 1, 0.5)
 	if err != nil {

@@ -100,7 +100,8 @@ func main() {
 }
 
 func run(ctx context.Context, opts experiment.Options, table, figure int, all, compare bool, markdown string) error {
-	var main, llms, samplers, filters *experiment.Grid
+	var main *experiment.Grid
+	ablations := make([]*experiment.Grid, len(experiment.Ablations))
 	needMain := all || table == 2 || figure == 3 || figure == 4
 
 	if all || table == 1 {
@@ -129,41 +130,22 @@ func run(ctx context.Context, opts experiment.Options, table, figure int, all, c
 	if all || figure == 4 {
 		fmt.Println(experiment.RenderFigure4(main))
 	}
-	if all || table == 3 {
-		g, err := experiment.LLMAblationContext(ctx, opts)
+	for i, a := range experiment.Ablations {
+		if !all && table != a.Table {
+			continue
+		}
+		g, err := experiment.AblationContext(ctx, opts, a)
 		if err != nil {
 			return err
 		}
-		llms = g
+		ablations[i] = g
 		fmt.Println(experiment.RenderGrid(g))
 		if compare {
-			fmt.Println(experiment.RenderPaperComparison(g, experiment.PaperTable3))
-		}
-	}
-	if all || table == 4 {
-		g, err := experiment.SamplerAblationContext(ctx, opts)
-		if err != nil {
-			return err
-		}
-		samplers = g
-		fmt.Println(experiment.RenderGrid(g))
-		if compare {
-			fmt.Println(experiment.RenderPaperComparison(g, experiment.PaperTable4))
-		}
-	}
-	if all || table == 5 {
-		g, err := experiment.FilterAblationContext(ctx, opts)
-		if err != nil {
-			return err
-		}
-		filters = g
-		fmt.Println(experiment.RenderGrid(g))
-		if compare {
-			fmt.Println(experiment.RenderPaperComparison(g, experiment.PaperTable5))
+			fmt.Println(experiment.RenderPaperComparison(g, a.Paper))
 		}
 	}
 	if markdown != "" {
-		report := experiment.MarkdownReport(opts, main, llms, samplers, filters)
+		report := experiment.MarkdownReport(opts, main, ablations...)
 		if err := os.WriteFile(markdown, []byte(report), 0o644); err != nil {
 			return fmt.Errorf("writing markdown report: %w", err)
 		}

@@ -9,7 +9,7 @@
 // With -format json each dataset lands in <out>/<name>/ with meta.json
 // plus train/valid/test.json (map layout, loaded whole). With -format
 // jsonl the splits are written as train/valid/test.jsonl — one record per
-// line in id order — which dataset.OpenSplitReader streams without
+// line in id order — which dataset.OpenJSONL streams without
 // materializing the corpus; use this for -scale factors above 1.
 package main
 

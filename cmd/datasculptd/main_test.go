@@ -54,16 +54,16 @@ func trainBundle(t *testing.T) string {
 // startDaemon boots the daemon's serve loop on a loopback listener with
 // the given tenants registered, and returns the base URL plus a
 // shutdown func that asserts graceful exit.
-func startDaemon(t *testing.T, reg *registry.Registry, gwOpts registry.GatewayOptions) string {
+func startDaemon(t *testing.T, reg *registry.Registry, o *obs.Obs, gwOpts registry.GatewayOptions) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := registry.NewGateway(reg, obs.Default(), gwOpts)
+	gw := registry.NewGateway(reg, o, gwOpts)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- serveGateway(ctx, ln, reg, gw, obs.Default()) }()
+	go func() { done <- serveGateway(ctx, ln, reg, gw, o) }()
 	t.Cleanup(func() {
 		cancel()
 		select {
@@ -80,17 +80,19 @@ func startDaemon(t *testing.T, reg *registry.Registry, gwOpts registry.GatewayOp
 
 // TestDaemonEndToEnd labels over real HTTP through both the bare alias
 // and a tenant-scoped route, lists bundles, promotes an upload, rolls
-// it back, and shuts the daemon down gracefully the way a signal would.
+// it back, lints the /metrics exposition that traffic left behind, and
+// shuts the daemon down gracefully the way a signal would.
 func TestDaemonEndToEnd(t *testing.T) {
 	path := trainBundle(t)
-	reg := registry.New(obs.Default(), registry.Options{Serve: serve.Options{Workers: 2}})
+	o := obs.New(nil, obs.NewRegistry(), nil)
+	reg := registry.New(o, registry.Options{Serve: serve.Options{Workers: 2}})
 	if err := reg.Register("default", path); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Register("acme", path); err != nil {
 		t.Fatal(err)
 	}
-	base := startDaemon(t, reg, registry.GatewayOptions{})
+	base := startDaemon(t, reg, o, registry.GatewayOptions{})
 
 	for _, route := range []string{"/v1/label", "/v1/tenants/acme/label"} {
 		resp, err := http.Post(base+route, "application/json",
@@ -157,6 +159,24 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("rollback: status %d", resp.StatusCode)
 	}
 
+	// The exposition gate: the live daemon's /metrics must pass the
+	// conformance checks a real Prometheus scraper enforces.
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(exposition), "serve_batches_total{") {
+		t.Fatalf("/metrics: status %d, no serve batches after label traffic:\n%s", resp.StatusCode, exposition)
+	}
+	if problems := obs.LintPrometheus(strings.NewReader(string(exposition))); len(problems) != 0 {
+		t.Errorf("/metrics fails the exposition lint:\n%s", strings.Join(problems, "\n"))
+	}
+
 	resp, err = http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +227,7 @@ func TestDaemonGrowthEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	growPtr.Store(growD)
-	base := startDaemon(t, reg, registry.GatewayOptions{
+	base := startDaemon(t, reg, obs.Default(), registry.GatewayOptions{
 		DefaultTenant: "default",
 		Growth:        func() any { return growD.Status() },
 	})

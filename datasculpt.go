@@ -164,7 +164,7 @@ func PromptedLFs(d *Dataset, model string, seed int64) ([]LabelFunction, *llm.Me
 // run over ExperimentOptions.Workers goroutines (default GOMAXPROCS) and
 // are byte-identical to a serial (Workers=1) sweep.
 func MainResults(o ExperimentOptions) (*experiment.Grid, error) {
-	return experiment.MainResults(o)
+	return experiment.MainResultsContext(context.Background(), o)
 }
 
 // MainResultsContext is MainResults with cancellation: canceling ctx

@@ -151,18 +151,6 @@ func New(cfg Config) *Index {
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int { return ix.n }
 
-// Sketch computes the packed sign sketch of one vector into dst (length
-// >= ix.words), returning dst. It is exported for tests and for callers
-// that stream sketches without retaining vectors.
-func (ix *Index) Sketch(v *textproc.SparseVector, dst []uint64) []uint64 {
-	if dst == nil {
-		dst = make([]uint64, ix.words)
-	}
-	acc := make([]float32, ix.hashes)
-	ix.sketchInto(v, acc, dst)
-	return dst
-}
-
 // sketchInto projects v against every hyperplane (into acc, caller-owned
 // scratch) and packs the sign bits into dst. Ties (projection exactly 0,
 // common for empty vectors) count as sign bit 0.

@@ -3,6 +3,7 @@ package ann
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -160,27 +161,14 @@ func TestSketchDeterminism(t *testing.T) {
 	corpus := clusteredCorpus(rng, 512, 5, 10, 8, 4)
 	a := New(Config{Dim: 512, Seed: 9})
 	b := New(Config{Dim: 512, Seed: 9})
-	for _, v := range corpus {
-		sa := a.Sketch(v, nil)
-		sb := b.Sketch(v, nil)
-		for w := range sa {
-			if sa[w] != sb[w] {
-				t.Fatalf("sketches differ for identical seeds")
-			}
-		}
-	}
 	c := New(Config{Dim: 512, Seed: 10})
-	diff := false
-	for _, v := range corpus {
-		sa := a.Sketch(v, nil)
-		sc := c.Sketch(v, nil)
-		for w := range sa {
-			if sa[w] != sc[w] {
-				diff = true
-			}
-		}
+	for _, ix := range []*Index{a, b, c} {
+		ix.Add(corpus)
 	}
-	if !diff {
+	if !slices.Equal(a.sketches, b.sketches) {
+		t.Fatalf("sketches differ for identical seeds")
+	}
+	if slices.Equal(a.sketches, c.sketches) {
 		t.Fatalf("different seeds produced identical sketch streams")
 	}
 }
@@ -241,9 +229,9 @@ func BenchmarkSketch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	corpus := clusteredCorpus(rng, 8192, 10, 10, 20, 20)
 	ix := New(Config{Dim: 8192, Seed: 1})
-	dst := make([]uint64, ix.words)
+	acc, dst := make([]float32, ix.hashes), make([]uint64, ix.words)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Sketch(corpus[i%len(corpus)], dst)
+		ix.sketchInto(corpus[i%len(corpus)], acc, dst)
 	}
 }

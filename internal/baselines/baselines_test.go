@@ -51,15 +51,15 @@ func TestWrenchLFsAreAccurate(t *testing.T) {
 	}
 	ix := lf.NewIndex(d.Train)
 	vm := lf.BuildVoteMatrix(ix, lfs)
-	acc, ok := vm.MeanLFAccuracy(dataset.Labels(d.Train))
-	if !ok {
+	st := vm.ComputeStats(dataset.Labels(d.Train), 1)
+	if !st.AccuracyKnown {
 		t.Fatal("no active expert LF")
 	}
-	if acc < 0.7 {
-		t.Errorf("expert LF accuracy = %v, want >= 0.7", acc)
+	if st.MeanLFAccuracy < 0.7 {
+		t.Errorf("expert LF accuracy = %v, want >= 0.7", st.MeanLFAccuracy)
 	}
 	// expert LFs pick common keywords: coverage well above DataSculpt's
-	if cov := vm.MeanCoverage(); cov < 0.01 {
+	if cov := st.MeanCoverage; cov < 0.01 {
 		t.Errorf("expert LF coverage = %v, suspiciously low", cov)
 	}
 }
@@ -102,12 +102,13 @@ func TestScriptoriumShape(t *testing.T) {
 	}
 	ix := lf.NewIndex(d.Train)
 	vm := lf.BuildVoteMatrix(ix, lfs)
+	st := vm.ComputeStats(dataset.Labels(d.Train), 1)
 	// broad disjunction programs: far higher per-LF coverage than
 	// single-keyword LFs
-	if cov := vm.MeanCoverage(); cov < 0.05 {
+	if cov := st.MeanCoverage; cov < 0.05 {
 		t.Errorf("scriptorium coverage = %v, want broad (>0.05)", cov)
 	}
-	acc, ok := vm.MeanLFAccuracy(dataset.Labels(d.Train))
+	acc, ok := st.MeanLFAccuracy, st.AccuracyKnown
 	if !ok {
 		t.Fatal("no active scriptorium LF")
 	}
@@ -168,14 +169,14 @@ func TestPromptedLFShape(t *testing.T) {
 	}
 	ix := lf.NewIndex(d.Train)
 	vm := lf.BuildVoteMatrix(ix, lfs)
-	acc, ok := vm.MeanLFAccuracy(dataset.Labels(d.Train))
-	if !ok {
+	st := vm.ComputeStats(dataset.Labels(d.Train), 1)
+	if !st.AccuracyKnown {
 		t.Fatal("no active prompted LF")
 	}
-	if acc < 0.75 {
-		t.Errorf("promptedLF accuracy = %v, want high (instance-specific labels)", acc)
+	if st.MeanLFAccuracy < 0.75 {
+		t.Errorf("promptedLF accuracy = %v, want high (instance-specific labels)", st.MeanLFAccuracy)
 	}
-	if cov := vm.TotalCoverage(); cov < 0.5 {
+	if cov := st.TotalCoverage; cov < 0.5 {
 		t.Errorf("promptedLF total coverage = %v, want broad", cov)
 	}
 }
@@ -191,11 +192,12 @@ func TestPromptedLFSMSKeywordTemplates(t *testing.T) {
 	}
 	ix := lf.NewIndex(d.Train)
 	vm := lf.BuildVoteMatrix(ix, lfs)
+	st := vm.ComputeStats(dataset.Labels(d.Train), 1)
 	// keyword-confirmation templates: very low per-LF coverage (paper: 0.011)
-	if cov := vm.MeanCoverage(); cov > 0.1 {
+	if cov := st.MeanCoverage; cov > 0.1 {
 		t.Errorf("sms per-LF coverage = %v, want low", cov)
 	}
-	acc, ok := vm.MeanLFAccuracy(dataset.Labels(d.Train))
+	acc, ok := st.MeanLFAccuracy, st.AccuracyKnown
 	if !ok {
 		t.Skip("no active keyword template at this scale")
 	}

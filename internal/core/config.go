@@ -30,11 +30,6 @@ const (
 	VariantKATE Variant = "kate"
 )
 
-// Variants lists the paper's configurations in table order.
-func Variants() []Variant {
-	return []Variant{VariantBase, VariantCoT, VariantSC, VariantKATE}
-}
-
 // UnlimitedFailures disables the iteration failure budget: the run
 // records failed iterations but never aborts because of them.
 const UnlimitedFailures = -1

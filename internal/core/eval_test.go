@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -133,11 +134,10 @@ func TestVoteMatrixIncrementalReuse(t *testing.T) {
 	}
 	scratch := lf.BuildVoteMatrix(ev.trainIx, lfs)
 	for j := 0; j < scratch.NumLFs(); j++ {
-		gc, wc := ev.vm.Column(j), scratch.Column(j)
-		for i := range wc {
-			if gc[i] != wc[i] {
-				t.Fatalf("cached column %d diverges from scratch build at row %d", j, i)
-			}
+		gi, gv := ev.vm.Active(j)
+		wi, wv := scratch.Active(j)
+		if !slices.Equal(gi, wi) || !slices.Equal(gv, wv) {
+			t.Fatalf("cached column %d diverges from scratch build", j)
 		}
 	}
 }
@@ -162,11 +162,10 @@ func TestVoteMatrixRebuildOnPrefixChange(t *testing.T) {
 		if ev.vm.Names()[j] != scratch.Names()[j] {
 			t.Fatalf("rebuilt column %d named %q, want %q", j, ev.vm.Names()[j], scratch.Names()[j])
 		}
-		gc, wc := ev.vm.Column(j), scratch.Column(j)
-		for i := range wc {
-			if gc[i] != wc[i] {
-				t.Fatalf("rebuilt column %d diverges at row %d", j, i)
-			}
+		gi, gv := ev.vm.Active(j)
+		wi, wv := scratch.Active(j)
+		if !slices.Equal(gi, wi) || !slices.Equal(gv, wv) {
+			t.Fatalf("rebuilt column %d diverges from scratch build", j)
 		}
 	}
 }

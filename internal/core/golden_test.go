@@ -132,7 +132,7 @@ func TestRunsGolden(t *testing.T) {
 		writeResult(&buf, res)
 	}
 
-	for _, v := range Variants() {
+	for _, v := range []Variant{VariantBase, VariantCoT, VariantSC, VariantKATE} {
 		for _, smp := range []string{"random", "uncertain", "seu"} {
 			cfg := goldenConfig(v, smp)
 			cfg.UncertainRefreshEvery = 3

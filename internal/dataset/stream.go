@@ -205,22 +205,6 @@ func (r *JSONLReader) Next() (*Example, error) {
 // Close implements Reader.
 func (r *JSONLReader) Close() error { return r.f.Close() }
 
-// OpenSplitReader opens <dir>/<split>.jsonl for streaming when present,
-// falling back to loading <dir>/<split>.json (the WRENCH map layout) into
-// memory behind a SliceReader. The fallback keeps old directories working
-// but offers no memory bound.
-func OpenSplitReader(dir, split string, task TaskType) (Reader, error) {
-	jsonl := filepath.Join(dir, split+".jsonl")
-	if _, err := os.Stat(jsonl); err == nil {
-		return OpenJSONL(jsonl, task)
-	}
-	exs, err := loadSplit(filepath.Join(dir, split+".json"), task)
-	if err != nil {
-		return nil, err
-	}
-	return NewSliceReader(exs), nil
-}
-
 // ReadChunks drains the reader in chunks of at most chunkSize examples,
 // invoking fn on each; the chunk slice is reused across calls, so fn must
 // not retain it. A non-positive chunkSize selects 1024.

@@ -59,7 +59,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	for split, want := range map[string][]*Example{
 		"train": d.Train, "valid": d.Valid, "test": d.Test,
 	} {
-		r, err := OpenSplitReader(dir, split, d.Task)
+		r, err := OpenJSONL(filepath.Join(dir, split+".jsonl"), d.Task)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestJSONLRoundTripRelation(t *testing.T) {
 	if err := d.SaveDirJSONL(dir); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenSplitReader(dir, "train", d.Task)
+	r, err := OpenJSONL(filepath.Join(dir, "train.jsonl"), d.Task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,27 +93,6 @@ func TestJSONLRoundTripRelation(t *testing.T) {
 	if !found {
 		t.Fatal("no entity positions resolved from the jsonl stream")
 	}
-}
-
-// TestOpenSplitReaderJSONFallback: directories written with the legacy
-// map layout are still readable through the streaming interface.
-func TestOpenSplitReaderJSONFallback(t *testing.T) {
-	d, err := Load("sms", 5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := d.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenSplitReader(dir, "valid", d.Task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.(*SliceReader); !ok {
-		t.Fatalf("fallback reader is %T, want *SliceReader", r)
-	}
-	sameExamples(t, drain(t, r), d.Valid)
 }
 
 // TestReadChunks: chunk boundaries cover the whole stream exactly once
@@ -230,7 +209,7 @@ func TestStreamFeaturesBitIdentical(t *testing.T) {
 
 	streamed := textproc.NewFeaturizer(2048)
 	got := make([]*textproc.SparseVector, len(want))
-	open := func() (Reader, error) { return OpenSplitReader(dir, "train", d.Task) }
+	open := func() (Reader, error) { return OpenJSONL(filepath.Join(dir, "train.jsonl"), d.Task) }
 	err = StreamFeatures(open, streamed, 32, func(start int, vecs []*textproc.SparseVector) error {
 		copy(got[start:], vecs)
 		return nil

@@ -97,7 +97,7 @@ func TestRenderTable1(t *testing.T) {
 }
 
 func TestMainResultsQuick(t *testing.T) {
-	g, err := MainResults(quickOptions())
+	g, err := MainResultsContext(context.Background(), quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestMainResultsQuick(t *testing.T) {
 func TestSamplerAblationQuick(t *testing.T) {
 	o := quickOptions()
 	o.Datasets = []string{"youtube"}
-	g, err := SamplerAblation(o)
+	g, err := AblationContext(context.Background(), o, ablationTable(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range SamplerNames() {
+	for _, m := range ablationTable(4).Rows {
 		if _, ok := g.Get(m, "youtube"); !ok {
 			t.Errorf("missing sampler cell %s", m)
 		}
@@ -171,7 +171,7 @@ func TestSamplerAblationQuick(t *testing.T) {
 func TestFilterAblationQuick(t *testing.T) {
 	o := quickOptions()
 	o.Datasets = []string{"youtube"}
-	g, err := FilterAblation(o)
+	g, err := AblationContext(context.Background(), o, ablationTable(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFilterAblationQuick(t *testing.T) {
 func TestLLMAblationQuick(t *testing.T) {
 	o := quickOptions()
 	o.Datasets = []string{"youtube"}
-	g, err := LLMAblation(o)
+	g, err := AblationContext(context.Background(), o, ablationTable(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +199,16 @@ func TestLLMAblationQuick(t *testing.T) {
 	if g4.CostUSD <= g35.CostUSD {
 		t.Errorf("gpt-4 cost %v <= gpt-3.5 cost %v", g4.CostUSD, g35.CostUSD)
 	}
+}
+
+// ablationTable returns the Ablations entry of the paper's table n.
+func ablationTable(n int) Ablation {
+	for _, a := range Ablations {
+		if a.Table == n {
+			return a
+		}
+	}
+	panic(fmt.Sprintf("no ablation for table %d", n))
 }
 
 func TestPaperAveragesLookup(t *testing.T) {
@@ -238,11 +248,11 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	parallel := serial
 	parallel.Workers = 8
 
-	gs, err := MainResults(serial)
+	gs, err := MainResultsContext(context.Background(), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, err := MainResults(parallel)
+	gp, err := MainResultsContext(context.Background(), parallel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,9 +231,10 @@ func renderChecks(checks []ShapeCheck) string {
 	return b.String()
 }
 
-// MarkdownReport renders the full EXPERIMENTS.md body from the four
-// result grids (any of which may be nil to omit its section).
-func MarkdownReport(o Options, main, llms, samplers, filters *Grid) string {
+// MarkdownReport renders the full EXPERIMENTS.md body from the main
+// grid and the ablation grids, where ablations[i] is the grid of
+// Ablations[i]. A nil or missing grid omits its section.
+func MarkdownReport(o Options, main *Grid, ablations ...*Grid) string {
 	o = o.normalized()
 	var b strings.Builder
 	b.WriteString("# EXPERIMENTS: paper vs. reproduction\n\n")
@@ -262,29 +263,17 @@ programmatically.
 		b.WriteString("```\n\nShape checks:\n\n")
 		b.WriteString(renderChecks(Figure34Checks(main)))
 	}
-	if llms != nil {
-		b.WriteString("\n## Table 3 — LLM ablation (DataSculpt-SC)\n\n```\n")
-		b.WriteString(RenderGrid(llms))
+	for i, g := range ablations {
+		if g == nil {
+			continue
+		}
+		a := Ablations[i]
+		fmt.Fprintf(&b, "\n## Table %d — %s (DataSculpt-SC)\n\n```\n", a.Table, a.section)
+		b.WriteString(RenderGrid(g))
 		b.WriteString("```\n\nPaper vs. ours (AVG):\n\n```\n")
-		b.WriteString(RenderPaperComparison(llms, PaperTable3))
+		b.WriteString(RenderPaperComparison(g, a.Paper))
 		b.WriteString("```\n\nShape checks:\n\n")
-		b.WriteString(renderChecks(Table3Checks(llms)))
-	}
-	if samplers != nil {
-		b.WriteString("\n## Table 4 — query-sampler ablation (DataSculpt-SC)\n\n```\n")
-		b.WriteString(RenderGrid(samplers))
-		b.WriteString("```\n\nPaper vs. ours (AVG):\n\n```\n")
-		b.WriteString(RenderPaperComparison(samplers, PaperTable4))
-		b.WriteString("```\n\nShape checks:\n\n")
-		b.WriteString(renderChecks(Table4Checks(samplers)))
-	}
-	if filters != nil {
-		b.WriteString("\n## Table 5 — LF-filter ablation (DataSculpt-SC)\n\n```\n")
-		b.WriteString(RenderGrid(filters))
-		b.WriteString("```\n\nPaper vs. ours (AVG):\n\n```\n")
-		b.WriteString(RenderPaperComparison(filters, PaperTable5))
-		b.WriteString("```\n\nShape checks:\n\n")
-		b.WriteString(renderChecks(Table5Checks(filters)))
+		b.WriteString(renderChecks(a.Checks(g)))
 	}
 	return b.String()
 }

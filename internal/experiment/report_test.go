@@ -72,7 +72,7 @@ func TestTable2ChecksDetectDegenerateGrid(t *testing.T) {
 
 func TestAblationChecks(t *testing.T) {
 	// Table 3 grid with the paper's ordering
-	g3 := newGrid("t3", LLMNames(), []string{"youtube"})
+	g3 := newGrid("t3", ablationTable(3).Rows, []string{"youtube"})
 	for name, vals := range map[string][2]float64{
 		"gpt-3.5":    {0.788, 0.765},
 		"gpt-4":      {0.836, 0.780},
@@ -88,7 +88,7 @@ func TestAblationChecks(t *testing.T) {
 		}
 	}
 
-	g4 := newGrid("t4", SamplerNames(), []string{"youtube"})
+	g4 := newGrid("t4", ablationTable(4).Rows, []string{"youtube"})
 	g4.Set("random", "youtube", Stats{NumLFs: 175, LFAcc: 0.788, LFAccKnown: true, EM: 0.765})
 	g4.Set("uncertain", "youtube", Stats{NumLFs: 173, LFAcc: 0.749, LFAccKnown: true, EM: 0.762})
 	g4.Set("seu", "youtube", Stats{NumLFs: 71, LFAcc: 0.798, LFAccKnown: true, EM: 0.733})
@@ -98,7 +98,7 @@ func TestAblationChecks(t *testing.T) {
 		}
 	}
 
-	g5 := newGrid("t5", FilterNames(), []string{"youtube"})
+	g5 := newGrid("t5", ablationTable(5).Rows, []string{"youtube"})
 	g5.Set("all", "youtube", Stats{NumLFs: 175, LFAcc: 0.788, LFAccKnown: true, EM: 0.765})
 	g5.Set("no accuracy", "youtube", Stats{NumLFs: 247, LFAcc: 0.693, LFAccKnown: true, EM: 0.679})
 	g5.Set("no redundancy", "youtube", Stats{NumLFs: 236, LFAcc: 0.807, LFAccKnown: true, EM: 0.737})

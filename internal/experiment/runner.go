@@ -344,13 +344,8 @@ func sweep(ctx context.Context, o Options, title string, methods []string, run c
 	return g, nil
 }
 
-// MainResults runs the Table 2 comparison (which also provides the data
-// of Figures 3 and 4): all seven methods on every dataset.
-func MainResults(o Options) (*Grid, error) {
-	return MainResultsContext(context.Background(), o)
-}
-
-// MainResultsContext is MainResults with cancellation.
+// MainResultsContext runs the Table 2 comparison (which also provides
+// the data of Figures 3 and 4): all seven methods on every dataset.
 func MainResultsContext(ctx context.Context, o Options) (*Grid, error) {
 	o = o.normalized()
 	o.logf("== main results (Table 2, Figures 3-4): %d datasets x %d seeds, scale %.2f, %d workers",
@@ -361,88 +356,68 @@ func MainResultsContext(ctx context.Context, o Options) (*Grid, error) {
 		})
 }
 
-// LLMNames is the Table 3 row order.
-func LLMNames() []string {
-	return []string{"gpt-3.5", "gpt-4", "llama2-7b", "llama2-13b", "llama2-70b"}
+// Ablation is one of the paper's DataSculpt-SC ablations (Tables 3-5):
+// every row runs the SC variant with one Config field set from the
+// row's name.
+type Ablation struct {
+	// Table is the paper's table number.
+	Table int
+	// Title heads the rendered grid. Checkpoint records are keyed on
+	// it, so renaming it orphans the cells of an interrupted sweep.
+	Title string
+	// Rows is the row order; each row is one grid method.
+	Rows []string
+	// Paper holds the paper's AVG column for the rows.
+	Paper map[string]PaperAverages
+	// Checks evaluates the table's shape targets.
+	Checks func(*Grid) []ShapeCheck
+
+	section string // markdown report heading
+	banner  string // progress line
+	set     func(cfg *core.Config, row string)
 }
 
-// LLMAblation runs Table 3: DataSculpt-SC with each pre-trained model.
-func LLMAblation(o Options) (*Grid, error) {
-	return LLMAblationContext(context.Background(), o)
+// Ablations lists Tables 3, 4 and 5 in paper order.
+var Ablations = []Ablation{
+	{
+		Table: 3, Title: "Table 3: ablation study using different LLMs",
+		Rows:  []string{"gpt-3.5", "gpt-4", "llama2-7b", "llama2-13b", "llama2-70b"},
+		Paper: PaperTable3, Checks: Table3Checks,
+		section: "LLM ablation", banner: "LLM ablation (Table 3): 5 models",
+		set: func(cfg *core.Config, model string) { cfg.Model = model },
+	},
+	{
+		Table: 4, Title: "Table 4: ablation study using different samplers",
+		Rows:  []string{"random", "uncertain", "seu"},
+		Paper: PaperTable4, Checks: Table4Checks,
+		section: "query-sampler ablation", banner: "sampler ablation (Table 4)",
+		set: func(cfg *core.Config, smp string) { cfg.Sampler = smp },
+	},
+	{
+		Table: 5, Title: "Table 5: ablation study using different LF filters",
+		Rows:  []string{"all", "no accuracy", "no redundancy"},
+		Paper: PaperTable5, Checks: Table5Checks,
+		section: "LF-filter ablation", banner: "filter ablation (Table 5)",
+		set: func(cfg *core.Config, name string) {
+			cfg.Filters = lf.FilterConfig{UseAccuracy: name != "no accuracy", UseRedundancy: name != "no redundancy"}
+		},
+	},
 }
 
-// LLMAblationContext is LLMAblation with cancellation.
-func LLMAblationContext(ctx context.Context, o Options) (*Grid, error) {
+// AblationContext runs one ablation table.
+func AblationContext(ctx context.Context, o Options, a Ablation) (*Grid, error) {
 	o = o.normalized()
-	o.logf("== LLM ablation (Table 3): %d models", len(LLMNames()))
-	return sweep(ctx, o, "Table 3: ablation study using different LLMs", LLMNames(),
-		func(ctx context.Context, model string, d *dataset.Dataset, seed int) (*core.Result, error) {
-			cfg := baseConfig(o, model, d.Name, seed)
-			cfg.Model = model
+	o.logf("== %s", a.banner)
+	return sweep(ctx, o, a.Title, a.Rows,
+		func(ctx context.Context, row string, d *dataset.Dataset, seed int) (*core.Result, error) {
+			cfg := baseConfig(o, row, d.Name, seed)
 			cfg.Variant = core.VariantSC
+			a.set(&cfg, row)
 			res, err := core.RunContext(ctx, d, cfg)
 			if err != nil {
 				return nil, err
 			}
-			res.Method = model
-			return res, nil
-		})
-}
-
-// SamplerNames is the Table 4 row order.
-func SamplerNames() []string { return []string{"random", "uncertain", "seu"} }
-
-// SamplerAblation runs Table 4: DataSculpt-SC with each query-selection
-// strategy.
-func SamplerAblation(o Options) (*Grid, error) {
-	return SamplerAblationContext(context.Background(), o)
-}
-
-// SamplerAblationContext is SamplerAblation with cancellation.
-func SamplerAblationContext(ctx context.Context, o Options) (*Grid, error) {
-	o = o.normalized()
-	o.logf("== sampler ablation (Table 4)")
-	return sweep(ctx, o, "Table 4: ablation study using different samplers", SamplerNames(),
-		func(ctx context.Context, smp string, d *dataset.Dataset, seed int) (*core.Result, error) {
-			cfg := baseConfig(o, smp, d.Name, seed)
-			cfg.Variant = core.VariantSC
-			cfg.Sampler = smp
-			res, err := core.RunContext(ctx, d, cfg)
-			if err != nil {
-				return nil, err
-			}
-			res.Method = smp
-			return res, nil
-		})
-}
-
-// FilterNames is the Table 5 row order.
-func FilterNames() []string { return []string{"all", "no accuracy", "no redundancy"} }
-
-// FilterAblation runs Table 5: DataSculpt-SC with filter subsets.
-func FilterAblation(o Options) (*Grid, error) {
-	return FilterAblationContext(context.Background(), o)
-}
-
-// FilterAblationContext is FilterAblation with cancellation.
-func FilterAblationContext(ctx context.Context, o Options) (*Grid, error) {
-	o = o.normalized()
-	o.logf("== filter ablation (Table 5)")
-	configs := map[string]lf.FilterConfig{
-		"all":           {UseAccuracy: true, UseRedundancy: true},
-		"no accuracy":   {UseAccuracy: false, UseRedundancy: true},
-		"no redundancy": {UseAccuracy: true, UseRedundancy: false},
-	}
-	return sweep(ctx, o, "Table 5: ablation study using different LF filters", FilterNames(),
-		func(ctx context.Context, name string, d *dataset.Dataset, seed int) (*core.Result, error) {
-			cfg := baseConfig(o, name, d.Name, seed)
-			cfg.Variant = core.VariantSC
-			cfg.Filters = configs[name]
-			res, err := core.RunContext(ctx, d, cfg)
-			if err != nil {
-				return nil, err
-			}
-			res.Method = name
+			res.Method = row
 			return res, nil
 		})
 }

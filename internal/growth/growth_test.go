@@ -19,8 +19,20 @@ var (
 	trainedB  *bundle.Bundle
 	trainedD  *dataset.Dataset
 	savedPath string
-	trainErr  error
+	// trainedDir holds the saved fixture; TestMain removes it.
+	trainedDir string
+	trainErr   error
 )
+
+// TestMain removes the shared fixture's directory once every test of the
+// binary has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if trainedDir != "" {
+		os.RemoveAll(trainedDir)
+	}
+	os.Exit(code)
+}
 
 // trained runs the offline pipeline once per test binary and hands
 // every test the same parent artifact (the registry tests' pattern).
@@ -49,6 +61,7 @@ func trained(t *testing.T) (*bundle.Bundle, *dataset.Dataset, string) {
 			trainErr = err
 			return
 		}
+		trainedDir = dir
 		path := filepath.Join(dir, "model.json")
 		if err := bundle.Save(path, b); err != nil {
 			trainErr = err

@@ -136,7 +136,7 @@ func TestWeightedVoteFromValidation(t *testing.T) {
 	free, _ := lf.NewKeywordLF("free", 1)
 	melody, _ := lf.NewKeywordLF("melody", 0)
 	ghost, _ := lf.NewKeywordLF("unseen", 1)
-	wv := NewWeightedVoteFromValidation(valid, []lf.LabelFunction{free, melody, ghost})
+	wv := NewWeightedVoteFromValidationIndexed(lf.NewIndex(valid), []lf.LabelFunction{free, melody, ghost})
 	// free: 2/3 correct -> smoothed (2+1)/(3+2) = 0.6
 	if math.Abs(wv.Accuracies[0]-0.6) > 1e-9 {
 		t.Errorf("free accuracy = %v, want 0.6", wv.Accuracies[0])
@@ -151,9 +151,9 @@ func TestWeightedVoteFromValidation(t *testing.T) {
 	}
 }
 
-// TestWeightedVoteFromValidationIndexed: fitting against a caller-shared
-// index must produce exactly the accuracies of the index-building
-// constructor — the index is a pure accelerator, reused across fits.
+// TestWeightedVoteFromValidationIndexed: repeat fits against one shared
+// index must produce exactly the accuracies of a fit over a fresh index —
+// the index is a pure accelerator, reused across fits.
 func TestWeightedVoteFromValidationIndexed(t *testing.T) {
 	valid := []*dataset.Example{}
 	for i, tc := range []struct {
@@ -172,7 +172,7 @@ func TestWeightedVoteFromValidationIndexed(t *testing.T) {
 	free, _ := lf.NewKeywordLF("free", 1)
 	melody, _ := lf.NewKeywordLF("melody", 0)
 	lfs := []lf.LabelFunction{free, melody}
-	want := NewWeightedVoteFromValidation(valid, lfs)
+	want := NewWeightedVoteFromValidationIndexed(lf.NewIndex(valid), lfs)
 	ix := lf.NewIndex(valid)
 	for fit := 0; fit < 3; fit++ { // the shared index serves repeat fits
 		got := NewWeightedVoteFromValidationIndexed(ix, lfs)

@@ -119,15 +119,14 @@ func TestMajorityVoteUncoveredNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	proba := m.PredictProba(vm)
+	rows := vm.Rows()
 	nilCount := 0
 	for i, p := range proba {
 		if p == nil {
 			nilCount++
 			// verify the example truly is uncovered
-			for j := 0; j < vm.NumLFs(); j++ {
-				if vm.Vote(i, j) != lf.Abstain {
-					t.Fatalf("nil posterior for covered example %d", i)
-				}
+			if js, _ := rows.Row(i); len(js) > 0 {
+				t.Fatalf("nil posterior for covered example %d", i)
 			}
 		}
 	}
@@ -258,22 +257,6 @@ func TestTripletRejectsMulticlass(t *testing.T) {
 	vm, _ := synthVotes(t, 11, 100, 3, []float64{0.8}, []float64{0.5})
 	if err := NewTriplet().Fit(vm, 3); err == nil {
 		t.Error("triplet accepted 3-class task")
-	}
-}
-
-func TestHardLabels(t *testing.T) {
-	proba := [][]float64{
-		{0.9, 0.1},
-		nil,
-		{0.3, 0.7},
-	}
-	got := HardLabels(proba, lf.Abstain)
-	if got[0] != 0 || got[1] != lf.Abstain || got[2] != 1 {
-		t.Errorf("HardLabels = %v", got)
-	}
-	got = HardLabels(proba, 0)
-	if got[1] != 0 {
-		t.Errorf("fallback not applied: %v", got)
 	}
 }
 

@@ -81,24 +81,3 @@ func (m *MajorityVote) PredictProba(vm *lf.VoteMatrix) [][]float64 {
 	}
 	return out
 }
-
-// HardLabels converts posteriors into class predictions, mapping nil
-// (uncovered) entries to fallback. Pass lf.Abstain as fallback to keep
-// uncovered examples marked.
-func HardLabels(proba [][]float64, fallback int) []int {
-	out := make([]int, len(proba))
-	for i, p := range proba {
-		if p == nil {
-			out[i] = fallback
-			continue
-		}
-		best := 0
-		for c := 1; c < len(p); c++ {
-			if p[c] > p[best] {
-				best = c
-			}
-		}
-		out[i] = best
-	}
-	return out
-}

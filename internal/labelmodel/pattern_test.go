@@ -125,11 +125,22 @@ func TestMeTaLPatternsMatchRowByRow(t *testing.T) {
 	}
 }
 
-// rowsOf returns the first nLF vote columns of vm as row-major votes.
+// rowsOf returns the first nLF vote columns of vm as dense row-major
+// votes (lf.Abstain where an LF is inactive).
 func rowsOf(vm *lf.VoteMatrix, nLF int) [][]int {
+	rows := vm.Rows()
 	out := make([][]int, vm.NumExamples())
 	for i := range out {
-		out[i] = vm.Row(i, nil)[:nLF]
+		out[i] = make([]int, nLF)
+		for j := range out[i] {
+			out[i][j] = lf.Abstain
+		}
+		js, vs := rows.Row(i)
+		for t, j := range js {
+			if int(j) < nLF {
+				out[i][j] = int(vs[t])
+			}
+		}
 	}
 	return out
 }

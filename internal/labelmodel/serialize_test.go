@@ -78,15 +78,12 @@ func TestPredictorMatchesPredictProba(t *testing.T) {
 		t.Fatalf("NumClasses = %d", p.NumClasses())
 	}
 	batch := m.PredictProba(vm)
-	row := make([]int, vm.NumLFs())
+	rows := vm.Rows()
 	for i := 0; i < vm.NumExamples(); i++ {
-		vm.Row(i, row)
-		var js, vs []int
-		for j, v := range row {
-			if v != lf.Abstain {
-				js = append(js, j)
-				vs = append(vs, v)
-			}
+		rj, rv := rows.Row(i)
+		js, vs := make([]int, len(rj)), make([]int, len(rv))
+		for t := range rj {
+			js[t], vs[t] = int(rj[t]), int(rv[t])
 		}
 		one := p.Posterior(js, vs)
 		if (one == nil) != (batch[i] == nil) {

@@ -28,20 +28,11 @@ func NewWeightedVote(accuracies []float64) *WeightedVote {
 	return &WeightedVote{Accuracies: accuracies}
 }
 
-// NewWeightedVoteFromValidation measures each LF's accuracy on a labeled
-// validation split (LFs inactive there get the neutral estimate 0.5 —
-// zero weight). It builds a throwaway inverted index over the split;
-// callers fitting repeatedly against the same split (the pipeline's
-// per-iteration interim refreshes) should share one index via
-// NewWeightedVoteFromValidationIndexed instead.
-func NewWeightedVoteFromValidation(valid []*dataset.Example, lfs []lf.LabelFunction) *WeightedVote {
-	return NewWeightedVoteFromValidationIndexed(lf.NewIndex(valid), lfs)
-}
-
-// NewWeightedVoteFromValidationIndexed is NewWeightedVoteFromValidation
-// over a prebuilt validation index, the way lf.NewFilterChain
-// reuses shared indices: the index is immutable, so one build serves
-// every fit of a run.
+// NewWeightedVoteFromValidationIndexed measures each LF's accuracy on
+// the labeled validation split behind ix (LFs inactive there get the
+// neutral estimate 0.5 — zero weight). The index is immutable, so one
+// build serves every fit of a run (the pipeline's per-iteration interim
+// refreshes), the way lf.NewFilterChain reuses shared indices.
 func NewWeightedVoteFromValidationIndexed(ix *lf.Index, lfs []lf.LabelFunction) *WeightedVote {
 	gold := dataset.Labels(ix.Split())
 	vm := lf.BuildVoteMatrix(ix, lfs)

@@ -60,9 +60,6 @@ func (ix *Index) Size() int { return len(ix.split) }
 // Split returns the indexed examples.
 func (ix *Index) Split() []*dataset.Example { return ix.split }
 
-// DocFreq returns how many documents contain the given single token.
-func (ix *Index) DocFreq(token string) int { return len(ix.posting(token)) }
-
 // Docs returns the ascending document ids whose tokens contain the
 // canonical phrase. Single-word phrases come straight from the posting
 // list; multi-word phrases intersect the words' posting lists and

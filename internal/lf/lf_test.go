@@ -141,9 +141,6 @@ func TestIndexDocs(t *testing.T) {
 	if got := ix.Docs(""); got != nil {
 		t.Errorf("Docs(empty) = %v", got)
 	}
-	if ix.DocFreq("check") != 3 {
-		t.Errorf("DocFreq(check) = %d", ix.DocFreq("check"))
-	}
 }
 
 // TestIndexCountDocsMatchesDocs: the allocation-free accessors must
@@ -227,11 +224,11 @@ func TestVoteMatrixStats(t *testing.T) {
 	if vm.NumExamples() != 4 || vm.NumLFs() != 2 {
 		t.Fatalf("shape = %dx%d", vm.NumExamples(), vm.NumLFs())
 	}
-	if got := vm.Coverage(0); got != 0.5 {
-		t.Errorf("coverage(free) = %v, want 0.5", got)
+	if ids, _ := vm.Active(0); len(ids) != 2 {
+		t.Errorf("free votes on %d docs, want 2", len(ids))
 	}
-	if got := vm.Coverage(1); got != 0.25 {
-		t.Errorf("coverage(love this song) = %v, want 0.25", got)
+	if ids, _ := vm.Active(1); len(ids) != 1 {
+		t.Errorf("love this song votes on %d docs, want 1", len(ids))
 	}
 	if got := vm.TotalCoverage(); got != 0.75 {
 		t.Errorf("total coverage = %v, want 0.75", got)
@@ -241,9 +238,12 @@ func TestVoteMatrixStats(t *testing.T) {
 	if active != 2 || acc != 0.5 {
 		t.Errorf("LFAccuracy(free) = %v on %d, want 0.5 on 2", acc, active)
 	}
-	mean, ok := vm.MeanLFAccuracy(gold)
-	if !ok || mean != 0.75 {
-		t.Errorf("mean LF accuracy = %v (%v), want 0.75", mean, ok)
+	st := vm.ComputeStats(gold, 1)
+	if st.MeanCoverage != 0.375 {
+		t.Errorf("mean coverage = %v, want 0.375", st.MeanCoverage)
+	}
+	if !st.AccuracyKnown || st.MeanLFAccuracy != 0.75 {
+		t.Errorf("mean LF accuracy = %v (%v), want 0.75", st.MeanLFAccuracy, st.AccuracyKnown)
 	}
 	mv := vm.MajorityVotes(2)
 	if mv[0] != 1 || mv[1] != 0 || mv[2] != 1 || mv[3] != Abstain {
@@ -258,11 +258,11 @@ func TestVoteMatrixRowAndUnlabeled(t *testing.T) {
 	ix := NewIndex(split)
 	f, _ := NewKeywordLF("free", 1)
 	vm := BuildVoteMatrix(ix, []LabelFunction{f})
-	row := vm.Row(0, nil)
-	if len(row) != 1 || row[0] != 1 {
-		t.Errorf("row = %v", row)
+	js, vs := vm.Rows().Row(0)
+	if len(js) != 1 || js[0] != 0 || vs[0] != 1 {
+		t.Errorf("row = %v %v", js, vs)
 	}
-	if _, ok := vm.MeanLFAccuracy([]int{dataset.NoLabel}); ok {
+	if vm.ComputeStats([]int{dataset.NoLabel}, 1).AccuracyKnown {
 		t.Error("mean accuracy defined on fully unlabeled split")
 	}
 }
@@ -359,11 +359,8 @@ func TestIndexPostingsMatchReference(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(list) {
 			t.Fatalf("postings of %q = %v, reference %v", tok, got, list)
 		}
-		if ix.DocFreq(tok) != len(list) {
-			t.Fatalf("DocFreq(%q) = %d, want %d", tok, ix.DocFreq(tok), len(list))
-		}
 	}
-	if got := ix.Docs("absent"); got != nil || ix.DocFreq("absent") != 0 {
+	if got := ix.Docs("absent"); got != nil {
 		t.Fatalf("absent token has postings %v", got)
 	}
 }

@@ -89,10 +89,11 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestVoteMatrixColumnRowConsistencyProperty: Row and Column views of the
-// matrix must agree, coverage must equal the active fraction, and the
-// row view must agree with Vote on the resident matrix and on a spilling
-// copy whose budget forces evictions.
+// TestVoteMatrixColumnRowConsistencyProperty: every sparse column must
+// list ascending ids with no abstains, the coverage statistics must
+// equal the active fractions, and the row view must agree with the
+// columns on the resident matrix and on a spilling copy whose budget
+// forces evictions.
 func TestVoteMatrixColumnRowConsistencyProperty(t *testing.T) {
 	vocab := []string{"alpha", "beta", "gamma", "delta", "free", "cash"}
 	prop := func(seed int64) bool {
@@ -123,49 +124,50 @@ func TestVoteMatrixColumnRowConsistencyProperty(t *testing.T) {
 		}
 		defer spilled.Close()
 		spilled.AppendLFs(ix, lfs, 2)
+		covSum := 0.0
 		for j := 0; j < vm.NumLFs(); j++ {
-			col := vm.Column(j)
-			active := 0
-			for i := range col {
-				if int(col[i]) != vm.Vote(i, j) {
-					return false
-				}
-				if col[i] != Abstain {
-					active++
-				}
-				row := vm.Row(i, nil)
-				if row[j] != vm.Vote(i, j) {
-					return false
-				}
-			}
-			if vm.Coverage(j) != float64(active)/float64(vm.NumExamples()) {
+			ids, votes := vm.Active(j)
+			if len(ids) != len(votes) {
 				return false
 			}
+			for t, id := range ids {
+				if votes[t] == Abstain || (t > 0 && ids[t-1] >= id) {
+					return false
+				}
+			}
+			covSum += float64(len(ids)) / float64(vm.NumExamples())
 		}
-		return rowsMatchVote(vm) && rowsMatchVote(spilled)
+		if vm.ComputeStats(nil, 1).MeanCoverage != covSum/float64(vm.NumLFs()) {
+			return false
+		}
+		return rowsMatchColumns(vm) && rowsMatchColumns(spilled)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-// rowsMatchVote reports whether the row view lists, for every example,
-// exactly the LFs whose Vote is not Abstain, in ascending order, with
-// those votes.
-func rowsMatchVote(vm *VoteMatrix) bool {
+// rowsMatchColumns reports whether the row view lists, for every
+// example, exactly the LFs whose dense column does not abstain there, in
+// ascending order, with those votes.
+func rowsMatchColumns(vm *VoteMatrix) bool {
 	rows := vm.Rows()
 	if rows.NumRows() != vm.NumExamples() {
 		return false
 	}
+	cols := make([][]int8, vm.NumLFs())
+	for j := range cols {
+		cols[j] = denseColumn(vm, j)
+	}
 	for i := 0; i < vm.NumExamples(); i++ {
 		js, vs := rows.Row(i)
 		t := 0
-		for j := 0; j < vm.NumLFs(); j++ {
-			v := vm.Vote(i, j)
+		for j, col := range cols {
+			v := col[i]
 			if v == Abstain {
 				continue
 			}
-			if t == len(js) || int(js[t]) != j || int(vs[t]) != v {
+			if t == len(js) || int(js[t]) != j || vs[t] != v {
 				return false
 			}
 			t++
@@ -175,4 +177,19 @@ func rowsMatchVote(vm *VoteMatrix) bool {
 		}
 	}
 	return true
+}
+
+// denseColumn materializes LF j's votes from its sparse Active list as a
+// length-n column, Abstain where the LF is inactive: the dense reference
+// the sparse readers are checked against.
+func denseColumn(vm *VoteMatrix, j int) []int8 {
+	col := make([]int8, vm.NumExamples())
+	for i := range col {
+		col[i] = Abstain
+	}
+	ids, votes := vm.Active(j)
+	for t, id := range ids {
+		col[id] = votes[t]
+	}
+	return col
 }

@@ -88,9 +88,6 @@ func (vm *VoteMatrix) EnableSpill(budgetBytes int64, dir string, metrics *obs.Re
 	return nil
 }
 
-// Spilling reports whether the matrix runs in memory-bounded mode.
-func (vm *VoteMatrix) Spilling() bool { return vm.spill != nil }
-
 // SpillStats snapshots the backing store; the zero value is returned for
 // a matrix without spill enabled.
 func (vm *VoteMatrix) SpillStats() SpillStats {

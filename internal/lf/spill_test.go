@@ -40,18 +40,17 @@ func buildSpillPair(t *testing.T, seed int64, budget int64, metrics *obs.Registr
 
 // TestSpillEquivalence: a spilling matrix under a budget tight enough to
 // evict most columns must agree with the plain matrix on every accessor —
-// votes, rows, the row view, columns, active lists, stats, majority
-// votes.
+// columns, active lists, the row view, stats, majority votes.
 func TestSpillEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		reg := obs.NewRegistry()
 		plain, spilled, _ := buildSpillPair(t, seed, 512, reg)
 		defer spilled.Close()
 
-		if !spilled.Spilling() {
-			t.Fatal("EnableSpill did not mark the matrix")
-		}
 		st := spilled.SpillStats()
+		if st.Budget != 512 {
+			t.Fatalf("EnableSpill did not set the budget: %+v", st)
+		}
 		if st.Spills == 0 {
 			t.Fatalf("seed %d: 512-byte budget produced no evictions (resident %d)", seed, st.ResidentBytes)
 		}
@@ -61,22 +60,6 @@ func TestSpillEquivalence(t *testing.T) {
 
 		if !matricesEqual(t, spilled, plain) {
 			t.Fatalf("seed %d: spilled matrix diverges from plain", seed)
-		}
-		// random access across the two representations
-		rng := rand.New(rand.NewSource(seed + 100))
-		for k := 0; k < 500; k++ {
-			i, j := rng.Intn(plain.NumExamples()), rng.Intn(plain.NumLFs())
-			if plain.Vote(i, j) != spilled.Vote(i, j) {
-				t.Fatalf("Vote(%d,%d) diverges", i, j)
-			}
-		}
-		for i := 0; i < plain.NumExamples(); i += 17 {
-			pr, sr := plain.Row(i, nil), spilled.Row(i, nil)
-			for j := range pr {
-				if pr[j] != sr[j] {
-					t.Fatalf("Row(%d)[%d] diverges", i, j)
-				}
-			}
 		}
 		gold := make([]int, plain.NumExamples())
 		rng2 := rand.New(rand.NewSource(seed))
@@ -93,10 +76,10 @@ func TestSpillEquivalence(t *testing.T) {
 				t.Fatalf("MajorityVotes[%d] diverges: %d vs %d", i, pm[i], sm[i])
 			}
 		}
-		// the row view of each matrix agrees with its own Vote, and the
-		// two views are identical
-		if !rowsMatchVote(plain) || !rowsMatchVote(spilled) {
-			t.Fatalf("seed %d: Rows disagrees with Vote", seed)
+		// the row view of each matrix agrees with its own columns, and
+		// the two views are identical
+		if !rowsMatchColumns(plain) || !rowsMatchColumns(spilled) {
+			t.Fatalf("seed %d: Rows disagrees with the columns", seed)
 		}
 		pv, sv := plain.Rows(), spilled.Rows()
 		for i := 0; i < plain.NumExamples(); i++ {
@@ -111,9 +94,6 @@ func TestSpillEquivalence(t *testing.T) {
 			sa, sn := spilled.LFAccuracy(j, gold)
 			if pa != sa || pn != sn {
 				t.Fatalf("LFAccuracy(%d) diverges", j)
-			}
-			if plain.Coverage(j) != spilled.Coverage(j) {
-				t.Fatalf("Coverage(%d) diverges", j)
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // naturally produce (each votes on a few percent of a split) and what
 // makes every statistic and the label models O(nnz) instead of O(n·m).
 // Readers that need an example's votes together take the row-major
-// transpose from Rows; random access (Vote) is a binary search.
+// transpose from Rows.
 //
 // The matrix is append-only: AppendLFs grows it by evaluating only the
 // new columns, which is how the pipeline's evaluator amortizes matrix
@@ -105,37 +105,6 @@ func (vm *VoteMatrix) NumExamples() int { return vm.n }
 // NumLFs returns m.
 func (vm *VoteMatrix) NumLFs() int { return vm.m }
 
-// Vote returns the vote of LF j on example i (Abstain when inactive):
-// a binary search over the sparse column.
-func (vm *VoteMatrix) Vote(i, j int) int {
-	ids, votes := vm.activeCol(j)
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case int(ids[mid]) < i:
-			lo = mid + 1
-		case int(ids[mid]) > i:
-			hi = mid
-		default:
-			return int(votes[mid])
-		}
-	}
-	return Abstain
-}
-
-// Row copies example i's votes into dst (length m) and returns it;
-// a nil dst allocates.
-func (vm *VoteMatrix) Row(i int, dst []int) []int {
-	if dst == nil {
-		dst = make([]int, vm.m)
-	}
-	for j := 0; j < vm.m; j++ {
-		dst[j] = vm.Vote(i, j)
-	}
-	return dst
-}
-
 // Active returns LF j's sparse column: the ascending document ids it
 // votes on and the aligned votes (shared storage; callers must not
 // mutate). This is the O(active) view the label models iterate. In spill
@@ -195,15 +164,6 @@ func (rv RowView) NumRows() int { return len(rv.start) - 1 }
 func (rv RowView) Row(i int) (lfs []int32, votes []int8) {
 	lo, hi := rv.start[i], rv.start[i+1]
 	return rv.lfs[lo:hi], rv.votes[lo:hi]
-}
-
-// Coverage returns the fraction of examples on which LF j is active —
-// the "LF Cov." statistic of Table 2.
-func (vm *VoteMatrix) Coverage(j int) float64 {
-	if vm.n == 0 {
-		return 0
-	}
-	return float64(vm.activeLen(j)) / float64(vm.n)
 }
 
 // Stats is the single-pass summary of a vote matrix: the Table 2
@@ -290,14 +250,6 @@ func (vm *VoteMatrix) ComputeStats(gold []int, workers int) Stats {
 	return s
 }
 
-// MeanCoverage averages Coverage over all LFs.
-func (vm *VoteMatrix) MeanCoverage() float64 {
-	if vm.m == 0 {
-		return 0
-	}
-	return vm.ComputeStats(nil, 1).MeanCoverage
-}
-
 // TotalCoverage returns the fraction of examples covered by any LF — the
 // "Total Cov." statistic of Table 2.
 func (vm *VoteMatrix) TotalCoverage() float64 {
@@ -331,14 +283,6 @@ func (vm *VoteMatrix) LFAccuracy(j int, gold []int) (acc float64, active int) {
 	return float64(correct) / float64(active), active
 }
 
-// MeanLFAccuracy averages LF accuracy over LFs that are active on at
-// least one labeled example — the "LF Acc." statistic of Table 2. The
-// boolean result is false when no LF qualifies (e.g. an unlabeled split).
-func (vm *VoteMatrix) MeanLFAccuracy(gold []int) (float64, bool) {
-	s := vm.ComputeStats(gold, 1)
-	return s.MeanLFAccuracy, s.AccuracyKnown
-}
-
 // MajorityVotes returns, per example, the plurality class among active
 // votes (ties broken toward the lowest class), or Abstain for uncovered
 // examples. The triplet label model takes its class prior from it. The
@@ -369,21 +313,6 @@ func (vm *VoteMatrix) MajorityVotes(numClasses int) []int {
 		out[i] = best
 	}
 	return out
-}
-
-// Column materializes the votes of LF j as a dense length-n column
-// (Abstain where inactive) — an O(n) allocation per call; sparse
-// consumers should use Active instead.
-func (vm *VoteMatrix) Column(j int) []int8 {
-	col := make([]int8, vm.n)
-	for i := range col {
-		col[i] = Abstain
-	}
-	ids, votes := vm.activeCol(j)
-	for t, id := range ids {
-		col[id] = votes[t]
-	}
-	return col
 }
 
 // Names returns the LF names in column order (shared storage).

@@ -65,7 +65,7 @@ func matricesEqual(t *testing.T, got, want *VoteMatrix) bool {
 			t.Logf("name[%d] %q != %q", j, got.Names()[j], want.Names()[j])
 			return false
 		}
-		gc, wc := got.Column(j), want.Column(j)
+		gc, wc := denseColumn(got, j), denseColumn(want, j)
 		for i := range wc {
 			if gc[i] != wc[i] {
 				t.Logf("vote[%d][%d] %d != %d", i, j, gc[i], wc[i])
@@ -151,7 +151,8 @@ func TestBuildVoteMatrixParallelMatchesSequential(t *testing.T) {
 }
 
 // TestComputeStatsMatchesAccessors pins the single-pass Stats sweep to
-// the per-statistic accessors, across worker counts.
+// references computed from the dense columns and LFAccuracy, across
+// worker counts.
 func TestComputeStatsMatchesAccessors(t *testing.T) {
 	vocab := []string{"alpha", "beta", "gamma", "delta", "free", "cash", "prize"}
 	rng := rand.New(rand.NewSource(7))
@@ -167,20 +168,35 @@ func TestComputeStatsMatchesAccessors(t *testing.T) {
 	lfs := randomLFs(t, rng, vocab, 20)
 	vm := BuildVoteMatrix(NewIndex(split), lfs)
 
-	wantAcc, wantOK := vm.MeanLFAccuracy(gold)
-	covered := 0
-	for i := 0; i < vm.NumExamples(); i++ {
-		for j := 0; j < vm.NumLFs(); j++ {
-			if vm.Vote(i, j) != Abstain {
-				covered++
-				break
+	var covSum, accSum float64
+	graded := 0
+	coveredBy := make([]bool, vm.NumExamples())
+	for j := 0; j < vm.NumLFs(); j++ {
+		active := 0
+		for i, v := range denseColumn(vm, j) {
+			if v != Abstain {
+				active++
+				coveredBy[i] = true
 			}
 		}
+		covSum += float64(active) / float64(vm.NumExamples())
+		if acc, n := vm.LFAccuracy(j, gold); n > 0 {
+			accSum += acc
+			graded++
+		}
 	}
+	covered := 0
+	for _, b := range coveredBy {
+		if b {
+			covered++
+		}
+	}
+	wantCov := covSum / float64(vm.NumLFs())
+	wantAcc, wantOK := accSum/float64(graded), graded > 0
 	for _, workers := range []int{1, 4, 0} {
 		s := vm.ComputeStats(gold, workers)
-		if s.MeanCoverage != vm.MeanCoverage() {
-			t.Errorf("workers=%d: MeanCoverage %v != %v", workers, s.MeanCoverage, vm.MeanCoverage())
+		if s.MeanCoverage != wantCov {
+			t.Errorf("workers=%d: MeanCoverage %v != %v", workers, s.MeanCoverage, wantCov)
 		}
 		if s.TotalCoverage != vm.TotalCoverage() {
 			t.Errorf("workers=%d: TotalCoverage %v != %v", workers, s.TotalCoverage, vm.TotalCoverage())

@@ -169,17 +169,6 @@ func (mt *Meter) Snapshot() MeterSnapshot {
 	}
 }
 
-// Merge adds another meter's counts into this one (same model expected;
-// costs are computed with this meter's prices).
-func (mt *Meter) Merge(o *Meter) {
-	s := o.Snapshot()
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	mt.calls += s.Calls
-	mt.promptTokens += s.PromptTokens
-	mt.completionTokens += s.CompletionTokens
-}
-
 // String summarizes the meter.
 func (mt *Meter) String() string {
 	s := mt.Snapshot()

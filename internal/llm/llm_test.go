@@ -214,11 +214,9 @@ func TestMeter(t *testing.T) {
 	if cost != wantCost {
 		t.Errorf("cost = %v, want %v", cost, wantCost)
 	}
-	other := NewMeter(m)
-	other.Record(resp)
-	meter.Merge(other)
+	meter.Record(resp)
 	if meter.Calls() != 2 {
-		t.Errorf("merged calls = %d", meter.Calls())
+		t.Errorf("calls after a second record = %d", meter.Calls())
 	}
 	if !strings.Contains(meter.String(), "gpt-3.5-turbo-0613") {
 		t.Errorf("meter string = %q", meter.String())

@@ -84,17 +84,6 @@ func BinaryF1(pred, gold []int) float64 {
 	return f1
 }
 
-// MacroF1 averages per-class F1 over k classes.
-func MacroF1(pred, gold []int, k int) float64 {
-	cm := ConfusionMatrix(pred, gold, k)
-	var sum float64
-	for c := 0; c < k; c++ {
-		_, _, f1 := PrecisionRecallF1(cm, c)
-		sum += f1
-	}
-	return sum / float64(k)
-}
-
 // Mean returns the arithmetic mean of the values, or 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -105,21 +94,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation, or 0 for fewer than two
-// values.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
 }
 
 // Entropy returns the Shannon entropy (nats) of a probability vector.

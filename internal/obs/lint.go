@@ -11,8 +11,9 @@ import (
 
 // LintPrometheus validates a Prometheus text-exposition stream and
 // returns one message per conformance problem (empty slice: clean).
-// The metricslint command runs it on a live daemon's /metrics, and the
-// exporter's tests run it on their own expositions. The checks are the
+// It is the conformance oracle of the tests: the exporter's tests run it
+// on their own expositions, and the daemon's end-to-end test on a live
+// /metrics. The checks are the
 // ones a real Prometheus scraper enforces or silently mangles:
 //
 //   - metric and label names match the Prometheus charsets;

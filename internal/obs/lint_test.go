@@ -24,7 +24,7 @@ func wantProblem(t *testing.T, input string, needles ...string) {
 }
 
 // TestLintAcceptsRegistryOutput is the in-package self-consistency gate
-// (cmd/metricslint's TestSelfTestPasses repeats it over HTTP):
+// (cmd/datasculptd's TestDaemonEndToEnd repeats it on a live daemon):
 // everything this package's own exporter renders —
 // scalars, vectors, escaped labels, histogram ladders, runtime gauges —
 // must pass its own linter.

@@ -171,7 +171,7 @@ func TestKATESelectsSimilar(t *testing.T) {
 	if err := feat.Fit(dataset.TokenCorpus(d.Train)); err != nil {
 		t.Fatal(err)
 	}
-	kate, err := NewKATE(d, feat)
+	kate, err := NewKATEWithOptions(d, feat, KATEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestKATESelectsSimilar(t *testing.T) {
 
 func TestKATERequiresFittedFeaturizer(t *testing.T) {
 	d := loadYoutube(t)
-	if _, err := NewKATE(d, textproc.NewFeaturizer(64)); err == nil {
+	if _, err := NewKATEWithOptions(d, textproc.NewFeaturizer(64), KATEOptions{}); err == nil {
 		t.Error("unfitted featurizer accepted")
 	}
 }

@@ -98,7 +98,7 @@ func (s *ClassBalanced) Select(_ *dataset.Example, k int) []Demonstration {
 	return s.demos[:k]
 }
 
-// DefaultANNThreshold is the demonstration-pool size at which NewKATE
+// DefaultANNThreshold is the demonstration-pool size at which NewKATEWithOptions
 // starts building the LSH index. It sits above every validation split of
 // the paper's Table 1 at scale 1 (the largest, Agnews, has 12k), so runs
 // on the reproduced corpora keep the exact scan bit-for-bit; only the
@@ -183,14 +183,9 @@ func (s *kateScored) Less(i, j int) bool {
 	return a.idx < b.idx
 }
 
-// NewKATE builds the retriever over the validation split using the given
-// fitted featurizer (shared with the end model, as BERT is in the paper),
-// with default options.
-func NewKATE(d *dataset.Dataset, feat *textproc.Featurizer) (*KATE, error) {
-	return NewKATEWithOptions(d, feat, KATEOptions{})
-}
-
-// NewKATEWithOptions is NewKATE with explicit retrieval options.
+// NewKATEWithOptions builds the retriever over the validation split
+// using the given fitted featurizer (shared with the end model, as BERT
+// is in the paper); zero options select the defaults.
 func NewKATEWithOptions(d *dataset.Dataset, feat *textproc.Featurizer, opts KATEOptions) (*KATE, error) {
 	if !feat.Fitted() {
 		return nil, fmt.Errorf("kate: featurizer not fitted")

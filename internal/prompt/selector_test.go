@@ -51,7 +51,7 @@ func fittedYoutube(t *testing.T) (*dataset.Dataset, *textproc.Featurizer) {
 // the historical Cosine scan bit for bit on every query.
 func TestKATEExactPathBitIdentical(t *testing.T) {
 	d, feat := fittedYoutube(t)
-	kate, err := NewKATE(d, feat)
+	kate, err := NewKATEWithOptions(d, feat, KATEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestKATEThresholdGate(t *testing.T) {
 // returned demonstration slice.
 func TestKATESelectAllocs(t *testing.T) {
 	d, feat := fittedYoutube(t)
-	kate, err := NewKATE(d, feat)
+	kate, err := NewKATEWithOptions(d, feat, KATEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func BenchmarkKATESelectExact(b *testing.B) {
 	if err := feat.Fit(dataset.TokenCorpus(d.Train)); err != nil {
 		b.Fatal(err)
 	}
-	kate, err := NewKATE(d, feat)
+	kate, err := NewKATEWithOptions(d, feat, KATEOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,8 +24,20 @@ var (
 	trainedB  *bundle.Bundle
 	trainedD  *dataset.Dataset
 	savedPath string
-	trainErr  error
+	// trainedDir holds the saved fixture; TestMain removes it.
+	trainedDir string
+	trainErr   error
 )
+
+// TestMain removes the shared fixture's directory once every test of the
+// binary has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if trainedDir != "" {
+		os.RemoveAll(trainedDir)
+	}
+	os.Exit(code)
+}
 
 // trained runs the pipeline once per test binary, saves the bundle to a
 // temp file, and hands every test the same artifact. Tests that need a
@@ -58,6 +70,7 @@ func trained(t testing.TB) (*bundle.Bundle, *dataset.Dataset, string) {
 			trainErr = err
 			return
 		}
+		trainedDir = dir
 		path := filepath.Join(dir, "model.json")
 		if err := bundle.Save(path, b); err != nil {
 			trainErr = err
