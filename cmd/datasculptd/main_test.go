@@ -161,21 +161,23 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// The exposition gate: the live daemon's /metrics must pass the
 	// conformance checks a real Prometheus scraper enforces.
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exposition, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(exposition), "serve_batches_total{") {
-		t.Fatalf("/metrics: status %d, no serve batches after label traffic:\n%s", resp.StatusCode, exposition)
-	}
-	if problems := obs.LintPrometheus(strings.NewReader(string(exposition))); len(problems) != 0 {
-		t.Errorf("/metrics fails the exposition lint:\n%s", strings.Join(problems, "\n"))
-	}
+	t.Run("metrics-exposition", func(t *testing.T) {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		exposition, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(exposition), "serve_batches_total{") {
+			t.Fatalf("/metrics: status %d, no serve batches after label traffic:\n%s", resp.StatusCode, exposition)
+		}
+		if problems := obs.LintPrometheus(strings.NewReader(string(exposition))); len(problems) != 0 {
+			t.Errorf("/metrics fails the exposition lint:\n%s", strings.Join(problems, "\n"))
+		}
+	})
 
 	resp, err = http.Get(base + "/healthz")
 	if err != nil {
