@@ -111,20 +111,20 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		return &last, nil
 	}
 
-	corpus, err := readCorpus(filepath.Join(cycleDir, "corpus.jsonl"))
+	prepSpan := span.Child("growth.prepare")
+	corpus, gd, prop, err := d.prepare(man, cycleDir)
 	if err != nil {
+		prepSpan.SetErr(err)
+		prepSpan.End()
 		return nil, err
 	}
-	gd, err := growthDataset(d.cfg.Base, corpus)
-	if err != nil {
-		return nil, err
-	}
-
-	prop, steps, err := d.propose(ctx, span, man, gd, cycleDir)
-	if err != nil {
-		return nil, err
-	}
+	prepSpan.End()
 	defer prop.Close()
+
+	steps, err := d.propose(ctx, span, man, prop, cycleDir)
+	if err != nil {
+		return nil, err
+	}
 
 	rec = &CycleRecord{
 		Cycle:        man.Cycle,
@@ -139,10 +139,14 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 	if rec.NewLFs == 0 {
 		rec.Outcome = OutcomeNoNewLFs
 	} else {
+		evalSpan := span.Child("growth.evaluate")
 		cand, err := d.candidate(man, gd, prop, cycleDir)
 		if err != nil {
+			evalSpan.SetErr(err)
+			evalSpan.End()
 			return nil, err
 		}
+		evalSpan.End()
 		if rec.CandidateHash, err = bundle.Fingerprint(cand); err != nil {
 			return nil, err
 		}
@@ -151,9 +155,13 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		for i, e := range corpus {
 			texts[i] = e.Text
 		}
+		gateSpan := span.Child("growth.gate")
 		if err := d.decideOutcome(rec, cand, texts, cycleDir); err != nil {
+			gateSpan.SetErr(err)
+			gateSpan.End()
 			return nil, err
 		}
+		gateSpan.End()
 	}
 
 	if err := d.finalize(rec, man, cycleDir); err != nil {
@@ -230,17 +238,22 @@ func (d *Daemon) loadOrStartCycle(cycleDir string) (*manifest, error) {
 	return man, nil
 }
 
-// propose replays the journaled steps of this cycle, then runs live
-// iterations up to the manifest budget, journaling each before moving
-// on.
-func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *dataset.Dataset, cycleDir string) (*core.Proposer, []core.ProposalStep, error) {
-	pcfg := d.cfg.Pipeline
-	pcfg.Seed = man.Seed
-	pcfg.EndModel.Seed = man.Seed + 1
-	if err := pcfg.Normalize(); err != nil {
-		return nil, nil, err
+// prepare reads the cycle's corpus snapshot, assembles the cycle's
+// dataset view and builds its proposer over the parent's LF set. The
+// caller owns the proposer (Close).
+func (d *Daemon) prepare(man *manifest, cycleDir string) ([]*dataset.Example, *dataset.Dataset, *core.Proposer, error) {
+	corpus, err := readCorpus(filepath.Join(cycleDir, "corpus.jsonl"))
+	if err != nil {
+		return nil, nil, nil, err
 	}
-
+	gd, err := growthDataset(d.cfg.Base, corpus)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pcfg, err := d.cycleConfig(man)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	cycle := man.Cycle
 	opts := core.ProposerOptions{
 		Frozen:         d.parent.LFs,
@@ -253,20 +266,34 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *
 	}
 	prop, err := core.NewProposer(gd, pcfg, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	return corpus, gd, prop, nil
+}
 
+// cycleConfig is the pipeline configuration of the manifest's cycle:
+// the daemon's, with the cycle's derived seeds.
+func (d *Daemon) cycleConfig(man *manifest) (core.Config, error) {
+	pcfg := d.cfg.Pipeline
+	pcfg.Seed = man.Seed
+	pcfg.EndModel.Seed = man.Seed + 1
+	err := pcfg.Normalize()
+	return pcfg, err
+}
+
+// propose replays the journaled steps of this cycle, then runs live
+// iterations up to the manifest budget, journaling each before moving
+// on.
+func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, prop *core.Proposer, cycleDir string) ([]core.ProposalStep, error) {
 	stepsPath := filepath.Join(cycleDir, "steps.jsonl")
 	steps, err := ckpt.Load[core.ProposalStep](stepsPath, nil)
 	if err != nil {
-		prop.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	exhausted := false
 	for i := range steps {
 		if err := prop.Replay(&steps[i]); err != nil {
-			prop.Close()
-			return nil, nil, err
+			return nil, err
 		}
 		exhausted = exhausted || steps[i].Exhausted
 	}
@@ -274,8 +301,7 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *
 	if len(steps) < man.Budget && !exhausted {
 		w, err := ckpt.Open(stepsPath)
 		if err != nil {
-			prop.Close()
-			return nil, nil, err
+			return nil, err
 		}
 		for it := len(steps); it < man.Budget; it++ {
 			stepSpan := span.Child("growth.step")
@@ -284,35 +310,30 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *
 				stepSpan.SetErr(err)
 				stepSpan.End()
 				w.Close()
-				prop.Close()
-				return nil, nil, err
+				return nil, err
 			}
 			stepSpan.End()
 			if err := w.Append(st); err != nil {
 				w.Close()
-				prop.Close()
-				return nil, nil, err
+				return nil, err
 			}
 			steps = append(steps, *st)
 			if err := d.checkpoint(fmt.Sprintf("step-%d", it)); err != nil {
 				w.Close()
-				prop.Close()
-				return nil, nil, err
+				return nil, err
 			}
 			if st.Exhausted {
 				break
 			}
 		}
 		if err := w.Close(); err != nil {
-			prop.Close()
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if err := d.checkpoint("proposed"); err != nil {
-		prop.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return prop, steps, nil
+	return steps, nil
 }
 
 // candidate loads the cycle's pinned candidate bundle, or builds and
@@ -335,10 +356,8 @@ func (d *Daemon) candidate(man *manifest, gd *dataset.Dataset, prop *core.Propos
 	if err != nil {
 		return nil, err
 	}
-	pcfg := d.cfg.Pipeline
-	pcfg.Seed = man.Seed
-	pcfg.EndModel.Seed = man.Seed + 1
-	if err := pcfg.Normalize(); err != nil {
+	pcfg, err := d.cycleConfig(man)
+	if err != nil {
 		return nil, err
 	}
 	cand, err := bundle.New(gd, pcfg, res)

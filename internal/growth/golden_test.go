@@ -23,8 +23,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with current /v1/growth payloads")
 
 // TestGrowthGolden pins the GET /v1/growth surface — the status payload
-// after a promoted cycle, the 404 envelope when no daemon is wired, and
-// the 405 envelope — byte for byte. Everything in the payload is a
+// after a promoted cycle and a rolled-back one, the 404 envelope when
+// no daemon is wired, and the 405 envelope — byte for byte. Everything in the payload is a
 // deterministic function of the seeded fixture (timestamps are pinned,
 // hashes derive from seeded training), so the golden file is stable.
 func TestGrowthGolden(t *testing.T) {
@@ -46,9 +46,18 @@ func TestGrowthGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmn.Capture("t", corpusTexts(d, 24))
-	if _, err := dmn.RunCycle(context.Background()); err != nil {
-		t.Fatal(err)
+	// Two captured cycles: the second runs on a daemon that has already
+	// built its per-daemon state, so its candidate hash pins that path.
+	texts := corpusTexts(d, 48)
+	for _, captured := range [][]string{texts[:24], texts[24:]} {
+		dmn.Capture("t", captured)
+		rec, err := dmn.RunCycle(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec == nil || rec.CandidateHash == "" {
+			t.Fatalf("cycle built no candidate: %+v", rec)
+		}
 	}
 	dmn.Capture("t", corpusTexts(d, 3))
 
@@ -104,7 +113,7 @@ func TestGrowthGolden(t *testing.T) {
 			var st Status
 			if err := json.Unmarshal(body, &st); err != nil {
 				t.Errorf("status body is not a growth.Status: %v (%s)", err, body)
-			} else if st.Tenant != "t" || st.Stats.Cycles != 1 || st.LastCycle == nil || st.Captured != 3 {
+			} else if st.Tenant != "t" || st.Stats.Cycles != 2 || st.LastCycle == nil || st.Captured != 3 {
 				t.Errorf("status payload off: %+v", st)
 			}
 		default:
