@@ -290,10 +290,7 @@ func TestAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	texts := make([]string, len(d.Valid))
-	for i, e := range d.Valid {
-		texts[i] = e.Text
-	}
+	texts := dataset.FeatureCorpus(d.Valid)
 	if got := bundle.Agreement(b, saveLoad(t, b), texts); got != 1 {
 		t.Errorf("identical bundle: agreement = %v, want 1", got)
 	}

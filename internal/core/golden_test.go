@@ -188,7 +188,7 @@ func TestRunsGolden(t *testing.T) {
 	first.Close()
 	buf.WriteString("== proposer/base/random/frozen\n")
 	goldenProposer(t, &buf, yt, goldenConfig(VariantBase, "random"),
-		ProposerOptions{Frozen: frozen, QueryPoolStart: len(yt.Train) / 2}, 8).Close()
+		ProposerOptions{Frozen: frozen, Prefix: mustPrefix(t, yt, len(yt.Train)/2, goldenConfig(VariantBase, "random"))}, 8).Close()
 
 	kate := goldenConfig(VariantKATE, "seu")
 	kate.WrapModel = faultWrap(9)

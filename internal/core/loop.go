@@ -38,31 +38,53 @@ var noSpan = obs.NopTracer().StartSpan("")
 
 // newLoop builds the loop state for a normalized cfg over a validated
 // d. reg, when non-nil, receives the sampler, KATE and evaluation-engine
-// metrics. The caller owns the returned loop's evaluator (ev.close).
-func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry) (*loop, error) {
+// metrics. pre, when non-nil, is the prefix d.Train starts with: only
+// the train tail is hashed and indexed, and the valid index is pre's.
+// The caller owns the returned loop's evaluator (ev.close).
+func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry, pre *Prefix) (*loop, error) {
 	smp, ok := sampler.ByName(cfg.Sampler)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown sampler %q", cfg.Sampler)
 	}
 	feat := textproc.NewFeaturizer(cfg.FeatureDim)
 	feat.Workers = cfg.Parallelism
-	// Samplers that read train vectors or interim posteriors before the
-	// aggregate need every train vector early, so the fit hashes the split
-	// once and keeps the vectors. Every other run transforms the split
-	// only when the aggregate needs it, so the vectors are not held
-	// through the query loop.
-	var trainVecs []*textproc.SparseVector
-	var err error
-	if corpus := dataset.FeatureCorpus(d.Train); sampler.NeedsPosteriors(cfg.Sampler) || cfg.Sampler == "coreset" {
-		trainVecs, err = feat.FitTransform(corpus)
+	var (
+		trainVecs        []*textproc.SparseVector
+		tf               []*textproc.TF
+		trainIx, validIx *lf.Index
+		err              error
+	)
+	if pre != nil {
+		// The evaluator keeps the TF parts and scales them into train
+		// vectors only when the aggregate (or the coreset sampler) needs
+		// them.
+		if trainIx, err = pre.trainIx.Extend(d.Train); err != nil {
+			return nil, fmt.Errorf("core: train split does not start with the prefix: %w", err)
+		}
+		if validIx, err = pre.validIx.Extend(d.Valid); err != nil {
+			return nil, fmt.Errorf("core: valid split is not the prefix's: %w", err)
+		}
+		tail := d.Train[len(pre.train):]
+		tf = []*textproc.TF{pre.tf, textproc.HashTF(cfg.FeatureDim, cfg.Parallelism, dataset.FeatureCorpus(tail))}
+		if err = feat.FitTF(tf...); err == nil && cfg.Sampler == "coreset" {
+			trainVecs = feat.Vectors(tf...)
+		}
 	} else {
-		err = feat.Fit(corpus)
+		// Samplers that read train vectors or interim posteriors before
+		// the aggregate need every train vector early, so the fit hashes
+		// the split once and keeps the vectors. Every other run
+		// transforms the split only when the aggregate needs it, so the
+		// vectors are not held through the query loop.
+		if corpus := dataset.FeatureCorpus(d.Train); sampler.NeedsPosteriors(cfg.Sampler) || cfg.Sampler == "coreset" {
+			trainVecs, err = feat.FitTransform(corpus)
+		} else {
+			err = feat.Fit(corpus)
+		}
+		trainIx, validIx = lf.NewIndex(d.Train), lf.NewIndex(d.Valid)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: fitting featurizer: %w", err)
 	}
-	trainIx := lf.NewIndex(d.Train)
-	validIx := lf.NewIndex(d.Valid)
 	l := &loop{
 		d: d, cfg: cfg, smp: smp,
 		chain: lf.NewFilterChain(d, cfg.Filters, trainIx, validIx),
@@ -77,7 +99,7 @@ func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry) (*loop, error) {
 		ev: &evaluator{
 			d: d, feat: feat, trainIx: trainIx, validIx: validIx, cfg: cfg,
 			workers: cfg.Parallelism, em: newEvalMetrics(reg), metrics: reg,
-			trainVecs: trainVecs,
+			trainVecs: trainVecs, trainTF: tf,
 		},
 	}
 	if cfg.usesKATE() {

@@ -155,7 +155,7 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 	}
 	meter := llm.NewMeter(model)
 
-	l, err := newLoop(d, cfg, o.Metrics)
+	l, err := newLoop(d, cfg, o.Metrics, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +333,11 @@ type evaluator struct {
 	// spilling vote matrix streams eval_votematrix_spill_* into it.
 	metrics *obs.Registry
 
-	trainVecs []*textproc.SparseVector // from newLoop when it ran FitTransform, else built lazily
+	// trainVecs come from newLoop when it ran FitTransform or the
+	// coreset sampler needs them; otherwise trainVectors builds them on
+	// first use, from trainTF when newLoop hashed the split into parts.
+	trainVecs []*textproc.SparseVector
+	trainTF   []*textproc.TF
 
 	// Incremental train vote matrix and the LF names it was built from.
 	vm *lf.VoteMatrix
@@ -411,7 +415,11 @@ func (ev *evaluator) invalidateInterim() {
 }
 
 func (ev *evaluator) trainVectors() []*textproc.SparseVector {
-	if ev.trainVecs == nil {
+	switch {
+	case ev.trainVecs != nil:
+	case ev.trainTF != nil:
+		ev.trainVecs = ev.feat.Vectors(ev.trainTF...)
+	default:
 		ev.trainVecs = ev.feat.TransformAll(dataset.FeatureCorpus(ev.d.Train))
 	}
 	return ev.trainVecs

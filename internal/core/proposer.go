@@ -9,6 +9,7 @@ import (
 	"datasculpt/internal/lf"
 	"datasculpt/internal/llm"
 	"datasculpt/internal/sampler"
+	"datasculpt/internal/textproc"
 )
 
 // Proposer is the headless incremental form of the pipeline's query
@@ -72,11 +73,45 @@ type ProposerOptions struct {
 	// filter chain unfiltered (see lf.FilterChain.Seed) and counted
 	// apart from the newly proposed LFs.
 	Frozen []lf.LabelFunction
-	// QueryPoolStart marks train ids [0, QueryPoolStart) as already
-	// used, so sampling draws only from the tail — the growth loop puts
-	// the base training split first and the captured corpus after it.
-	QueryPoolStart int
+	// Prefix, when set, is the fixed head of the train split: d.Train
+	// must start with its examples. Its ids are marked as already used,
+	// so sampling draws only from the tail, and the proposer hashes and
+	// indexes only the tail. The growth loop builds one Prefix over the
+	// base training split and puts each cycle's captured corpus after it.
+	Prefix *Prefix
 }
+
+// Prefix is the part of a growing train split that every proposer over
+// it shares: its examples, their TF part (textproc.HashTF), their train
+// index and the valid split's index. NewProposer extends these with the
+// split's tail instead of rebuilding them, and every output is
+// bit-identical to a proposer built without a prefix. A Prefix is
+// read-only once built, so proposers may share it.
+type Prefix struct {
+	train   []*dataset.Example
+	tf      *textproc.TF
+	trainIx *lf.Index
+	validIx *lf.Index
+}
+
+// NewPrefix builds the prefix of train, with valid as the valid split,
+// for cfg's feature width. It keeps train's examples as given (the
+// growth loop passes label-stripped copies) and tokenizes them.
+func NewPrefix(train, valid []*dataset.Example, cfg Config) (*Prefix, error) {
+	if err := cfg.Normalize(); err != nil {
+		return nil, err
+	}
+	return &Prefix{
+		train:   train,
+		trainIx: lf.NewIndex(train),
+		tf:      textproc.HashTF(cfg.FeatureDim, cfg.Parallelism, dataset.FeatureCorpus(train)),
+		validIx: lf.NewIndex(valid),
+	}, nil
+}
+
+// Examples returns the prefix's train examples, the head of every split
+// a proposer over the prefix runs on. They must not be modified.
+func (p *Prefix) Examples() []*dataset.Example { return p.train }
 
 // Proposer runs the select→prompt→parse→filter loop one resumable step
 // at a time. Not safe for concurrent use.
@@ -99,16 +134,15 @@ func NewProposer(d *dataset.Dataset, cfg Config, opts ProposerOptions) (*Propose
 	if sampler.NeedsPosteriors(cfg.Sampler) {
 		return nil, fmt.Errorf("core: sampler %q needs interim posteriors and cannot replay deterministically", cfg.Sampler)
 	}
-	if opts.QueryPoolStart < 0 || opts.QueryPoolStart > len(d.Train) {
-		return nil, fmt.Errorf("core: query pool start %d out of range (train size %d)", opts.QueryPoolStart, len(d.Train))
-	}
-	l, err := newLoop(d, cfg, nil)
+	l, err := newLoop(d, cfg, nil, opts.Prefix)
 	if err != nil {
 		return nil, err
 	}
 	l.chain.Seed(opts.Frozen)
-	for i := 0; i < opts.QueryPoolStart; i++ {
-		l.state.Used[i] = true
+	if opts.Prefix != nil {
+		for i := range opts.Prefix.train {
+			l.state.Used[i] = true
+		}
 	}
 	return &Proposer{loop: l, opts: opts, frozen: len(l.chain.Accepted())}, nil
 }

@@ -45,6 +45,16 @@ func runSteps(t *testing.T, p *Proposer, from, to int) []*ProposalStep {
 	return steps
 }
 
+// mustPrefix builds the Prefix of d's first n train examples.
+func mustPrefix(t *testing.T, d *dataset.Dataset, n int, cfg Config) *Prefix {
+	t.Helper()
+	p, err := NewPrefix(d.Train[:n], d.Valid, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func lfNames(lfs []lf.LabelFunction) []string {
 	names := make([]string, len(lfs))
 	for i, f := range lfs {
@@ -120,8 +130,8 @@ func TestProposerReplayEquivalence(t *testing.T) {
 }
 
 // TestProposerFrozenSeedAndPool checks the growth-loop wiring: frozen
-// parent LFs bypass the filters but block re-proposal, and the query
-// pool start keeps sampling out of the base split.
+// parent LFs bypass the filters but block re-proposal, and the prefix
+// keeps sampling out of the base split.
 func TestProposerFrozenSeedAndPool(t *testing.T) {
 	d := proposerDataset(t)
 	cfg := proposerConfig()
@@ -138,7 +148,7 @@ func TestProposerFrozenSeedAndPool(t *testing.T) {
 	}
 
 	poolStart := len(d.Train) / 2
-	p, err := NewProposer(d, cfg, ProposerOptions{Frozen: frozen, QueryPoolStart: poolStart})
+	p, err := NewProposer(d, cfg, ProposerOptions{Frozen: frozen, Prefix: mustPrefix(t, d, poolStart, cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +197,7 @@ func TestProposerExhaustion(t *testing.T) {
 	d := proposerDataset(t)
 	cfg := proposerConfig()
 	poolStart := len(d.Train) - 2
-	p, err := NewProposer(d, cfg, ProposerOptions{QueryPoolStart: poolStart})
+	p, err := NewProposer(d, cfg, ProposerOptions{Prefix: mustPrefix(t, d, poolStart, cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 	}
 
 	prepSpan := span.Child("growth.prepare")
-	corpus, gd, prop, err := d.prepare(man, cycleDir)
+	gd, tail, prop, err := d.prepare(man, cycleDir)
 	if err != nil {
 		prepSpan.SetErr(err)
 		prepSpan.End()
@@ -151,12 +151,8 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 			return nil, err
 		}
 		rec.CandidateMetric = cand.Provenance.EndMetric
-		texts := make([]string, len(corpus))
-		for i, e := range corpus {
-			texts[i] = e.Text
-		}
 		gateSpan := span.Child("growth.gate")
-		if err := d.decideOutcome(rec, cand, texts, cycleDir); err != nil {
+		if err := d.decideOutcome(rec, cand, dataset.FeatureCorpus(tail), cycleDir); err != nil {
 			gateSpan.SetErr(err)
 			gateSpan.End()
 			return nil, err
@@ -239,15 +235,22 @@ func (d *Daemon) loadOrStartCycle(cycleDir string) (*manifest, error) {
 }
 
 // prepare reads the cycle's corpus snapshot, assembles the cycle's
-// dataset view and builds its proposer over the parent's LF set. The
-// caller owns the proposer (Close).
-func (d *Daemon) prepare(man *manifest, cycleDir string) ([]*dataset.Example, *dataset.Dataset, *core.Proposer, error) {
+// dataset view and builds its proposer over the parent's LF set. tail
+// is the view's captured examples, after the base prefix. The first
+// cycle of a daemon builds the prefix; it depends only on Base and the
+// pipeline's feature width, so it serves every later cycle, across
+// promotions too. The caller owns the proposer (Close).
+func (d *Daemon) prepare(man *manifest, cycleDir string) (gd *dataset.Dataset, tail []*dataset.Example, prop *core.Proposer, err error) {
 	corpus, err := readCorpus(filepath.Join(cycleDir, "corpus.jsonl"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gd, err := growthDataset(d.cfg.Base, corpus)
-	if err != nil {
+	if d.prefix == nil {
+		if d.prefix, err = core.NewPrefix(unlabeled(d.cfg.Base.Train), d.cfg.Base.Valid, d.cfg.Pipeline); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if gd, err = growthDataset(d.cfg.Base, d.prefix.Examples(), corpus); err != nil {
 		return nil, nil, nil, err
 	}
 	pcfg, err := d.cycleConfig(man)
@@ -255,20 +258,16 @@ func (d *Daemon) prepare(man *manifest, cycleDir string) ([]*dataset.Example, *d
 		return nil, nil, nil, err
 	}
 	cycle := man.Cycle
-	opts := core.ProposerOptions{
-		Frozen:         d.parent.LFs,
-		QueryPoolStart: len(d.cfg.Base.Train),
-	}
+	opts := core.ProposerOptions{Frozen: d.parent.LFs, Prefix: d.prefix}
 	if d.cfg.WrapModel != nil {
 		opts.WrapModel = func(iter int, m llm.ChatModel) llm.ChatModel {
 			return d.cfg.WrapModel(cycle, iter, m)
 		}
 	}
-	prop, err := core.NewProposer(gd, pcfg, opts)
-	if err != nil {
+	if prop, err = core.NewProposer(gd, pcfg, opts); err != nil {
 		return nil, nil, nil, err
 	}
-	return corpus, gd, prop, nil
+	return gd, gd.Train[len(d.prefix.Examples()):], prop, nil
 }
 
 // cycleConfig is the pipeline configuration of the manifest's cycle:
@@ -383,7 +382,7 @@ func (d *Daemon) candidate(man *manifest, gd *dataset.Dataset, prop *core.Propos
 // registry shadow gate → post-promote verification with automatic
 // rollback. Only a candidate that clears all three becomes the new
 // lineage head.
-func (d *Daemon) decideOutcome(rec *CycleRecord, cand *bundle.Bundle, corpusTexts []string, cycleDir string) error {
+func (d *Daemon) decideOutcome(rec *CycleRecord, cand *bundle.Bundle, corpus [][]string, cycleDir string) error {
 	if rec.CandidateMetric < rec.ParentMetric-d.cfg.MaxRegression {
 		rec.Outcome = OutcomeQualityRejected
 		return nil
@@ -405,7 +404,7 @@ func (d *Daemon) decideOutcome(rec *CycleRecord, cand *bundle.Bundle, corpusText
 	// The registry's gate only sees recent live traffic, which a fresh
 	// or idle tenant lacks; verify against the cycle's own corpus and
 	// undo the swap on disagreement.
-	rec.VerifyAgreement = bundle.Agreement(d.parent, cand, corpusTexts)
+	rec.VerifyAgreement = bundle.Agreement(d.parent, cand, corpus)
 	if rec.VerifyAgreement < d.cfg.MinVerifyAgreement {
 		if _, err := d.cfg.Registry.Rollback(d.cfg.Tenant); err != nil {
 			return fmt.Errorf("growth: rolling back cycle %d: %w", rec.Cycle, err)
@@ -502,28 +501,34 @@ func readCorpus(path string) ([]*dataset.Example, error) {
 	}
 }
 
-// growthDataset assembles the cycle's training view: the base train
-// split (labels stripped — growth treats everything as the unlabeled
-// pool the paper samples from) followed by the captured corpus, with
-// the labeled valid/test splits intact for filtering and the quality
-// gate.
-func growthDataset(base *dataset.Dataset, captured []*dataset.Example) (*dataset.Dataset, error) {
-	train := make([]*dataset.Example, 0, len(base.Train)+len(captured))
-	maxID := -1
-	for _, e := range base.Train {
+// unlabeled returns label-stripped copies of split: growth treats every
+// example as part of the unlabeled pool the paper samples from.
+func unlabeled(split []*dataset.Example) []*dataset.Example {
+	out := make([]*dataset.Example, len(split))
+	for i, e := range split {
 		c := *e
 		c.Label = dataset.NoLabel
-		train = append(train, &c)
-		if c.ID > maxID {
-			maxID = c.ID
-		}
+		out[i] = &c
 	}
-	for i, e := range captured {
-		c := *e
-		c.ID = maxID + 1 + i
-		c.Label = dataset.NoLabel
-		c.EnsureTokens()
-		train = append(train, &c)
+	return out
+}
+
+// growthDataset assembles the cycle's training view: head, the
+// label-stripped base train split shared by every cycle, followed by
+// label-stripped copies of the captured corpus, with the base's labeled
+// valid/test splits intact for filtering and the quality gate. The view
+// shares head's examples, which are read-only once tokenized.
+func growthDataset(base *dataset.Dataset, head, captured []*dataset.Example) (*dataset.Dataset, error) {
+	train := make([]*dataset.Example, len(head), len(head)+len(captured))
+	copy(train, head)
+	maxID := -1
+	for _, e := range head {
+		maxID = max(maxID, e.ID)
+	}
+	for i, e := range unlabeled(captured) {
+		e.ID = maxID + 1 + i
+		e.EnsureTokens()
+		train = append(train, e)
 	}
 	gd := &dataset.Dataset{
 		Name:            base.Name,

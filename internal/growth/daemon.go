@@ -118,8 +118,12 @@ type Daemon struct {
 	o   *obs.Obs
 	res *Reservoir
 
-	// cycleMu serializes cycles; mu guards the fields Status reads.
-	cycleMu    sync.Mutex
+	// cycleMu serializes cycles and guards prefix; mu guards the
+	// fields Status reads.
+	cycleMu sync.Mutex
+	// prefix is the base train split's share of every cycle's proposer
+	// (core.Prefix), built by the first cycle.
+	prefix     *core.Prefix
 	mu         sync.Mutex
 	parent     *bundle.Bundle
 	parentHash string

@@ -1,6 +1,7 @@
 package lf
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -24,13 +25,15 @@ func applyScan(split []*dataset.Example, f LabelFunction) (ids []int32, votes []
 // per line) and keyword and entity-keyword LFs from raw, unnormalized
 // phrases — double spaces, upper case, 4-grams and empty phrases
 // included, the way a hand-edited bundle file can carry them — and
-// requires Index.Eval to equal the full Apply scan for each LF.
+// requires Index.Eval to equal the full Apply scan for each LF, both
+// on NewIndex and on the index of the first k documents extended to
+// the whole split.
 func FuzzIndexEval(f *testing.F) {
-	f.Add("free cash now\nwin free  cash\nthe song is free", "free cash", "Free", byte(1), byte(0), byte(0), byte(2))
-	f.Add("alpha beta gamma delta\nbeta gamma delta alpha\nalpha beta", "alpha beta gamma delta", "  beta  gamma ", byte(2), byte(3), byte(1), byte(3))
-	f.Add("john met mary at the wedding of her sister\nmary said john is the husband of jane", "husband of", "", byte(0), byte(1), byte(4), byte(0))
-	f.Add("a b c\n\nc b a", "b", "c b", byte(255), byte(7), byte(255), byte(1))
-	f.Fuzz(func(t *testing.T, corpus, phrase1, phrase2 string, class, window, e1, e2 byte) {
+	f.Add("free cash now\nwin free  cash\nthe song is free", "free cash", "Free", byte(1), byte(0), byte(0), byte(2), byte(1))
+	f.Add("alpha beta gamma delta\nbeta gamma delta alpha\nalpha beta", "alpha beta gamma delta", "  beta  gamma ", byte(2), byte(3), byte(1), byte(3), byte(2))
+	f.Add("john met mary at the wedding of her sister\nmary said john is the husband of jane", "husband of", "", byte(0), byte(1), byte(4), byte(0), byte(0))
+	f.Add("a b c\n\nc b a", "b", "c b", byte(255), byte(7), byte(255), byte(1), byte(3))
+	f.Fuzz(func(t *testing.T, corpus, phrase1, phrase2 string, class, window, e1, e2, k byte) {
 		lines := strings.Split(corpus, "\n")
 		if len(lines) > 64 {
 			lines = lines[:64]
@@ -46,7 +49,10 @@ func FuzzIndexEval(f *testing.F) {
 			}
 			split[i] = e
 		}
-		ix := NewIndex(split)
+		ext, err := NewIndex(split[:int(k)%(len(split)+1)]).Extend(split)
+		if err != nil {
+			t.Fatal(err)
+		}
 		c := int(class%4) - 1 // Abstain included
 		lfs := []LabelFunction{
 			&KeywordLF{Keyword: phrase1, Class: c},
@@ -56,11 +62,85 @@ func FuzzIndexEval(f *testing.F) {
 			&PredicateLF{LFName: "even", Class: 1, Fire: func(e *dataset.Example) bool { return len(e.Tokens)%2 == 0 }},
 		}
 		for _, lf := range lfs {
-			ids, votes := ix.Eval(lf)
 			wantIDs, wantVotes := applyScan(split, lf)
-			if !slices.Equal(ids, wantIDs) || !slices.Equal(votes, wantVotes) {
-				t.Fatalf("%s: Eval = %v %v, Apply scan = %v %v", lf.Name(), ids, votes, wantIDs, wantVotes)
+			for name, ix := range map[string]*Index{"NewIndex": NewIndex(split), "Extend": ext} {
+				ids, votes := ix.Eval(lf)
+				if !slices.Equal(ids, wantIDs) || !slices.Equal(votes, wantVotes) {
+					t.Fatalf("%s over %s: Eval = %v %v, Apply scan = %v %v", lf.Name(), name, ids, votes, wantIDs, wantVotes)
+				}
 			}
 		}
 	})
+}
+
+// postings snapshots every posting list of ix by token.
+func postings(ix *Index) map[string][]int32 {
+	out := make(map[string][]int32, len(ix.slot))
+	for tok, s := range ix.slot {
+		out[tok] = slices.Clone(ix.lists[s])
+	}
+	return out
+}
+
+// TestIndexExtendMatchesNewIndex: extending the index of any prefix of a
+// split, empty and whole included, gives NewIndex's posting lists; two
+// extensions of one base do not see each other's tails and leave the
+// base as it was; a split that does not start with the indexed examples
+// is refused.
+func TestIndexExtendMatchesNewIndex(t *testing.T) {
+	texts := []string{
+		"free cash now", "win free cash", "the song is free", "", "cash cash cash prize",
+		"subscribe to my channel", "great song", "free free song now", "win a prize", "now",
+	}
+	split := make([]*dataset.Example, len(texts))
+	for i, text := range texts {
+		split[i] = &dataset.Example{ID: i, Text: text, E1Pos: -1, E2Pos: -1}
+	}
+	want := postings(NewIndex(split))
+	for k := 0; k <= len(split); k++ {
+		ext, err := NewIndex(split[:k]).Extend(split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := postings(ext); !maps.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("split at %d: posting lists %v, NewIndex %v", k, got, want)
+		}
+		if ext.Size() != len(split) {
+			t.Fatalf("split at %d: size %d", k, ext.Size())
+		}
+	}
+
+	base := NewIndex(split[:4])
+	before := postings(base)
+	// Both tails add "free", whose base list has spare capacity, at
+	// different ids: an extension writing into the shared base array
+	// would show in the other.
+	tailA := append(slices.Clip(split[:4]), split[5], split[7], split[4])
+	tailB := append(slices.Clip(split[:4]), split[7], split[8])
+	extA, err := base.Extend(tailA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extB, err := base.Extend(tailB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := postings(extA), postings(NewIndex(tailA)); !maps.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("first extension %v, NewIndex %v", got, want)
+	}
+	if got, want := postings(extB), postings(NewIndex(tailB)); !maps.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("second extension %v, NewIndex %v", got, want)
+	}
+	if got := postings(base); !maps.EqualFunc(got, before, slices.Equal) || base.Size() != 4 {
+		t.Errorf("base changed by its extensions: %v, was %v", got, before)
+	}
+
+	if _, err := base.Extend(split[:3]); err == nil {
+		t.Error("extension to a shorter split accepted")
+	}
+	other := slices.Clone(split)
+	other[2] = &dataset.Example{ID: 2, Text: texts[2], E1Pos: -1, E2Pos: -1}
+	if _, err := base.Extend(other); err == nil {
+		t.Error("extension over a different example accepted")
+	}
 }

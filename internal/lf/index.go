@@ -1,6 +1,9 @@
 package lf
 
 import (
+	"fmt"
+	"maps"
+
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/textproc"
 )
@@ -20,11 +23,39 @@ type Index struct {
 
 // NewIndex builds the index. Token caches are populated as a side effect.
 func NewIndex(split []*dataset.Example) *Index {
-	ix := &Index{
-		split: split,
-		slot:  make(map[string]int32, 2048),
+	ix, _ := new(Index).Extend(split)
+	return ix
+}
+
+// Extend returns an index over split, whose first Size() examples must
+// be the ones ix indexes (the same pointers). Only the tail's tokens are
+// read, and token caches of the tail are populated as a side effect. ix
+// is unchanged and stays valid: the new index gets its own slot map and
+// list headers, and each base list it shares is clipped to its length,
+// so appending a tail posting copies that list instead of writing into
+// ix's storage. With no tail the new index shares ix's lists.
+func (ix *Index) Extend(split []*dataset.Example) (*Index, error) {
+	n := len(ix.split)
+	if len(split) < n {
+		return nil, fmt.Errorf("lf: extending an index of %d examples to a split of %d", n, len(split))
 	}
-	for i, e := range split {
+	for i, e := range ix.split {
+		if split[i] != e {
+			return nil, fmt.Errorf("lf: extending an index: example %d is not the indexed one", i)
+		}
+	}
+	if len(split) == n {
+		return &Index{split: split, slot: ix.slot, lists: ix.lists}, nil // nothing to append
+	}
+	out := &Index{split: split, slot: maps.Clone(ix.slot), lists: make([][]int32, len(ix.lists))}
+	if out.slot == nil {
+		out.slot = make(map[string]int32, 2048)
+	}
+	for s, l := range ix.lists {
+		out.lists[s] = l[:len(l):len(l)]
+	}
+	for i := n; i < len(split); i++ {
+		e := split[i]
 		e.EnsureTokens()
 		prev := ""
 		for _, tok := range e.Tokens {
@@ -32,18 +63,18 @@ func NewIndex(split []*dataset.Example) *Index {
 				continue // cheap local dedupe; full dedupe below
 			}
 			prev = tok
-			s, ok := ix.slot[tok]
+			s, ok := out.slot[tok]
 			if !ok {
-				s = int32(len(ix.lists))
-				ix.slot[tok] = s
-				ix.lists = append(ix.lists, nil)
-			} else if l := ix.lists[s]; l[len(l)-1] == int32(i) {
+				s = int32(len(out.lists))
+				out.slot[tok] = s
+				out.lists = append(out.lists, nil)
+			} else if l := out.lists[s]; l[len(l)-1] == int32(i) {
 				continue
 			}
-			ix.lists[s] = append(ix.lists[s], int32(i))
+			out.lists[s] = append(out.lists[s], int32(i))
 		}
 	}
-	return ix
+	return out, nil
 }
 
 // posting returns the ascending ids of the documents containing token.

@@ -26,6 +26,7 @@ import (
 	"datasculpt/internal/bundle"
 	"datasculpt/internal/obs"
 	"datasculpt/internal/serve"
+	"datasculpt/internal/textproc"
 )
 
 var (
@@ -534,7 +535,11 @@ func (r *Registry) Promote(tenant string, nb *bundle.Bundle, force bool) (*Promo
 		if sample := e.sampleRecent(); len(sample) > 0 {
 			rep.Gated = true
 			rep.ShadowSample = len(sample)
-			rep.Agreement = bundle.Agreement(old.b, nb, sample)
+			corpus := make([][]string, len(sample))
+			for i, t := range sample {
+				corpus[i] = textproc.Tokenize(t)
+			}
+			rep.Agreement = bundle.Agreement(old.b, nb, corpus)
 			if rep.Agreement < r.opts.ShadowAgreement {
 				r.mShadowRej.With(tenant).Inc()
 				return rep, ErrShadowGate

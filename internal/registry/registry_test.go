@@ -389,6 +389,7 @@ func TestAgreementDuringRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	texts := []string{d.Valid[0].Text, d.Valid[1].Text, d.Valid[2].Text}
+	corpus := dataset.FeatureCorpus(d.Valid[:3])
 	parent := freshCopy(t)
 
 	done := make(chan error, 1)
@@ -413,7 +414,7 @@ func TestAgreementDuringRemap(t *testing.T) {
 			}
 			running = false
 		default:
-			if got := bundle.Agreement(parent, promoted, texts); got != 1 {
+			if got := bundle.Agreement(parent, promoted, corpus); got != 1 {
 				t.Fatalf("agreement of identical artifacts = %v, want 1", got)
 			}
 		}

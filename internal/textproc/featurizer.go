@@ -55,15 +55,16 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// hashTerm maps a term to a (bucket, sign) pair with FNV-1a. The sign bit
-// implements the standard hashing-trick collision mitigation.
-func (f *Featurizer) hashTerm(term string) (int32, float32) {
+// hashTerm maps a term to a (bucket, sign) pair of a dim-wide vector
+// with FNV-1a. The sign bit implements the standard hashing-trick
+// collision mitigation.
+func hashTerm(dim int, term string) (int32, float32) {
 	sum := uint32(fnvOffset32)
 	for i := 0; i < len(term); i++ {
 		sum ^= uint32(term[i])
 		sum *= fnvPrime32
 	}
-	bucket := int32(sum % uint32(f.Dim))
+	bucket := int32(sum % uint32(dim))
 	sign := float32(1)
 	if sum&0x80000000 != 0 {
 		sign = -1
@@ -115,7 +116,7 @@ func (f *Featurizer) FitChunk(corpus [][]string) {
 	for _, tokens := range corpus {
 		f.pending++
 		for _, t := range tokens {
-			if b, _ := f.hashTerm(t); f.lastDoc[b] != f.pending {
+			if b, _ := hashTerm(f.Dim, t); f.lastDoc[b] != f.pending {
 				f.lastDoc[b] = f.pending
 				f.df[b]++
 			}
@@ -125,48 +126,110 @@ func (f *Featurizer) FitChunk(corpus [][]string) {
 
 // FitTransform fits the featurizer on corpus and returns the corpus's
 // vectors: exactly Fit(corpus) followed by TransformAll(corpus), but each
-// document is hashed once instead of twice. The pass keeps
-// every document's signed sub-linear TF vector while counting document
-// frequencies; once the IDF weights are frozen it scales each vector by
-// them in place and normalizes, the same float32 product and the same
-// normalization Transform applies. Documents are sharded across Workers;
-// integer DF partials sum exactly, so every worker count gives identical
-// statistics and vectors.
+// document is hashed once instead of twice. It is FitTF over the
+// corpus's one HashTF part, whose TF vectors it then scales in place.
 func (f *Featurizer) FitTransform(corpus [][]string) ([]*SparseVector, error) {
-	if len(corpus) == 0 {
-		return nil, fmt.Errorf("featurizer: empty corpus")
-	}
-	if err := f.BeginFit(); err != nil {
+	tf := HashTF(f.Dim, f.Workers, corpus)
+	if err := f.FitTF(tf); err != nil {
 		return nil, err
 	}
-	out := make([]*SparseVector, len(corpus))
+	f.scale(tf.Vecs, tf.Vecs)
+	return tf.Vecs, nil
+}
+
+// TF is the hashing half of a fit over one corpus: each document's
+// signed sub-linear TF vector, before IDF, and the corpus's document
+// frequencies. A TF is read-only once built, so one part can feed any
+// number of fits (FitTF) and vector builds (Vectors).
+type TF struct {
+	// Vecs[i] is document i's TF vector.
+	Vecs []*SparseVector
+	// DF[b] counts the documents with a token hashing to bucket b.
+	DF []int32
+}
+
+// HashTF hashes every document of corpus into a dim-wide TF part, each
+// token once. Documents are sharded across workers; integer DF partials
+// sum exactly, so every worker count gives the identical part.
+func HashTF(dim, workers int, corpus [][]string) *TF {
+	tf := &TF{Vecs: make([]*SparseVector, len(corpus)), DF: make([]int32, dim)}
 	var mu sync.Mutex
-	par.Chunks(f.Workers, len(corpus), func(lo, hi int) {
-		df := make([]int32, f.Dim)
-		s := getScratch(f.Dim)
+	par.Chunks(workers, len(corpus), func(lo, hi int) {
+		df := make([]int32, dim)
+		s := getScratch(dim)
 		defer scratchPool.Put(s)
 		for i := lo; i < hi; i++ {
-			out[i] = s.drain(f.Dim, s.add(f, corpus[i]), df, nil)
+			tf.Vecs[i] = s.drain(dim, s.add(dim, corpus[i]), df, nil)
 		}
 		mu.Lock()
 		for b, n := range df {
-			f.df[b] += n
+			tf.DF[b] += n
 		}
 		mu.Unlock()
 	})
-	f.pending = len(corpus)
-	if err := f.FinishFit(); err != nil {
-		return nil, err
+	return tf
+}
+
+// FitTF fits the featurizer on the concatenation of the parts' corpora:
+// it sums their document frequencies and freezes the IDF weights as
+// FinishFit does. Integer sums make the statistics exactly Fit's over
+// the concatenated corpus. The parts are not modified.
+func (f *Featurizer) FitTF(parts ...*TF) error {
+	if f.docs > 0 || f.fitting {
+		return fmt.Errorf("featurizer: Fit called twice")
 	}
-	par.Chunks(f.Workers, len(out), func(lo, hi int) {
-		for _, v := range out[lo:hi] {
-			for i, b := range v.Idx {
-				v.Val[i] *= f.idf[b]
+	docs := 0
+	for _, p := range parts {
+		if len(p.DF) != f.Dim {
+			return fmt.Errorf("featurizer: TF part of width %d, featurizer width %d", len(p.DF), f.Dim)
+		}
+		docs += len(p.Vecs)
+	}
+	if docs == 0 {
+		return fmt.Errorf("featurizer: empty corpus")
+	}
+	for _, p := range parts {
+		for b, n := range p.DF {
+			f.df[b] += n
+		}
+	}
+	f.freeze(docs)
+	return nil
+}
+
+// Vectors returns the L2-normalized TF-IDF vectors of the parts'
+// documents, in order: each TF vector times the fitted IDF weights, the
+// same float32 product and normalization Transform applies, so every
+// vector is bit-identical to Transform's. The parts are not modified;
+// a vector shares its TF vector's indices.
+func (f *Featurizer) Vectors(parts ...*TF) []*SparseVector {
+	if !f.Fitted() {
+		panic("featurizer: Vectors before Fit")
+	}
+	var tf []*SparseVector
+	for _, p := range parts {
+		tf = append(tf, p.Vecs...)
+	}
+	out := make([]*SparseVector, len(tf))
+	for i, v := range tf {
+		out[i] = &SparseVector{Idx: v.Idx, Val: make([]float32, len(v.Val))}
+	}
+	f.scale(out, tf)
+	return out
+}
+
+// scale sets each dst[i]'s values to src[i]'s times the IDF weights of
+// its buckets and normalizes it, sharded across Workers. dst may be src.
+func (f *Featurizer) scale(dst, src []*SparseVector) {
+	par.Chunks(f.Workers, len(dst), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			d, s := dst[i], src[i]
+			for j, b := range s.Idx {
+				d.Val[j] = s.Val[j] * f.idf[b]
 			}
-			v.Normalize()
+			d.Normalize()
 		}
 	})
-	return out, nil
 }
 
 // scratch is one goroutine's per-document accumulator: the signed token
@@ -190,11 +253,11 @@ func getScratch(dim int) *scratch {
 }
 
 // add counts one document's tokens into s and returns how many distinct
-// buckets they hit.
-func (s *scratch) add(f *Featurizer, tokens []string) int {
+// buckets of a dim-wide vector they hit.
+func (s *scratch) add(dim int, tokens []string) int {
 	buckets := 0
 	for _, t := range tokens {
-		b, sign := f.hashTerm(t)
+		b, sign := hashTerm(dim, t)
 		if w, bit := b>>6, uint64(1)<<(b&63); s.touched[w]&bit == 0 {
 			s.touched[w] |= bit
 			buckets++
@@ -281,16 +344,22 @@ func (f *Featurizer) FinishFit() error {
 	if f.pending == 0 {
 		return fmt.Errorf("featurizer: empty corpus")
 	}
-	f.docs = f.pending
 	f.fitting = false
-	f.pending = 0
 	f.lastDoc = nil
+	f.freeze(f.pending)
+	f.pending = 0
+	return nil
+}
+
+// freeze fixes the fit at docs documents and computes the IDF weights
+// from the accumulated document frequencies.
+func (f *Featurizer) freeze(docs int) {
+	f.docs = docs
 	f.idf = make([]float32, f.Dim)
 	for b := range f.idf {
 		// Smoothed IDF; buckets never seen get the maximum weight.
 		f.idf[b] = float32(math.Log(float64(1+f.docs)/float64(1+f.df[b])) + 1)
 	}
-	return nil
 }
 
 // Fitted reports whether Fit has completed.
@@ -311,7 +380,7 @@ func (f *Featurizer) transform(s *scratch, tokens []string) *SparseVector {
 	if !f.Fitted() {
 		panic("featurizer: Transform before Fit")
 	}
-	v := s.drain(f.Dim, s.add(f, tokens), nil, f.idf)
+	v := s.drain(f.Dim, s.add(f.Dim, tokens), nil, f.idf)
 	v.Normalize()
 	return v
 }

@@ -35,7 +35,7 @@ func TestHashTermMatchesReference(t *testing.T) {
 		terms = append(terms, string(b))
 	}
 	for _, term := range terms {
-		gotB, gotS := f.hashTerm(term)
+		gotB, gotS := hashTerm(f.Dim, term)
 		wantB, wantS := referenceHashTerm(f.Dim, term)
 		if gotB != wantB || gotS != wantS {
 			t.Fatalf("hashTerm(%q) = (%d, %v), reference (%d, %v)", term, gotB, gotS, wantB, wantS)
@@ -47,7 +47,7 @@ func TestHashTermZeroAlloc(t *testing.T) {
 	f := NewFeaturizer(DefaultFeatureDim)
 	var sink int32
 	allocs := testing.AllocsPerRun(1000, func() {
-		b, _ := f.hashTerm("subscribe to the channel")
+		b, _ := hashTerm(f.Dim, "subscribe to the channel")
 		sink += b
 	})
 	if allocs != 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -18,7 +19,7 @@ import (
 func referenceTransform(f *Featurizer, tokens []string) *SparseVector {
 	acc := make(map[int32]float32, len(tokens))
 	for _, t := range tokens {
-		b, sign := f.hashTerm(t)
+		b, sign := hashTerm(f.Dim, t)
 		acc[b] += sign
 	}
 	for b, tf := range acc {
@@ -116,7 +117,7 @@ func TestTransformMatchesMapReference(t *testing.T) {
 			}
 			buckets := map[int32]bool{}
 			for _, tok := range doc {
-				b, _ := f.hashTerm(tok)
+				b, _ := hashTerm(f.Dim, tok)
 				buckets[b] = true
 			}
 			if len(buckets) > want.NNZ() {
@@ -283,7 +284,7 @@ func referenceDF(dim int, corpus [][]string) []int32 {
 	for _, tokens := range corpus {
 		clear(seen)
 		for _, t := range tokens {
-			b, _ := f.hashTerm(t)
+			b, _ := hashTerm(f.Dim, t)
 			if _, ok := seen[b]; !ok {
 				seen[b] = struct{}{}
 				df[b]++
@@ -342,5 +343,74 @@ func TestFitTransformMatchesFitThenTransform(t *testing.T) {
 	}
 	if _, err := NewFeaturizer(8).FitTransform(nil); err == nil {
 		t.Error("empty corpus accepted")
+	}
+}
+
+// cloneTF deep-copies a TF part, so a test can check a fit left it as
+// it was.
+func cloneTF(tf *TF) *TF {
+	out := &TF{Vecs: make([]*SparseVector, len(tf.Vecs)), DF: slices.Clone(tf.DF)}
+	for i, v := range tf.Vecs {
+		out.Vecs[i] = &SparseVector{Idx: slices.Clone(v.Idx), Val: slices.Clone(v.Val)}
+	}
+	return out
+}
+
+// TestFitTFMatchesFitThenTransform: at every split point of the corpus
+// and every worker count, FitTF over the prefix's and the tail's HashTF
+// parts freezes Fit's statistics over the whole corpus, and Vectors
+// returns exactly the vectors TransformAll produces. One prefix part
+// feeds every fit at a split point, and no fit or vector build changes
+// it.
+func TestFitTFMatchesFitThenTransform(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, dim := range []int{7, 8192} {
+		docs := randomDocs(rng, 40, 60, 50)
+		ref := fitted(t, dim, docs)
+		want := ref.TransformAll(docs)
+		for k := 0; k <= len(docs); k++ {
+			prefix := HashTF(dim, 1, docs[:k])
+			before := cloneTF(prefix)
+			for workers := 1; workers <= 4; workers++ {
+				if got := HashTF(dim, workers, docs[:k]); !reflect.DeepEqual(got, before) {
+					t.Fatalf("dim %d split %d: HashTF on %d workers differs from 1", dim, k, workers)
+				}
+				for reuse := 0; reuse < 2; reuse++ {
+					f := NewFeaturizer(dim)
+					f.Workers = workers
+					tail := HashTF(dim, workers, docs[k:])
+					if err := f.FitTF(prefix, tail); err != nil {
+						t.Fatal(err)
+					}
+					if f.docs != ref.docs || !slices.Equal(f.df, ref.df) || !slices.Equal(f.idf, ref.idf) {
+						t.Fatalf("dim %d split %d workers %d: fitted statistics differ from Fit", dim, k, workers)
+					}
+					got := f.Vectors(prefix, tail)
+					if len(got) != len(want) {
+						t.Fatalf("dim %d split %d: %d vectors, want %d", dim, k, len(got), len(want))
+					}
+					for i := range want {
+						if err := sameBits(got[i], want[i]); err != nil {
+							t.Fatalf("dim %d split %d workers %d doc %d: %v", dim, k, workers, i, err)
+						}
+					}
+					if err := f.FitTF(prefix, tail); err == nil {
+						t.Fatal("second FitTF accepted")
+					}
+				}
+			}
+			if !reflect.DeepEqual(prefix, before) {
+				t.Fatalf("dim %d split %d: fitting changed the prefix part", dim, k)
+			}
+		}
+	}
+	if err := NewFeaturizer(8).FitTF(); err == nil {
+		t.Error("FitTF without parts accepted")
+	}
+	if err := NewFeaturizer(8).FitTF(HashTF(8, 1, nil)); err == nil {
+		t.Error("FitTF over an empty part accepted")
+	}
+	if err := NewFeaturizer(8).FitTF(HashTF(16, 1, [][]string{{"a"}})); err == nil {
+		t.Error("FitTF over a part of another width accepted")
 	}
 }
