@@ -141,7 +141,7 @@ func main() {
 	flag.IntVar(&cfg.growMinCorpus, "grow-min-corpus", 16, "min captured texts before a growth cycle runs")
 	flag.Int64Var(&cfg.growSeed, "grow-seed", 0, "seed for regenerating the growth base dataset (default: the bundle's training seed)")
 	flag.Float64Var(&cfg.growScale, "grow-scale", 1, "scale for regenerating the growth base dataset")
-	flag.Float64Var(&cfg.growAgreement, "grow-agreement", 0.9, "min post-promote agreement with the parent on the cycle corpus before auto-rollback")
+	flag.Float64Var(&cfg.growAgreement, "grow-agreement", 0.9, "min offline agreement with the parent on the cycle corpus before a candidate is promoted")
 	flag.Float64Var(&cfg.growMaxRegression, "grow-max-regression", 0.02, "max offline-metric regression a growth candidate may show before rejection")
 	flag.Parse()
 

@@ -2,15 +2,17 @@
 // subsystem that must survive a kill: the experiment grid checkpoints
 // (PR 3) and the online growth loop's cycle journals. One record is one
 // JSON line, appended with a single Write call and fsynced, so a crash
-// can at worst tear the final line — which the loader tolerates and the
-// resumed process simply recomputes. A malformed line anywhere else is
+// can at worst tear the final line — which Load skips, Open cuts off,
+// and the resumed process recomputes. A malformed line anywhere else is
 // reported as corruption, never silently skipped.
 package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -27,11 +29,21 @@ type Writer struct {
 	f  *os.File
 }
 
-// Open opens (creating if needed) a JSONL file for appending.
+// Open opens (creating if needed) a JSONL file for appending. It first
+// cuts off a final line that lacks its '\n' — a torn append, since JSON
+// holds no raw newline — so the next record cannot join it and be lost.
 func Open(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: opening %s: %w", path, err)
+	}
+	data, err := io.ReadAll(f)
+	if keep := bytes.LastIndexByte(data, '\n') + 1; err == nil && keep < len(data) {
+		err = f.Truncate(int64(keep))
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("ckpt: trimming torn tail of %s: %w", path, err)
 	}
 	return &Writer{f: f}, nil
 }

@@ -137,3 +137,51 @@ func TestBlankLinesIgnored(t *testing.T) {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
 }
+
+// TestOpenTrimsTornTail appends after a crash mid-append: the torn
+// final line must be cut off, or the next record joins it and is lost
+// and the one after makes the whole file unloadable.
+func TestOpenTrimsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.jsonl")
+	if err := os.WriteFile(path, []byte(`{"n":1}`+"\n"+`{"n":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for n := 2; n <= 3; n++ {
+		if err := Append(path, rec{N: n}); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := Load[rec](path, nil)
+		if err != nil {
+			t.Fatalf("after appending %d: %v", n, err)
+		}
+		if len(recs) != n || recs[n-1].N != n {
+			t.Fatalf("after appending %d: got %+v", n, recs)
+		}
+	}
+
+	// A file holding only a torn line is emptied; an intact one is kept.
+	if err := os.WriteFile(path, []byte(`{"n":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); len(data) != 0 {
+		t.Fatalf("torn-only file kept %q", data)
+	}
+	if err := Append(path, rec{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if data, _ := os.ReadFile(path); string(data) != `{"n":1}`+"\n" {
+		t.Fatalf("intact file changed to %q", data)
+	}
+}

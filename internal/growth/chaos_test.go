@@ -58,11 +58,13 @@ func chaosDaemon(t *testing.T, stateDir, path string, hook func(string) error) *
 	return dmn
 }
 
-// TestGrowthChaos is the PR's durability proof: kill the daemon at
-// every checkpoint boundary of a cycle, restart it cold over the same
-// state dir, and require the resumed cycle to finish with a candidate
-// bundle byte-identical to an uninterrupted run's — and the same
-// journal row. Run under -race via `make grow-chaos`.
+// TestGrowthChaos is the growth loop's durability proof: kill the
+// daemon at every checkpoint boundary of a cycle — including
+// "promoted", between the registry swap and the journal row — restart
+// it cold over the same state dir, and require the resumed cycle to
+// finish with a candidate bundle byte-identical to an uninterrupted
+// run's, and the same journal row. Run under -race via `make
+// grow-chaos`.
 func TestGrowthChaos(t *testing.T) {
 	_, d, path := trained(t)
 	texts := corpusTexts(d, 24)
@@ -90,7 +92,7 @@ func TestGrowthChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStages := []string{"snapshot", "proposed", "candidate", "recorded"}
+	wantStages := []string{"snapshot", "proposed", "candidate", "promoted", "recorded"}
 	for _, s := range wantStages {
 		found := false
 		for _, b := range boundaries {

@@ -32,14 +32,18 @@ import (
 //	proposed   the proposer loop is complete
 //	candidate  cycle/candidate.json written — the assembled bundle's
 //	           bytes are final
-//	recorded   the outcome row is in growth.jsonl and the candidate is
-//	           archived as candidate-<n>.json; the workspace is then
+//	promoted   the candidate cleared the quality gate, the offline
+//	           verification and the registry's shadow gate, and the
+//	           registry swapped it in, once
+//	recorded   the candidate is archived as candidate-<n>.json and the
+//	           outcome row is in growth.jsonl; the workspace is then
 //	           removed
 //
-// The gate→promote→verify block runs between candidate and recorded
-// with no checkpoint of its own: a kill inside it re-runs the block on
-// resume (promotion is at-least-once), but the candidate bytes it
-// promotes are already pinned, so re-promoting is idempotent in effect.
+// The journal row is the cycle's one commit point: only a promoted row
+// moves the lineage head, in memory after the append and on restart
+// from that row's archive. A kill before the row re-runs the gates on
+// resume; they are offline or swap in the same pinned bytes, so a
+// re-promotion is idempotent in effect.
 
 // manifest pins everything about a cycle that must not drift across a
 // kill: its number, derived seed, timestamp, corpus size, and budget
@@ -98,16 +102,11 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 
 	// A journal row for this cycle means only the workspace cleanup was
 	// lost: finish it and return the recorded outcome.
-	d.mu.Lock()
-	already := len(d.records) > 0 && d.records[len(d.records)-1].Cycle == man.Cycle
-	d.mu.Unlock()
-	if already {
+	if n := len(d.records); n > 0 && d.records[n-1].Cycle == man.Cycle {
+		last := d.records[n-1]
 		if err := os.RemoveAll(cycleDir); err != nil {
 			return nil, fmt.Errorf("growth: cleaning finished cycle: %w", err)
 		}
-		d.mu.Lock()
-		last := d.records[len(d.records)-1]
-		d.mu.Unlock()
 		return &last, nil
 	}
 
@@ -136,12 +135,12 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		CreatedUnix:  man.CreatedUnix,
 	}
 
+	var cand *bundle.Bundle
 	if rec.NewLFs == 0 {
 		rec.Outcome = OutcomeNoNewLFs
 	} else {
 		evalSpan := span.Child("growth.evaluate")
-		cand, err := d.candidate(man, gd, prop, cycleDir)
-		if err != nil {
+		if cand, err = d.candidate(man, gd, prop, cycleDir); err != nil {
 			evalSpan.SetErr(err)
 			evalSpan.End()
 			return nil, err
@@ -152,7 +151,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		}
 		rec.CandidateMetric = cand.Provenance.EndMetric
 		gateSpan := span.Child("growth.gate")
-		if err := d.decideOutcome(rec, cand, dataset.FeatureCorpus(tail), cycleDir); err != nil {
+		if err := d.decideOutcome(rec, cand, dataset.FeatureCorpus(tail)); err != nil {
 			gateSpan.SetErr(err)
 			gateSpan.End()
 			return nil, err
@@ -160,7 +159,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		gateSpan.End()
 	}
 
-	if err := d.finalize(rec, man, cycleDir); err != nil {
+	if err := d.finalize(rec, cand, man, cycleDir); err != nil {
 		return nil, err
 	}
 	d.mCycles.With(d.cfg.Tenant, rec.Outcome).Inc()
@@ -201,12 +200,10 @@ func (d *Daemon) loadOrStartCycle(cycleDir string) (*manifest, error) {
 	texts := d.res.Snapshot()
 	d.mFill.Set(0)
 
-	d.mu.Lock()
 	cycle := 1
 	if n := len(d.records); n > 0 {
 		cycle = d.records[n-1].Cycle + 1
 	}
-	d.mu.Unlock()
 	man := &manifest{
 		Cycle:       cycle,
 		Seed:        d.cfg.Pipeline.Seed + 9973*int64(cycle),
@@ -341,14 +338,10 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, prop
 // checkpoint the candidate's bytes never change.
 func (d *Daemon) candidate(man *manifest, gd *dataset.Dataset, prop *core.Proposer, cycleDir string) (*bundle.Bundle, error) {
 	candPath := filepath.Join(cycleDir, "candidate.json")
-	if _, statErr := os.Stat(candPath); statErr == nil {
-		cand, err := bundle.Load(candPath)
-		if err != nil {
-			return nil, fmt.Errorf("growth: loading pinned candidate: %w", err)
-		}
+	if cand, err := bundle.Load(candPath); err == nil {
 		return cand, nil
-	} else if !os.IsNotExist(statErr) {
-		return nil, fmt.Errorf("growth: %w", statErr)
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("growth: loading pinned candidate: %w", err)
 	}
 
 	res, err := prop.Evaluate()
@@ -379,12 +372,20 @@ func (d *Daemon) candidate(man *manifest, gd *dataset.Dataset, prop *core.Propos
 }
 
 // decideOutcome runs the promotion state machine: quality gate →
-// registry shadow gate → post-promote verification with automatic
-// rollback. Only a candidate that clears all three becomes the new
-// lineage head.
-func (d *Daemon) decideOutcome(rec *CycleRecord, cand *bundle.Bundle, corpus [][]string, cycleDir string) error {
+// offline verification → the registry's shadow gate and its one swap.
+// Only a candidate that clears all three is served; its journal row
+// (finalize) then makes it the lineage head.
+func (d *Daemon) decideOutcome(rec *CycleRecord, cand *bundle.Bundle, corpus [][]string) error {
 	if rec.CandidateMetric < rec.ParentMetric-d.cfg.MaxRegression {
 		rec.Outcome = OutcomeQualityRejected
+		return nil
+	}
+	// The registry's gate only sees recent live traffic, which a fresh
+	// or idle tenant lacks; verify against the cycle's own corpus before
+	// the candidate is ever served.
+	rec.VerifyAgreement = bundle.Agreement(d.parent, cand, corpus)
+	if rec.VerifyAgreement < d.cfg.MinVerifyAgreement {
+		rec.Outcome = OutcomeRolledBack
 		return nil
 	}
 	rep, err := d.cfg.Registry.Promote(d.cfg.Tenant, cand, false)
@@ -400,38 +401,14 @@ func (d *Daemon) decideOutcome(rec *CycleRecord, cand *bundle.Bundle, corpus [][
 	if rep.Gated {
 		rec.ShadowAgreement = rep.Agreement
 	}
-
-	// The registry's gate only sees recent live traffic, which a fresh
-	// or idle tenant lacks; verify against the cycle's own corpus and
-	// undo the swap on disagreement.
-	rec.VerifyAgreement = bundle.Agreement(d.parent, cand, corpus)
-	if rec.VerifyAgreement < d.cfg.MinVerifyAgreement {
-		if _, err := d.cfg.Registry.Rollback(d.cfg.Tenant); err != nil {
-			return fmt.Errorf("growth: rolling back cycle %d: %w", rec.Cycle, err)
-		}
-		rec.Outcome = OutcomeRolledBack
-		return nil
-	}
-
 	rec.Outcome = OutcomePromoted
-	// The candidate's pinned bytes become the new lineage head.
-	data, err := os.ReadFile(filepath.Join(cycleDir, "candidate.json"))
-	if err != nil {
-		return fmt.Errorf("growth: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(d.cfg.StateDir, "parent.json"), data, 0o644); err != nil {
-		return fmt.Errorf("growth: updating lineage head: %w", err)
-	}
-	d.mu.Lock()
-	d.parent = cand
-	d.parentHash = rec.CandidateHash
-	d.mu.Unlock()
-	return nil
+	return d.checkpoint("promoted")
 }
 
-// finalize archives the candidate, journals the outcome, and removes
-// the workspace.
-func (d *Daemon) finalize(rec *CycleRecord, man *manifest, cycleDir string) error {
+// finalize archives the candidate, journals the outcome — the cycle's
+// commit point — and removes the workspace. A promoted cand becomes the
+// lineage head only once its row is durable.
+func (d *Daemon) finalize(rec *CycleRecord, cand *bundle.Bundle, man *manifest, cycleDir string) error {
 	candPath := filepath.Join(cycleDir, "candidate.json")
 	if data, err := os.ReadFile(candPath); err == nil {
 		archive := filepath.Join(d.cfg.StateDir, fmt.Sprintf("candidate-%d.json", man.Cycle))
@@ -446,6 +423,9 @@ func (d *Daemon) finalize(rec *CycleRecord, man *manifest, cycleDir string) erro
 	}
 	d.mu.Lock()
 	d.records = append(d.records, *rec)
+	if rec.Outcome == OutcomePromoted {
+		d.parent, d.parentHash = cand, rec.CandidateHash
+	}
 	d.mu.Unlock()
 	if err := d.checkpoint("recorded"); err != nil {
 		return err

@@ -2,6 +2,7 @@ package growth
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -22,8 +23,8 @@ import (
 type Config struct {
 	// Tenant is the registry tenant the daemon grows.
 	Tenant string
-	// Registry is where candidate bundles are promoted (and rolled
-	// back). Required.
+	// Registry is where a candidate that clears every gate is promoted,
+	// once. Required.
 	Registry *registry.Registry
 	// Base is the dataset the parent bundle was trained on — its train
 	// split anchors the growth corpus and its labeled valid/test splits
@@ -38,8 +39,8 @@ type Config struct {
 	// with; its Seed anchors every cycle's derived seed.
 	Pipeline core.Config
 	// StateDir holds the durable state: growth.jsonl (cycle journal),
-	// parent.json (current lineage head), candidate-<n>.json archives,
-	// and the in-progress cycle/ workspace. Required.
+	// parent.json (boot pin), candidate-<n>.json archives (the newest
+	// promoted one is the lineage head), the cycle/ workspace. Required.
 	StateDir string
 	// Interval is the Start loop's cycle period (0 disables the loop;
 	// RunCycle can still be driven manually).
@@ -54,9 +55,9 @@ type Config struct {
 	// MaxTextBytes drops oversized texts at capture (default 4096).
 	ReservoirCap int
 	MaxTextBytes int
-	// MinVerifyAgreement is the post-promote verification floor: the
-	// promoted candidate must agree with its parent on at least this
-	// fraction of the cycle corpus or it is rolled back (default 0.9).
+	// MinVerifyAgreement is the offline verification floor: a candidate
+	// agreeing with its parent on less of the cycle corpus is rejected
+	// before it is served (default 0.9).
 	MinVerifyAgreement float64
 	// MaxRegression is how far the candidate's offline test metric may
 	// fall below the parent's before the quality gate rejects it
@@ -77,7 +78,7 @@ type Config struct {
 	// pinned by tests that compare candidate bytes across runs.
 	now func() int64
 	// mutateCandidate, when set, alters the candidate before it is
-	// saved — how the rollback tests manufacture a regressing bundle.
+	// saved — how the verify tests manufacture a regressing bundle.
 	mutateCandidate func(*bundle.Bundle)
 }
 
@@ -119,7 +120,8 @@ type Daemon struct {
 	res *Reservoir
 
 	// cycleMu serializes cycles and guards prefix; mu guards the
-	// fields Status reads.
+	// fields Status reads. A cycle writes those holding both, so it
+	// reads them without mu.
 	cycleMu sync.Mutex
 	// prefix is the base train split's share of every cycle's proposer
 	// (core.Prefix), built by the first cycle.
@@ -140,10 +142,10 @@ type Daemon struct {
 }
 
 // New builds a daemon over cfg, creating StateDir if needed, loading
-// the cycle journal, and pinning the lineage head: a parent.json left
-// by an earlier process wins over cfg.Parent, so a restarted daemon
-// continues the lineage it had grown rather than regressing to the
-// boot bundle.
+// the cycle journal, and pinning the lineage head: the archive of the
+// journal's newest promoted row, checked against the row's hash, so a
+// restarted daemon continues the lineage it had grown. Without one, the
+// parent.json boot pin an earlier process wrote wins over cfg.Parent.
 func New(cfg Config) (*Daemon, error) {
 	if cfg.Tenant == "" {
 		return nil, fmt.Errorf("growth: empty tenant")
@@ -174,15 +176,14 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 
-	parentPath := filepath.Join(cfg.StateDir, "parent.json")
-	var parent *bundle.Bundle
-	if _, statErr := os.Stat(parentPath); statErr == nil {
-		if parent, err = bundle.Load(parentPath); err != nil {
-			return nil, fmt.Errorf("growth: loading lineage head: %w", err)
+	headPath, want := filepath.Join(cfg.StateDir, "parent.json"), ""
+	for _, r := range records {
+		if r.Outcome == OutcomePromoted {
+			headPath, want = filepath.Join(cfg.StateDir, fmt.Sprintf("candidate-%d.json", r.Cycle)), r.CandidateHash
 		}
-	} else if !os.IsNotExist(statErr) {
-		return nil, fmt.Errorf("growth: %w", statErr)
-	} else {
+	}
+	parent, err := bundle.Load(headPath)
+	if errors.Is(err, os.ErrNotExist) && want == "" {
 		// Pin the save timestamp before the first serialization so the
 		// lineage head's bytes (and fingerprint) never depend on when
 		// the daemon booted relative to when the bundle is hashed.
@@ -191,13 +192,18 @@ func New(cfg Config) (*Daemon, error) {
 			pb.Provenance.CreatedUnix = cfg.now()
 		}
 		parent = &pb
-		if err := bundle.Save(parentPath, parent); err != nil {
+		if err := bundle.Save(headPath, parent); err != nil {
 			return nil, fmt.Errorf("growth: saving lineage head: %w", err)
 		}
+	} else if err != nil {
+		return nil, fmt.Errorf("growth: loading lineage head: %w", err)
 	}
 	parentHash, err := bundle.Fingerprint(parent)
 	if err != nil {
 		return nil, err
+	}
+	if want != "" && parentHash != want {
+		return nil, fmt.Errorf("growth: lineage head %s fingerprints %s, journal says %s", headPath, parentHash, want)
 	}
 
 	d := &Daemon{

@@ -23,7 +23,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with current /v1/growth payloads")
 
 // TestGrowthGolden pins the GET /v1/growth surface — the status payload
-// after a promoted cycle and a rolled-back one, the 404 envelope when
+// after a promoted cycle and one the offline verification rejected
+// before serving it (outcome rolled_back), the 404 envelope when
 // no daemon is wired, and the 405 envelope — byte for byte. Everything in the payload is a
 // deterministic function of the seeded fixture (timestamps are pinned,
 // hashes derive from seeded training), so the golden file is stable.

@@ -2,12 +2,15 @@ package growth
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"datasculpt/internal/bundle"
+	"datasculpt/internal/ckpt"
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/obs"
@@ -200,7 +203,8 @@ func TestDaemonConfigValidation(t *testing.T) {
 
 // TestGrowthSmoke drives one full cycle end to end: capture, snapshot,
 // propose, bundle, gate, promote — and checks the durable state a
-// restarted daemon would boot from.
+// restarted daemon would boot from: the promoted row's archive, not the
+// parent.json boot pin.
 func TestGrowthSmoke(t *testing.T) {
 	_, d, path := trained(t)
 	parent, err := bundle.Load(path)
@@ -267,8 +271,8 @@ func TestGrowthSmoke(t *testing.T) {
 		t.Fatalf("stats %+v", st.Stats)
 	}
 
-	// Durable state: workspace gone, candidate archived, lineage head
-	// on disk is the promoted candidate.
+	// Durable state: workspace gone, candidate archived, and parent.json
+	// still the boot pin — the journal row alone moved the head.
 	if _, err := os.Stat(filepath.Join(stateDir, "cycle")); !os.IsNotExist(err) {
 		t.Fatalf("cycle workspace not cleaned: %v", err)
 	}
@@ -279,15 +283,15 @@ func TestGrowthSmoke(t *testing.T) {
 	if h, _ := bundle.Fingerprint(archived); h != rec.CandidateHash {
 		t.Fatalf("archive hash %s, record %s", h, rec.CandidateHash)
 	}
-	head, err := bundle.Load(filepath.Join(stateDir, "parent.json"))
+	pin, err := bundle.Load(filepath.Join(stateDir, "parent.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if head.Provenance.Parent != rootHash || head.Provenance.GrowthCycle != 1 {
-		t.Fatalf("lineage head provenance %+v", head.Provenance)
+	if h, _ := bundle.Fingerprint(pin); h != rootHash || pin.Provenance.GrowthCycle != 0 {
+		t.Fatalf("parent.json moved off the boot pin: hash %s, provenance %+v", h, pin.Provenance)
 	}
 
-	// A restarted daemon boots the grown lineage, not the boot bundle.
+	// A restarted daemon boots candidate-1.json, not the boot bundle.
 	dmn2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -296,9 +300,132 @@ func TestGrowthSmoke(t *testing.T) {
 	if st2.Parent != rec.CandidateHash || st2.GrowthCycle != 1 || st2.Stats.Cycles != 1 {
 		t.Fatalf("restarted daemon status %+v", st2)
 	}
+	testLineageHead(t, cfg, rec)
 
 	// The drained reservoir means the next tick skips again.
 	if rec2, err := dmn.RunCycle(context.Background()); err != nil || rec2 != nil {
 		t.Fatalf("post-cycle tick: rec=%v err=%v, want nil/nil", rec2, err)
+	}
+}
+
+// testLineageHead restarts copies of a state dir whose journal holds
+// promoted row rec: New must refuse a missing or mismatched archive,
+// and a later non-promoted row must not move the head off rec's
+// candidate.
+func testLineageHead(t *testing.T, cfg Config, rec *CycleRecord) {
+	t.Helper()
+	archive := fmt.Sprintf("candidate-%d.json", rec.Cycle)
+	clone := func(t *testing.T) Config {
+		c := cfg
+		c.StateDir = t.TempDir()
+		for _, name := range []string{"growth.jsonl", "parent.json", archive} {
+			data, err := os.ReadFile(filepath.Join(cfg.StateDir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(c.StateDir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+
+	t.Run("archive-missing", func(t *testing.T) {
+		c := clone(t)
+		if err := os.Remove(filepath.Join(c.StateDir, archive)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(c); err == nil {
+			t.Fatal("New booted without the promoted row's archive")
+		}
+	})
+	t.Run("archive-mismatch", func(t *testing.T) {
+		c := clone(t)
+		pin, err := os.ReadFile(filepath.Join(c.StateDir, "parent.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(c.StateDir, archive), pin, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(c); err == nil || !strings.Contains(err.Error(), rec.CandidateHash) {
+			t.Fatalf("New accepted an archive that is not the journaled candidate: %v", err)
+		}
+	})
+	t.Run("promoted-then-rejected", func(t *testing.T) {
+		c := clone(t)
+		// A later verify-rejected row archives its own candidate; the
+		// parent.json bytes stand in for it (a different fingerprint).
+		pin, err := os.ReadFile(filepath.Join(c.StateDir, "parent.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := rec.Cycle + 1
+		if err := os.WriteFile(filepath.Join(c.StateDir, fmt.Sprintf("candidate-%d.json", next)), pin, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		row := CycleRecord{Cycle: next, Outcome: OutcomeRolledBack, NewLFs: 1,
+			CandidateHash: "rejected", Parent: rec.CandidateHash, CreatedUnix: rec.CreatedUnix}
+		if err := ckpt.Append(filepath.Join(c.StateDir, "growth.jsonl"), row); err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := d.Status(); st.Parent != rec.CandidateHash || st.Stats.Cycles != 2 || st.Stats.RolledBack != 1 {
+			t.Fatalf("restart after a rejected cycle: head %s (want %s), stats %+v", st.Parent, rec.CandidateHash, st.Stats)
+		}
+	})
+}
+
+// TestGrowthJournalFailureKeepsParent fails the journal append of a
+// promoted cycle: the registry already serves the candidate, but the
+// lineage head must stay the parent until the row is durable, so the
+// retried cycle resumes from its workspace and records the same row.
+func TestGrowthJournalFailureKeepsParent(t *testing.T) {
+	_, d, path := trained(t)
+	parent, err := bundle.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	cfg := Config{
+		Tenant: "t", Registry: newTestRegistry(t, registry.Options{}, path), Base: d, Parent: parent,
+		Pipeline: growthPipeline(), StateDir: stateDir,
+		Budget: 4, MinCorpus: 8,
+		now: func() int64 { return 1_754_000_000 },
+	}
+	dmn, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootHash := dmn.Status().Parent
+
+	// A directory where the journal belongs makes the append fail.
+	journal := filepath.Join(stateDir, "growth.jsonl")
+	if err := os.Mkdir(journal, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dmn.Capture("t", corpusTexts(d, 24))
+	if _, err := dmn.RunCycle(context.Background()); err == nil {
+		t.Fatal("cycle succeeded without a journal")
+	}
+	if st := dmn.Status(); st.Parent != rootHash || st.Stats.Cycles != 0 {
+		t.Fatalf("lineage moved without a journal row: parent %s (root %s), stats %+v", st.Parent, rootHash, st.Stats)
+	}
+
+	if err := os.Remove(journal); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := dmn.RunCycle(context.Background())
+	if err != nil {
+		t.Fatalf("retry after the failed append: %v", err)
+	}
+	if rec.Cycle != 1 || rec.Outcome != OutcomePromoted || rec.Parent != rootHash {
+		t.Fatalf("retried cycle record %+v", rec)
+	}
+	if st := dmn.Status(); st.Parent != rec.CandidateHash || st.Stats.Cycles != 1 {
+		t.Fatalf("after the retry: parent %s (candidate %s), stats %+v", st.Parent, rec.CandidateHash, st.Stats)
 	}
 }

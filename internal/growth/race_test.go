@@ -19,23 +19,28 @@ import (
 	"datasculpt/internal/serve"
 )
 
-// TestGrowthRollbackUnderLoad races the growth loop's worst case —
-// promoting a regressing candidate and rolling it back — against live
-// /v1/label traffic and a concurrent manual promoter. Invariants: the
-// bad candidate is caught by the post-promote verification, every
-// served request gets exactly one successful answer, manual promotions
-// observe strictly increasing generations, and the growth lineage never
+// TestGrowthVerifyRejectUnderLoad races a cycle whose candidate
+// regresses against live /v1/label traffic and a concurrent manual
+// promoter. Invariants: the offline verification rejects the candidate
+// before it is ever served, so growth adds no registry swap and no
+// rollback and the operator's last promote stays served; every served
+// request gets exactly one successful answer; manual promotions observe
+// strictly increasing generations; and the growth lineage never
 // advances. Run under -race.
-func TestGrowthRollbackUnderLoad(t *testing.T) {
+func TestGrowthVerifyRejectUnderLoad(t *testing.T) {
 	_, d, path := trained(t)
 	parent, err := bundle.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ShadowSample -1 disables the registry's own gate: the regressing
-	// candidate must get through Promote so the growth loop's verify →
-	// rollback path is what catches it.
-	reg := newTestRegistry(t, registry.Options{ShadowSample: -1}, path)
+	// ShadowSample -1 disables the registry's own gate: were the
+	// regressing candidate ever promoted, nothing would stop the swap.
+	o := obs.New(nil, obs.NewRegistry(), nil)
+	reg := registry.New(o, registry.Options{ShadowSample: -1})
+	t.Cleanup(reg.Close)
+	if err := reg.Register("t", path); err != nil {
+		t.Fatal(err)
+	}
 	dmn, err := New(Config{
 		Tenant: "t", Registry: reg, Base: d, Parent: parent,
 		Pipeline: growthPipeline(), StateDir: t.TempDir(),
@@ -43,7 +48,7 @@ func TestGrowthRollbackUnderLoad(t *testing.T) {
 		now: func() int64 { return 1_754_300_000 },
 		// Sabotage the candidate after evaluation but before pinning:
 		// negated weights invert every prediction, so the quality gate
-		// (which saw the honest metric) passes but post-promote
+		// (which saw the honest metric) passes but the offline
 		// verification against the parent must fail.
 		mutateCandidate: func(b *bundle.Bundle) {
 			for j := range b.EndModel.W {
@@ -116,7 +121,7 @@ func TestGrowthRollbackUnderLoad(t *testing.T) {
 	}
 
 	// Manual promoter: re-promotes the boot bundle over HTTP while the
-	// growth loop promotes and rolls back its candidate.
+	// growth loop verifies and rejects its candidate.
 	promoGens := make([]int, 0, 6)
 	wg.Add(1)
 	go func() {
@@ -154,7 +159,7 @@ func TestGrowthRollbackUnderLoad(t *testing.T) {
 		t.Fatalf("sabotaged candidate verified at %.3f agreement", rec.VerifyAgreement)
 	}
 	if failed.Load() != 0 {
-		t.Fatalf("%d of %d label/promote requests failed during rollback; first: %v",
+		t.Fatalf("%d of %d label/promote requests failed during the cycle; first: %v",
 			failed.Load(), workers*perWorker, firstEr)
 	}
 	if got := served.Load(); got != workers*perWorker {
@@ -166,10 +171,32 @@ func TestGrowthRollbackUnderLoad(t *testing.T) {
 		}
 	}
 
-	// The rollback must not advance the growth lineage.
+	// Growth added no swap: every generation is a manual promote, none
+	// was rolled back, and the last manual promote is what is served.
+	if len(promoGens) != 6 {
+		t.Fatalf("%d manual promotes answered, want 6", len(promoGens))
+	}
+	if rec.Generation != 0 {
+		t.Fatalf("rejected cycle recorded generation %d", rec.Generation)
+	}
+	gen := -1
+	for _, info := range reg.List() {
+		if info.Tenant == "t" {
+			gen = info.Generation
+		}
+	}
+	if gen != len(promoGens) || gen != promoGens[len(promoGens)-1] {
+		t.Fatalf("registry at generation %d after %d manual promotes (last saw %d)",
+			gen, len(promoGens), promoGens[len(promoGens)-1])
+	}
+	if n := o.Metrics.CounterValue("serve_bundle_rollbacks_total"); n != 0 {
+		t.Fatalf("serve_bundle_rollbacks_total = %v, want 0", n)
+	}
+
+	// The rejection must not advance the growth lineage.
 	st := dmn.Status()
 	if st.Parent != rootHash || st.GrowthCycle != 0 {
-		t.Fatalf("lineage advanced through a rolled-back cycle: parent %s cycle %d", st.Parent, st.GrowthCycle)
+		t.Fatalf("lineage advanced through a rejected cycle: parent %s cycle %d", st.Parent, st.GrowthCycle)
 	}
 	if st.Stats.RolledBack != 1 || st.Stats.Promoted != 0 {
 		t.Fatalf("stats %+v", st.Stats)

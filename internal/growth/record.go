@@ -2,10 +2,10 @@ package growth
 
 // Cycle outcomes, in the order the promotion state machine can reach
 // them: a cycle that proposed nothing stops before bundling; a
-// candidate below the quality floor never reaches the registry; the
-// registry's shadow gate can reject it; a promoted candidate that
-// fails the post-promote verification is rolled back; everything else
-// is promoted and becomes the next cycle's parent.
+// candidate below the quality floor never reaches the registry, nor
+// does one that fails the offline verification (OutcomeRolledBack, its
+// journaled name); the registry's shadow gate can reject it; everything
+// else is promoted and becomes the next cycle's parent.
 const (
 	OutcomeNoNewLFs        = "no_new_lfs"
 	OutcomeQualityRejected = "quality_rejected"
@@ -35,8 +35,8 @@ type CycleRecord struct {
 	CandidateMetric float64 `json:"candidate_metric,omitempty"`
 	ParentMetric    float64 `json:"parent_metric"`
 	// ShadowAgreement is what the registry's gate measured (when it
-	// ran); VerifyAgreement is the growth loop's own post-promote
-	// check of candidate vs parent over the cycle corpus.
+	// ran); VerifyAgreement is the growth loop's own offline check of
+	// candidate vs parent over the cycle corpus.
 	ShadowAgreement float64 `json:"shadow_agreement,omitempty"`
 	VerifyAgreement float64 `json:"verify_agreement,omitempty"`
 	// Generation is the registry generation a promotion produced.

@@ -1,11 +1,11 @@
 // Package growth closes the ROADMAP's train-while-serving loop: a
 // background daemon inside datasculptd that captures a bounded sample
 // of served texts, periodically re-runs the select→prompt→filter
-// pipeline over them to propose new label functions, and promotes the
-// grown bundle through the registry's shadow-gated hot swap — rolling
-// back automatically on regression. Every stage is journaled as
-// durable JSONL state (internal/ckpt), so a killed daemon resumes
-// mid-cycle and produces a byte-identical candidate bundle.
+// pipeline over them to propose new label functions, verifies the
+// grown bundle offline, then promotes it through the registry's
+// shadow-gated hot swap. Every stage is journaled as durable JSONL
+// state (internal/ckpt), so a killed daemon resumes mid-cycle and
+// produces a byte-identical candidate bundle.
 package growth
 
 import (
