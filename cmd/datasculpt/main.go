@@ -8,7 +8,11 @@
 //
 // It is the quickest way to explore how the framework behaves under a
 // specific configuration; use benchtab to regenerate the paper's full
-// tables and figures.
+// tables and figures. The run is a one-cell benchtab grid (method =
+// variant, title "datasculpt"): each seed gets the corpus and pipeline
+// seed benchtab would give it, seeds run one at a time in order, the
+// summary is their mean, and -checkpoint/-resume, -metrics-out's grid_*
+// series and -trace-out's cell spans behave as they do in benchtab.
 package main
 
 import (
@@ -20,13 +24,11 @@ import (
 	"sort"
 
 	"datasculpt/internal/bundle"
-	"datasculpt/internal/ckpt"
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/experiment"
 	"datasculpt/internal/lf"
 	"datasculpt/internal/llm"
-	"datasculpt/internal/metrics"
 	"datasculpt/internal/obs"
 )
 
@@ -72,7 +74,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "datasculpt:", err)
 		os.Exit(1)
 	}
-	runErr := run(obs.NewContext(ctx, o), runOptions{
+	runErr := run(ctx, runOptions{
 		dataset: *dsName, variant: *variant, model: *model, sampler: *smp,
 		labelModel: *labelModel, iterations: *iterations, seeds: *seeds,
 		scale: *scale, noAccuracy: *noAccuracy, noRedundancy: *noRedundancy,
@@ -108,150 +110,91 @@ type runOptions struct {
 	obs                                          *obs.Obs
 }
 
-// cliGridTitle namespaces datasculpt's per-seed checkpoint records so
-// they cannot collide with benchtab sweeps sharing a file.
+// cliGridTitle names datasculpt's one-cell grid, which namespaces its
+// per-seed checkpoint records so they cannot collide with benchtab
+// sweeps sharing a file.
 const cliGridTitle = "datasculpt"
 
 func run(ctx context.Context, o runOptions) error {
-	dsName, variant, model, smp, labelModel := o.dataset, o.variant, o.model, o.sampler, o.labelModel
-	iterations, seeds, scale := o.iterations, o.seeds, o.scale
-	noAccuracy, noRedundancy, showLFs := o.noAccuracy, o.noRedundancy, o.showLFs
-	if seeds < 1 {
-		return fmt.Errorf("-seeds must be at least 1, got %d", seeds)
+	if o.seeds < 1 {
+		return fmt.Errorf("-seeds must be at least 1, got %d", o.seeds)
 	}
 	if o.obs == nil {
 		o.obs = obs.Default()
 	}
-	// Seeds recorded in a -resume checkpoint are restored instead of
-	// re-run; completed seeds are appended to -checkpoint as they finish.
-	var restored map[int]*core.Result
-	if o.resume != "" {
-		records, err := experiment.LoadCheckpoint(o.resume)
-		if err != nil {
-			return err
-		}
-		restored = make(map[int]*core.Result)
-		for i := range records {
-			rec := &records[i]
-			if rec.Grid == cliGridTitle && rec.Method == variant && rec.Dataset == dsName {
-				restored[rec.Seed] = rec.Result
-			}
-		}
-	}
-	var cw *ckpt.Writer
-	if o.checkpoint != "" {
-		w, err := ckpt.Open(o.checkpoint)
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		cw = w
-	}
-
-	var results []*core.Result
+	// The seeds run as a one-cell sweep (method = variant), one at a
+	// time and in order. computed marks the seeds run this invocation;
+	// the rest were restored from -resume. Restored seeds carry
+	// statistics only, so -lfs/-analyze/-save-* report from the last
+	// computed seed.
+	computed := make(map[int]bool)
+	var final *core.Result
 	var last *dataset.Dataset
-	// finalComputed is the last result actually run this invocation;
-	// restored seeds carry statistics only (LF sets are not
-	// checkpointed), so -lfs/-analyze/-save-lfs report from it.
-	var finalComputed *core.Result
 	var finalCfg core.Config
 	var cacheStats llm.CacheStats
-	for s := 1; s <= seeds; s++ {
-		if res, ok := restored[s]; ok {
-			results = append(results, res)
-			fmt.Printf("seed %d (restored): %s\n", s, res)
-			if cw != nil && o.checkpoint != o.resume {
-				rec := experiment.CellRecord{Grid: cliGridTitle, Method: variant, Dataset: dsName, Seed: s, Result: res}
-				if err := cw.Append(rec); err != nil {
-					return err
-				}
+	g, err := experiment.Sweep(ctx, experiment.Options{
+		Seeds: o.seeds, Scale: o.scale, Datasets: []string{o.dataset},
+		Iterations: o.iterations, Model: o.model, Workers: 1,
+		Checkpoint: o.checkpoint, ResumeFrom: o.resume,
+		MaxFailedIterations: o.maxFailedIters, Obs: o.obs,
+	}, cliGridTitle, []string{o.variant},
+		func(ctx context.Context, variant string, d *dataset.Dataset, seed int, cfg core.Config) (*core.Result, error) {
+			cfg.Variant = core.Variant(variant)
+			cfg.Sampler = o.sampler
+			cfg.LabelModel = o.labelModel
+			cfg.Filters = lf.FilterConfig{UseAccuracy: !o.noAccuracy, UseRedundancy: !o.noRedundancy}
+			cfg.ReviseRejected = o.revise
+			cfg.Parallelism = o.parallelism
+			cfg.ANNThreshold = o.annThreshold
+			cfg.ANNMultiplier = o.annMultiplier
+			cfg.VoteSpillMB = o.voteSpillMB
+			// A response cache in front of the endpoint the pipeline
+			// builds, so the summary can report hit rates (and repeated
+			// prompts cost nothing against a real provider).
+			var cache *llm.Cache
+			cfg.WrapModel = func(m llm.ChatModel) llm.ChatModel {
+				cache = llm.NewCache(m).Instrument(o.obs.Metrics)
+				return cache
 			}
-			continue
-		}
-		d, err := dataset.Load(dsName, int64(7000+13*s), scale)
-		if err != nil {
-			return err
-		}
-		last = d
-		cfg := core.Config{
-			Model:      model,
-			Variant:    core.Variant(variant),
-			Iterations: iterations,
-			Sampler:    smp,
-			LabelModel: labelModel,
-			Filters: lf.FilterConfig{
-				UseAccuracy:   !noAccuracy,
-				UseRedundancy: !noRedundancy,
-			},
-			ReviseRejected:      o.revise,
-			MaxFailedIterations: o.maxFailedIters,
-			Parallelism:         o.parallelism,
-			ANNThreshold:        o.annThreshold,
-			ANNMultiplier:       o.annMultiplier,
-			VoteSpillMB:         o.voteSpillMB,
-			Seed:                int64(100*s + 1),
-		}
-		// Same endpoint the pipeline would build itself, with a response
-		// cache in front so the end-of-run summary can report hit rates
-		// (and repeated prompts cost nothing against a real provider).
-		sim, err := llm.NewSimulated(model, d, cfg.Seed+101)
-		if err != nil {
-			return err
-		}
-		cache := llm.NewCache(sim).Instrument(o.obs.Metrics)
-		cfg.ChatModel = cache
-		res, err := core.RunContext(ctx, d, cfg)
-		if err != nil {
-			return err
-		}
-		cacheStats.Add(cache.Stats())
-		results = append(results, res)
-		finalComputed = res
-		finalCfg = cfg
-		fmt.Printf("seed %d: %s\n", s, res)
-		if cw != nil {
-			rec := experiment.CellRecord{Grid: cliGridTitle, Method: variant, Dataset: dsName, Seed: s, Result: res}
-			if err := cw.Append(rec); err != nil {
-				return err
+			res, err := core.RunContext(ctx, d, cfg)
+			if err != nil {
+				return nil, err
 			}
-		}
+			cacheStats.Add(cache.Stats())
+			computed[seed], final, last, finalCfg = true, res, d, cfg
+			return res, nil
+		})
+	if err != nil {
+		return err
 	}
 
-	fmt.Printf("\n%s / datasculpt-%s / %s / %s sampling, %d iterations, %d seed(s)\n",
-		dsName, variant, model, smp, iterations, seeds)
-	var nlf, acc, cov, total, em, tokens, cost []float64
-	accKnown := false
-	for _, r := range results {
-		nlf = append(nlf, float64(r.NumLFs))
-		cov = append(cov, r.LFCoverage)
-		total = append(total, r.TotalCoverage)
-		em = append(em, r.EndMetric)
-		tokens = append(tokens, float64(r.TotalTokens()))
-		cost = append(cost, r.CostUSD)
-		if r.LFAccuracyKnown {
-			acc = append(acc, r.LFAccuracy)
-			accKnown = true
+	results := g.Seeds[o.variant][o.dataset]
+	var totalCost float64
+	for i, r := range results {
+		restored := " (restored)"
+		if computed[i+1] {
+			restored = ""
 		}
+		fmt.Printf("seed %d%s: %s\n", i+1, restored, r)
+		totalCost += r.CostUSD
 	}
-	fmt.Printf("  #LFs:        %.1f\n", metrics.Mean(nlf))
-	if accKnown {
-		fmt.Printf("  LF accuracy: %.3f\n", metrics.Mean(acc))
+	st, _ := g.Get(o.variant, o.dataset)
+	fmt.Printf("\n%s / datasculpt-%s / %s / %s sampling, %d iterations, %d seed(s)\n",
+		o.dataset, o.variant, o.model, o.sampler, o.iterations, o.seeds)
+	fmt.Printf("  #LFs:        %.1f\n", st.NumLFs)
+	if st.LFAccKnown {
+		fmt.Printf("  LF accuracy: %.3f\n", st.LFAcc)
 	} else {
 		fmt.Printf("  LF accuracy: - (train labels unavailable)\n")
 	}
-	fmt.Printf("  LF coverage: %.4f\n", metrics.Mean(cov))
-	fmt.Printf("  total cov.:  %.3f\n", metrics.Mean(total))
-	fmt.Printf("  end %s: %.3f\n", results[0].MetricName, metrics.Mean(em))
-	fmt.Printf("  tokens:      %.0f  (cost $%.4f)\n", metrics.Mean(tokens), metrics.Mean(cost))
-	var totalCost float64
-	for _, c := range cost {
-		totalCost += c
-	}
+	fmt.Printf("  LF coverage: %.4f\n", st.LFCov)
+	fmt.Printf("  total cov.:  %.3f\n", st.TotalCov)
+	fmt.Printf("  end %s: %.3f\n", st.MetricName, st.EM)
+	fmt.Printf("  tokens:      %.0f  (cost $%.4f)\n", st.TotalTokens(), st.CostUSD)
 	fmt.Printf("  cache:       %s; total cost $%.4f across %d seed(s)\n",
-		cacheStats, totalCost, seeds)
+		cacheStats, totalCost, o.seeds)
 
-	final := finalComputed
-	if (o.saveLFs != "" || o.saveBundle != "" || o.analyze || showLFs) && final == nil {
+	if (o.saveLFs != "" || o.saveBundle != "" || o.analyze || o.showLFs) && final == nil {
 		fmt.Println("\nnote: every seed was restored from the checkpoint; trained artifacts are not" +
 			" checkpointed, so -save-lfs, -save-bundle, -analyze and -lfs have nothing to report")
 	}
@@ -280,7 +223,7 @@ func run(ctx context.Context, o runOptions) error {
 			"\n  datasculptd -bundle %s\n",
 			len(b.LFs), b.Dataset.MetricName, b.Provenance.EndMetric, o.saveBundle, o.saveBundle)
 	}
-	if !o.analyze && !showLFs {
+	if !o.analyze && !o.showLFs {
 		return nil
 	}
 	// One train index and vote matrix serve both reports.
@@ -296,7 +239,7 @@ func run(ctx context.Context, o runOptions) error {
 		fmt.Println("\nLF analysis (train split):")
 		fmt.Print(lf.FormatSummaries(sorted))
 	}
-	if showLFs {
+	if o.showLFs {
 		fmt.Println("\nGenerated label functions (last computed seed):")
 		sort.Slice(sums, func(i, j int) bool { return sums[i].Coverage > sums[j].Coverage })
 		for _, s := range sums {

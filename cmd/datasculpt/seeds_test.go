@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"datasculpt/internal/obs"
 )
 
 // seedsOptions is the configuration TestSeedsGolden runs: three seeds
@@ -98,5 +100,34 @@ func TestSeedsGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("multi-seed output drifted from %s (run with -update to regenerate):\n got:\n%s\nwant:\n%s",
 			golden, got.Bytes(), want)
+	}
+}
+
+// TestResumeMetrics checks that a resumed run's -metrics-out counts the
+// seeds it restored in grid_cells_resumed_total.
+func TestResumeMetrics(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.jsonl")
+	o := seedsOptions()
+	o.seeds, o.checkpoint = 2, full
+	captureStdout(t, func() error { return run(context.Background(), o) })
+
+	metricsPath := filepath.Join(dir, "metrics.prom")
+	ob, cleanup, err := obs.Setup(obs.SetupConfig{MetricsPath: metricsPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o = seedsOptions()
+	o.resume, o.obs = full, ob
+	captureStdout(t, func() error { return run(context.Background(), o) })
+	if err := cleanup(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "\ngrid_cells_resumed_total 2\n"; !strings.Contains(string(data), want) {
+		t.Errorf("-metrics-out lacks %q:\n%s", strings.TrimSpace(want), data)
 	}
 }

@@ -38,13 +38,11 @@ const chaosTitle = "chaos grid"
 var chaosMethods = []string{MethodBase, MethodSC}
 
 // chaosSweep runs the standard chaos grid with the given options.
-func chaosSweep(ctx context.Context, o Options, run cellFunc) (*Grid, error) {
+func chaosSweep(ctx context.Context, o Options, run CellFunc) (*Grid, error) {
 	if run == nil {
-		run = func(ctx context.Context, method string, d *dataset.Dataset, seed int) (*core.Result, error) {
-			return runMethod(ctx, o, method, d, seed)
-		}
+		run = runMethod
 	}
-	return sweep(ctx, o, chaosTitle, chaosMethods, run)
+	return Sweep(ctx, o, chaosTitle, chaosMethods, run)
 }
 
 // TestChaosGridResumeIdentical is the end-to-end fault-tolerance check:
@@ -116,12 +114,12 @@ func TestChaosGridResumeIdentical(t *testing.T) {
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var calls atomic.Int64
-	_, err = chaosSweep(ictx, oC, func(ctx context.Context, method string, d *dataset.Dataset, seed int) (*core.Result, error) {
+	_, err = chaosSweep(ictx, oC, func(ctx context.Context, method string, d *dataset.Dataset, seed int, cfg core.Config) (*core.Result, error) {
 		if calls.Add(1) > 2 {
 			cancel()
 			return nil, ctx.Err()
 		}
-		return runMethod(ctx, oC, method, d, seed)
+		return runMethod(ctx, method, d, seed, cfg)
 	})
 	if err == nil {
 		t.Fatal("interrupted sweep returned no error")

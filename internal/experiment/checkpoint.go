@@ -31,6 +31,18 @@ type CellRecord struct {
 	Result  *core.Result `json:"result"`
 }
 
+// checkpointForm returns the part of r a checkpoint record keeps: a
+// copy without the LF set, rejection counts and trained artifacts, so
+// a grid holds every cell's seeds cheaply. A nil r stays nil.
+func checkpointForm(r *core.Result) *core.Result {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	c.LFs, c.Rejections, c.Artifacts = nil, nil, nil
+	return &c
+}
+
 // cellKey identifies a cell within one sweep.
 func cellKey(method, ds string, seed int) string {
 	return fmt.Sprintf("%s|%s|%d", method, ds, seed)

@@ -21,8 +21,8 @@ import (
 type Options struct {
 	// Seeds is the number of repetitions averaged per cell (paper: 5).
 	Seeds int
-	// Scale in (0,1] shrinks the datasets for quick runs (1 = Table 1
-	// sizes).
+	// Scale multiplies every split's size: 1 (the default) is Table 1,
+	// below 1 shrinks the datasets for quick runs, above 1 grows them.
 	Scale float64
 	// Datasets selects a subset (default: all six, paper order).
 	Datasets []string
@@ -79,7 +79,7 @@ func (o Options) normalized() Options {
 	if o.Seeds <= 0 {
 		o.Seeds = 5
 	}
-	if o.Scale <= 0 || o.Scale > 1 {
+	if o.Scale <= 0 {
 		o.Scale = 1
 	}
 	if len(o.Datasets) == 0 {
@@ -170,12 +170,17 @@ func meanStats(rs []*core.Result) Stats {
 	return out
 }
 
-// Grid is a methods × datasets result matrix.
+// Grid is a methods × datasets result matrix: each cell's mean over
+// seeds, plus the per-seed results behind it.
 type Grid struct {
 	Title    string
 	Methods  []string
 	Datasets []string
 	Cells    map[string]map[string]Stats // method -> dataset -> stats
+	// Seeds holds each cell's per-seed results (index seed-1, nil where
+	// the seed failed) in their checkpoint form: statistics only, without
+	// the LF set, rejection counts or trained artifacts.
+	Seeds map[string]map[string][]*core.Result
 	// Errors holds per-cell failures recorded under Options.KeepGoing
 	// (seed errors of one cell are joined). Cells present in Errors may
 	// still carry Stats averaged over the seeds that succeeded.
@@ -185,9 +190,11 @@ type Grid struct {
 func newGrid(title string, methods, datasets []string) *Grid {
 	g := &Grid{Title: title, Methods: methods, Datasets: datasets,
 		Cells:  make(map[string]map[string]Stats),
+		Seeds:  make(map[string]map[string][]*core.Result),
 		Errors: make(map[string]map[string]error)}
 	for _, m := range methods {
 		g.Cells[m] = make(map[string]Stats)
+		g.Seeds[m] = make(map[string][]*core.Result)
 		g.Errors[m] = make(map[string]error)
 	}
 	return g

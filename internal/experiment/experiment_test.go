@@ -30,9 +30,9 @@ func TestOptionsNormalized(t *testing.T) {
 	if len(o.Datasets) != 6 || o.Datasets[5] != "spouse" {
 		t.Errorf("default datasets = %v, want the paper's six", o.Datasets)
 	}
-	bad := Options{Scale: 7}.normalized()
-	if bad.Scale != 1 {
-		t.Errorf("scale 7 normalized to %v", bad.Scale)
+	// above 1 grows every split (`datasculpt -scale 100`)
+	if big := (Options{Scale: 7}).normalized(); big.Scale != 7 {
+		t.Errorf("scale 7 normalized to %v", big.Scale)
 	}
 }
 
@@ -229,10 +229,7 @@ func TestPaperAveragesLookup(t *testing.T) {
 
 func TestRunMethodUnknown(t *testing.T) {
 	o := quickOptions().normalized()
-	g, err := sweep(context.Background(), o, "t", []string{"mystery"},
-		func(ctx context.Context, method string, d *dataset.Dataset, seed int) (*core.Result, error) {
-			return runMethod(ctx, o, method, d, seed)
-		})
+	g, err := Sweep(context.Background(), o, "t", []string{"mystery"}, runMethod)
 	if err == nil {
 		t.Errorf("unknown method produced grid %v", g)
 	}
@@ -265,8 +262,8 @@ func TestSweepFailFast(t *testing.T) {
 	o := quickOptions().normalized()
 	o.Workers = 4
 	boom := errors.New("boom")
-	_, err := sweep(context.Background(), o, "t", []string{"a", "b"},
-		func(ctx context.Context, method string, d *dataset.Dataset, seed int) (*core.Result, error) {
+	_, err := Sweep(context.Background(), o, "t", []string{"a", "b"},
+		func(ctx context.Context, method string, d *dataset.Dataset, seed int, cfg core.Config) (*core.Result, error) {
 			if method == "b" && d.Name == "sms" {
 				return nil, boom
 			}
@@ -286,12 +283,12 @@ func TestSweepKeepGoing(t *testing.T) {
 	o.Seeds = 2
 	o.KeepGoing = true
 	boom := errors.New("boom")
-	g, err := sweep(context.Background(), o, "t", []string{"a", "b"},
-		func(ctx context.Context, method string, d *dataset.Dataset, seed int) (*core.Result, error) {
+	g, err := Sweep(context.Background(), o, "t", []string{"a", "b"},
+		func(ctx context.Context, method string, d *dataset.Dataset, seed int, cfg core.Config) (*core.Result, error) {
 			if method == "b" && d.Name == "sms" && seed == 2 {
 				return nil, boom
 			}
-			return &core.Result{Method: method, NumLFs: 3}, nil
+			return &core.Result{Method: method, NumLFs: 3, Artifacts: &core.Artifacts{}}, nil
 		})
 	if err != nil {
 		t.Fatalf("KeepGoing surfaced error: %v", err)
@@ -311,14 +308,21 @@ func TestSweepKeepGoing(t *testing.T) {
 	if s, _ := g.Get("a", "youtube"); s.Runs != 2 {
 		t.Errorf("healthy cell runs = %d, want 2", s.Runs)
 	}
+	// per-seed results keep only their statistics; the failed seed is nil
+	if seeds := g.Seeds["b"]["sms"]; len(seeds) != 2 || seeds[0] == nil || seeds[1] != nil {
+		t.Fatalf("per-seed results = %v, want seed 1 only", seeds)
+	}
+	if r := g.Seeds["b"]["sms"][0]; r.NumLFs != 3 || r.Artifacts != nil {
+		t.Errorf("per-seed result = %+v, want statistics without artifacts", r)
+	}
 }
 
 func TestSweepContextCanceled(t *testing.T) {
 	o := quickOptions().normalized()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sweep(ctx, o, "t", []string{"a"},
-		func(ctx context.Context, method string, d *dataset.Dataset, seed int) (*core.Result, error) {
+	_, err := Sweep(ctx, o, "t", []string{"a"},
+		func(ctx context.Context, method string, d *dataset.Dataset, seed int, cfg core.Config) (*core.Result, error) {
 			return nil, ctx.Err()
 		})
 	if !errors.Is(err, context.Canceled) {
@@ -332,8 +336,8 @@ func TestSweepWorkerCountIrrelevantForErrors(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		o := quickOptions().normalized()
 		o.Workers = workers
-		_, err := sweep(context.Background(), o, "t", []string{"x"},
-			func(ctx context.Context, method string, d *dataset.Dataset, seed int) (*core.Result, error) {
+		_, err := Sweep(context.Background(), o, "t", []string{"x"},
+			func(ctx context.Context, method string, d *dataset.Dataset, seed int, cfg core.Config) (*core.Result, error) {
 				return nil, fmt.Errorf("always")
 			})
 		if err == nil {

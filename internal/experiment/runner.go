@@ -61,9 +61,9 @@ func baseConfig(o Options, method, ds string, seed int) core.Config {
 	return cfg
 }
 
-// runMethod executes one (method, dataset, seed) cell.
-func runMethod(ctx context.Context, o Options, method string, d *dataset.Dataset, seed int) (*core.Result, error) {
-	cfg := baseConfig(o, method, d.Name, seed)
+// runMethod executes one cell of the Table 2 grid from its base
+// configuration.
+func runMethod(ctx context.Context, method string, d *dataset.Dataset, _ int, cfg core.Config) (*core.Result, error) {
 	switch method {
 	case MethodWrench:
 		lfs, err := baselines.Wrench(d)
@@ -77,7 +77,7 @@ func runMethod(ctx context.Context, o Options, method string, d *dataset.Dataset
 		res.Method = method
 		return res, nil
 	case MethodScriptorium:
-		lfs, meter, err := baselines.Scriptorium(ctx, d, o.Model, cfg.Seed+11)
+		lfs, meter, err := baselines.Scriptorium(ctx, d, cfg.Model, cfg.Seed+11)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +93,7 @@ func runMethod(ctx context.Context, o Options, method string, d *dataset.Dataset
 		res.CostUSD = usage.CostUSD
 		return res, nil
 	case MethodPromptedLF:
-		lfs, meter, err := baselines.PromptedLF(ctx, d, o.Model, cfg.Seed+17)
+		lfs, meter, err := baselines.PromptedLF(ctx, d, cfg.Model, cfg.Seed+17)
 		if err != nil {
 			return nil, err
 		}
@@ -123,8 +123,11 @@ func runMethod(ctx context.Context, o Options, method string, d *dataset.Dataset
 	}
 }
 
-// cellFunc executes one grid cell.
-type cellFunc func(ctx context.Context, method string, d *dataset.Dataset, seed int) (*core.Result, error)
+// CellFunc executes one (method, dataset, seed) grid cell: d is the
+// seed's corpus and cfg the base pipeline configuration Sweep derives
+// for it (model, iterations, pipeline seed, failure budget,
+// parallelism and any chaos wrapper).
+type CellFunc func(ctx context.Context, method string, d *dataset.Dataset, seed int, cfg core.Config) (*core.Result, error)
 
 // cell is one schedulable (method, dataset, seed) unit of the sweep.
 type cell struct {
@@ -132,8 +135,11 @@ type cell struct {
 	seed       int
 }
 
-// sweep fills a grid by running `run` for every (method, dataset, seed)
-// over a pool of Options.Workers goroutines.
+// Sweep fills a grid titled title by running run for every (method,
+// dataset, seed) over a pool of Options.Workers goroutines. It owns the
+// multi-seed protocol: corpus and pipeline seed derivation, checkpoint
+// restore and write-through, one `cell` span and the grid_* metrics per
+// cell, and the mean over seeds.
 //
 // Determinism: every cell loads its own dataset copy and owns its RNGs
 // and simulated endpoint, and each result is committed to a slot keyed
@@ -142,7 +148,8 @@ type cell struct {
 // (first error cancels the shared context and wins) unless
 // Options.KeepGoing, which records per-cell errors in the grid and
 // averages each cell over its surviving seeds.
-func sweep(ctx context.Context, o Options, title string, methods []string, run cellFunc) (*Grid, error) {
+func Sweep(ctx context.Context, o Options, title string, methods []string, run CellFunc) (*Grid, error) {
+	o = o.normalized()
 	// deterministic cell order: dataset-major, then method, then seed —
 	// the same order the serial runner used
 	var cells []cell
@@ -243,7 +250,9 @@ func sweep(ctx context.Context, o Options, title string, methods []string, run c
 		start := time.Now()
 		d, err := dataset.Load(c.ds, datasetSeed(c.seed), o.Scale)
 		if err == nil {
-			results[i], err = run(cctx, c.method, d, c.seed)
+			var res *core.Result
+			res, err = run(cctx, c.method, d, c.seed, baseConfig(o, c.method, c.ds, c.seed))
+			results[i] = checkpointForm(res)
 		}
 		dur := time.Since(start)
 		workersBusy.Add(-1)
@@ -319,6 +328,7 @@ func sweep(ctx context.Context, o Options, title string, methods []string, run c
 		for _, method := range methods {
 			var seedResults []*core.Result
 			var seedErrs []error
+			g.Seeds[method][dsName] = results[i : i+o.Seeds : i+o.Seeds]
 			for s := 1; s <= o.Seeds; s++ {
 				if res := results[i]; res != nil {
 					seedResults = append(seedResults, res)
@@ -350,10 +360,7 @@ func MainResultsContext(ctx context.Context, o Options) (*Grid, error) {
 	o = o.normalized()
 	o.logf("== main results (Table 2, Figures 3-4): %d datasets x %d seeds, scale %.2f, %d workers",
 		len(o.Datasets), o.Seeds, o.Scale, o.Workers)
-	return sweep(ctx, o, "Table 2: LF statistics and end model performance", MainMethods(),
-		func(ctx context.Context, method string, d *dataset.Dataset, seed int) (*core.Result, error) {
-			return runMethod(ctx, o, method, d, seed)
-		})
+	return Sweep(ctx, o, "Table 2: LF statistics and end model performance", MainMethods(), runMethod)
 }
 
 // Ablation is one of the paper's DataSculpt-SC ablations (Tables 3-5):
@@ -408,9 +415,8 @@ var Ablations = []Ablation{
 func AblationContext(ctx context.Context, o Options, a Ablation) (*Grid, error) {
 	o = o.normalized()
 	o.logf("== %s", a.banner)
-	return sweep(ctx, o, a.Title, a.Rows,
-		func(ctx context.Context, row string, d *dataset.Dataset, seed int) (*core.Result, error) {
-			cfg := baseConfig(o, row, d.Name, seed)
+	return Sweep(ctx, o, a.Title, a.Rows,
+		func(ctx context.Context, row string, d *dataset.Dataset, _ int, cfg core.Config) (*core.Result, error) {
 			cfg.Variant = core.VariantSC
 			a.set(&cfg, row)
 			res, err := core.RunContext(ctx, d, cfg)
