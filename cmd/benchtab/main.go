@@ -100,6 +100,11 @@ func main() {
 }
 
 func run(ctx context.Context, opts experiment.Options, table, figure int, all, compare bool, markdown string) error {
+	// The paper's tables are defined up to Table 1 size; Options would
+	// grow the datasets past it.
+	if opts.Scale <= 0 || opts.Scale > 1 {
+		return fmt.Errorf("-scale must be in (0,1], got %g", opts.Scale)
+	}
 	var main *experiment.Grid
 	ablations := make([]*experiment.Grid, len(experiment.Ablations))
 	needMain := all || table == 2 || figure == 3 || figure == 4

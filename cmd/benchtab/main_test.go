@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -72,7 +73,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // EXPERIMENTS.md must then be regenerated in the same change.
 func TestReproductionGolden(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "report.md")
-	opts := experiment.Options{Datasets: []string{"youtube"}}
+	opts := experiment.Options{Scale: 1, Datasets: []string{"youtube"}}
 	stdout := captureStdout(t, func() error {
 		return run(context.Background(), opts, 0, 0, true, true, report)
 	})
@@ -82,4 +83,16 @@ func TestReproductionGolden(t *testing.T) {
 	}
 	checkGolden(t, "youtube_stdout.golden", stdout)
 	checkGolden(t, "youtube_report.golden", md)
+}
+
+// TestScaleOutOfRange checks that -scale outside (0,1] fails before any
+// sweep runs instead of silently running another size.
+func TestScaleOutOfRange(t *testing.T) {
+	for _, scale := range []float64{0, -0.5, 1.5, 100} {
+		opts := experiment.Options{Scale: scale, Datasets: []string{"youtube"}}
+		err := run(context.Background(), opts, 2, 0, false, false, "")
+		if want := fmt.Sprintf("-scale must be in (0,1], got %g", scale); err == nil || err.Error() != want {
+			t.Errorf("scale %g: err = %v, want %q", scale, err, want)
+		}
+	}
 }
