@@ -35,7 +35,7 @@ import (
 //	promoted   the candidate cleared the quality gate, the offline
 //	           verification and the registry's shadow gate, and the
 //	           registry swapped it in, once
-//	recorded   the candidate is archived as candidate-<n>.json and the
+//	recorded   the candidate is renamed to candidate-<n>.json and the
 //	           outcome row is in growth.jsonl; the workspace is then
 //	           removed
 //
@@ -409,14 +409,13 @@ func (d *Daemon) decideOutcome(rec *CycleRecord, cand *bundle.Bundle, corpus [][
 // commit point — and removes the workspace. A promoted cand becomes the
 // lineage head only once its row is durable.
 func (d *Daemon) finalize(rec *CycleRecord, cand *bundle.Bundle, man *manifest, cycleDir string) error {
-	candPath := filepath.Join(cycleDir, "candidate.json")
-	if data, err := os.ReadFile(candPath); err == nil {
-		archive := filepath.Join(d.cfg.StateDir, fmt.Sprintf("candidate-%d.json", man.Cycle))
-		if err := os.WriteFile(archive, data, 0o644); err != nil {
-			return fmt.Errorf("growth: archiving candidate: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("growth: %w", err)
+	// A rename moves the pinned bytes into place atomically. A kill
+	// after it but before the row leaves the workspace without
+	// candidate.json, so the resumed cycle rebuilds the identical
+	// candidate from its journaled steps.
+	archive := filepath.Join(d.cfg.StateDir, fmt.Sprintf("candidate-%d.json", man.Cycle))
+	if err := os.Rename(filepath.Join(cycleDir, "candidate.json"), archive); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("growth: archiving candidate: %w", err)
 	}
 	if err := ckpt.Append(filepath.Join(d.cfg.StateDir, "growth.jsonl"), rec); err != nil {
 		return err
