@@ -110,71 +110,90 @@ func goldenProposer(t *testing.T, buf *bytes.Buffer, d *dataset.Dataset, cfg Con
 	return p
 }
 
-// TestRunsGolden pins the pipeline's outputs bit for bit: RunContext
-// over every variant × sampler pair the paper tables sweep, a relation
-// dataset, two multi-class datasets, the revision pass, a fault-degraded
-// run, and the growth
-// Proposer's journal and evaluation. Everything is a deterministic
-// function of the seeded configs, so any drift is a behaviour change.
-func TestRunsGolden(t *testing.T) {
-	yt, err := dataset.Load("youtube", 23, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	run := func(name string, d *dataset.Dataset, cfg Config) {
-		t.Helper()
-		res, err := RunContext(context.Background(), d, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		fmt.Fprintf(&buf, "== %s\n", name)
-		writeResult(&buf, res)
-	}
+// goldenRun is one pinned RunContext configuration of runs.golden.
+type goldenRun struct {
+	name    string
+	dataset string
+	scale   float64
+	cfg     Config
+}
 
+// goldenRuns lists the RunContext configurations runs.golden pins, in
+// file order: every variant × sampler pair the paper tables sweep, a
+// relation dataset, two multi-class datasets, the revision pass and a
+// fault-degraded run. Each call builds fresh configurations, since the
+// fault wrappers count the endpoints they wrap.
+func goldenRuns() []goldenRun {
+	var runs []goldenRun
 	for _, v := range []Variant{VariantBase, VariantCoT, VariantSC, VariantKATE} {
 		for _, smp := range []string{"random", "uncertain", "seu"} {
 			cfg := goldenConfig(v, smp)
 			cfg.UncertainRefreshEvery = 3
-			run(fmt.Sprintf("youtube/%s/%s", v, smp), yt, cfg)
+			runs = append(runs, goldenRun{fmt.Sprintf("youtube/%s/%s", v, smp), "youtube", 0.25, cfg})
 		}
 	}
-
-	spouse, err := dataset.Load("spouse", 23, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run("spouse/base/random", spouse, goldenConfig(VariantBase, "random"))
+	runs = append(runs, goldenRun{"spouse/base/random", "spouse", 0.25, goldenConfig(VariantBase, "random")})
 
 	// Multi-class runs: Agnews (K=4) with interim refits and TREC (K=6),
 	// so the end model's class blocks of four and of four plus two are
 	// pinned along with the binary ones.
-	agnews, err := dataset.Load("agnews", 23, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
 	agnewsCfg := goldenConfig(VariantBase, "uncertain")
 	agnewsCfg.UncertainRefreshEvery = 3
-	run("agnews/base/uncertain", agnews, agnewsCfg)
-
-	trec, err := dataset.Load("trec", 23, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run("trec/base/random", trec, goldenConfig(VariantBase, "random"))
+	runs = append(runs, goldenRun{"agnews/base/uncertain", "agnews", 0.02, agnewsCfg},
+		goldenRun{"trec/base/random", "trec", 0.1, goldenConfig(VariantBase, "random")})
 
 	revise := goldenConfig(VariantSC, "random")
 	revise.Iterations = 12
 	revise.ReviseRejected = true
 	revise.MaxRevisions = 6
-	run("youtube/sc/random/revise", yt, revise)
-
 	faulty := goldenConfig(VariantSC, "seu")
 	faulty.Iterations = 12
 	faulty.MaxFailedIterations = UnlimitedFailures
 	faulty.WrapModel = faultWrap(5)
-	run("youtube/sc/seu/faults", yt, faulty)
+	return append(runs, goldenRun{"youtube/sc/random/revise", "youtube", 0.25, revise},
+		goldenRun{"youtube/sc/seu/faults", "youtube", 0.25, faulty})
+}
 
+// goldenLoader returns a loader that loads each (dataset, scale) of the
+// golden runs once, at seed 23, applies prepare (when non-nil) and
+// hands out the same copy after.
+func goldenLoader(t *testing.T, prepare func(*dataset.Dataset)) func(name string, scale float64) *dataset.Dataset {
+	loaded := make(map[string]*dataset.Dataset)
+	return func(name string, scale float64) *dataset.Dataset {
+		t.Helper()
+		key := fmt.Sprintf("%s@%g", name, scale)
+		if d, ok := loaded[key]; ok {
+			return d
+		}
+		d, err := dataset.Load(name, 23, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prepare != nil {
+			prepare(d)
+		}
+		loaded[key] = d
+		return d
+	}
+}
+
+// TestRunsGolden pins the pipeline's outputs bit for bit: RunContext
+// over goldenRuns, and the growth Proposer's journal and evaluation.
+// Everything is a deterministic function of the seeded configs, so any
+// drift is a behaviour change.
+func TestRunsGolden(t *testing.T) {
+	load := goldenLoader(t, nil)
+	var buf bytes.Buffer
+	for _, r := range goldenRuns() {
+		res, err := RunContext(context.Background(), load(r.dataset, r.scale), r.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		fmt.Fprintf(&buf, "== %s\n", r.name)
+		writeResult(&buf, res)
+	}
+
+	yt := load("youtube", 0.25)
 	first, err := NewProposer(yt, goldenConfig(VariantBase, "random"), ProposerOptions{})
 	if err != nil {
 		t.Fatal(err)
