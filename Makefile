@@ -22,9 +22,15 @@ GO ?= go
 # it to make ci pass.
 COVERAGE_FLOOR = 84.5
 
-.PHONY: ci vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check bench-test bench bench-grid bench-scale clean
+.PHONY: ci fmt-check vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check bench-test bench bench-grid bench-scale clean
 
-ci: vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check bench-test
+ci: fmt-check vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check bench-test
+
+# formatting gate: gofmt must list no tracked Go file (listing tracked
+# files keeps build output such as .bench_build/ out of the scan)
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
