@@ -188,6 +188,36 @@ func TestGatewayStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestGatewayDefaultObsLatency: a gateway built on the all-disabled
+// obs.Default() bundle still feeds real request latencies to its SLO
+// tracker, so /v1/stats reports a positive median.
+func TestGatewayDefaultObsLatency(t *testing.T) {
+	ts, _ := newObsGateway(t, obs.Default(), registry.GatewayOptions{})
+	for i := 0; i < 3; i++ {
+		if resp := postLabel(t, ts, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Tenants map[string][]obs.WindowStats `json:"tenants"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	ws := stats.Tenants["t"]
+	if len(ws) == 0 || ws[0].Requests != 3 {
+		t.Fatalf("tenant t stats = %+v, want 3 requests in the first window", ws)
+	}
+	if ws[0].P50MS <= 0 {
+		t.Errorf("p50_ms = %v, want > 0", ws[0].P50MS)
+	}
+}
+
 // TestGatewayMetricsDimensional is the acceptance criterion on the
 // exposition: after traffic, /metrics carries the per-tenant request
 // counter and latency histogram plus the per-route HTTP counter, and
