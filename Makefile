@@ -75,8 +75,9 @@ stress:
 # 30 seconds of coverage-guided fuzzing per target on the inputs that
 # cross a trust boundary: LLM completions, raw text and its feature
 # vectors, label and bundle-promote request bodies, bundle files, the
-# growth loop's on-disk step journal, grid checkpoint files and JSONL
-# corpus splits; raw keyword phrases (as a bundle file can carry them)
+# growth loop's on-disk step journal, grid checkpoint files, arbitrary
+# bytes as a ckpt journal reopened and appended to, and JSONL corpus
+# splits; raw keyword phrases (as a bundle file can carry them)
 # through the index's one-pass LF evaluation, which must match a full
 # Apply scan; plus arbitrary vote matrices through MeTaL's per-pattern
 # EM, which must match the row-by-row reference bit for bit; and
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzProposerReplay$$' -fuzztime 30s ./internal/core/
 	$(GO) test -run XXX -fuzz '^FuzzJSONLReader$$' -fuzztime 30s ./internal/dataset/
 	$(GO) test -run XXX -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s ./internal/experiment/
+	$(GO) test -run XXX -fuzz '^FuzzCkptOpen$$' -fuzztime 30s ./internal/ckpt/
 	$(GO) test -run XXX -fuzz '^FuzzIndexEval$$' -fuzztime 30s ./internal/lf/
 	$(GO) test -run XXX -fuzz '^FuzzMeTaLPatterns$$' -fuzztime 30s ./internal/labelmodel/
 	$(GO) test -run XXX -fuzz '^FuzzMetricFamilies$$' -fuzztime 30s ./internal/obs/

@@ -11,8 +11,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 )
@@ -29,23 +29,47 @@ type Writer struct {
 	f  *os.File
 }
 
-// Open opens (creating if needed) a JSONL file for appending. It first
-// cuts off a final line that lacks its '\n' — a torn append, since JSON
-// holds no raw newline — so the next record cannot join it and be lost.
+// Open opens (creating if needed) a regular JSONL file for appending.
+// It first cuts off a final line that lacks its '\n' — a torn append,
+// since JSON holds no raw newline — so the next record cannot join it
+// and be lost. Only the torn tail is read, backwards from the end.
 func Open(path string) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: opening %s: %w", path, err)
 	}
-	data, err := io.ReadAll(f)
-	if keep := bytes.LastIndexByte(data, '\n') + 1; err == nil && keep < len(data) {
-		err = f.Truncate(int64(keep))
-	}
-	if err != nil {
+	if err := trimTornTail(f); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("ckpt: trimming torn tail of %s: %w", path, err)
+		return nil, fmt.Errorf("ckpt: opening %s: %w", path, err)
 	}
 	return &Writer{f: f}, nil
+}
+
+// trimTornTail truncates a regular file after its last '\n', reading
+// 4 KiB chunks backwards from the end until it finds one.
+func trimTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if !st.Mode().IsRegular() {
+		return errors.New("not a regular file")
+	}
+	keep, buf := int64(0), make([]byte, 4096)
+	for off := st.Size(); off > 0 && keep == 0; {
+		n := min(off, int64(len(buf)))
+		off -= n
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			keep = off + int64(i) + 1
+		}
+	}
+	if keep < st.Size() {
+		return f.Truncate(keep)
+	}
+	return nil
 }
 
 // Append writes one record as a single JSONL line and syncs it to disk.

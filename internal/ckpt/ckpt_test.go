@@ -185,3 +185,37 @@ func TestOpenTrimsTornTail(t *testing.T) {
 		t.Fatalf("intact file changed to %q", data)
 	}
 }
+
+// TestOpenTrimsLongTornTail: a torn tail longer than one read chunk is
+// still cut at the last newline before it, however far back that is.
+func TestOpenTrimsLongTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.jsonl")
+	torn := `{"n":2,"name":"` + strings.Repeat("x", 3*4096+17)
+	if err := os.WriteFile(path, []byte(`{"n":1}`+"\n"+torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Append(path, rec{N: 3}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"n":1}` + "\n" + `{"n":3}` + "\n"; string(data) != want {
+		t.Fatalf("file holds %d bytes %.40q..., want %q", len(data), data, want)
+	}
+}
+
+// TestOpenRejectsNonRegular: a device is no journal. Open fails at once
+// instead of reading it (/dev/null) or reading forever (/dev/full,
+// /dev/zero).
+func TestOpenRejectsNonRegular(t *testing.T) {
+	w, err := Open(os.DevNull)
+	if err == nil {
+		w.Close()
+		t.Fatalf("Open(%s) succeeded", os.DevNull)
+	}
+	if !strings.Contains(err.Error(), "not a regular file") {
+		t.Errorf("Open(%s): %v, want a not-a-regular-file error", os.DevNull, err)
+	}
+}
