@@ -93,14 +93,14 @@ func TestInterimCacheSkipsRefit(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 
-	end1, lm1, err := ev.interimTrainProba(lfs[:6], rng)
+	end1, lm1, err := ev.interimTrainProba(noSpan, lfs[:6], rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fits != 1 {
 		t.Fatalf("first interim ran %d fits, want 1", fits)
 	}
-	end2, lm2, err := ev.interimTrainProba(lfs[:6], rng)
+	end2, lm2, err := ev.interimTrainProba(noSpan, lfs[:6], rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestInterimCacheSkipsRefit(t *testing.T) {
 	if &end1[0] != &end2[0] || &lm1[0] != &lm2[0] {
 		t.Fatal("interim cache returned different slices for an unchanged LF set")
 	}
-	if _, _, err := ev.interimTrainProba(lfs[:9], rng); err != nil {
+	if _, _, err := ev.interimTrainProba(noSpan, lfs[:9], rng); err != nil {
 		t.Fatal(err)
 	}
 	if fits != 2 {
@@ -125,7 +125,7 @@ func TestInterimCacheSkipsRefit(t *testing.T) {
 func TestVoteMatrixIncrementalReuse(t *testing.T) {
 	ev, lfs := testEvaluator(t, 1)
 	for _, cut := range []int{3, 7, len(lfs)} {
-		if _, _, err := ev.trainProba(lfs[:cut]); err != nil {
+		if _, _, err := ev.trainProba(noSpan, lfs[:cut]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,12 +146,12 @@ func TestVoteMatrixIncrementalReuse(t *testing.T) {
 // set must fall back to a full rebuild and still be correct.
 func TestVoteMatrixRebuildOnPrefixChange(t *testing.T) {
 	ev, lfs := testEvaluator(t, 1)
-	if _, _, err := ev.trainProba(lfs[:5]); err != nil {
+	if _, _, err := ev.trainProba(noSpan, lfs[:5]); err != nil {
 		t.Fatal(err)
 	}
 	// Reordered set: same LFs, different prefix names.
 	mutated := append([]lf.LabelFunction{lfs[5]}, lfs[:5]...)
-	if _, _, err := ev.trainProba(mutated); err != nil {
+	if _, _, err := ev.trainProba(noSpan, mutated); err != nil {
 		t.Fatal(err)
 	}
 	scratch := lf.BuildVoteMatrix(ev.trainIx, mutated)

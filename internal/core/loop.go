@@ -126,8 +126,10 @@ func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry, pre *Prefix) (*l
 }
 
 // next draws the next query from the sampler and marks it used; -1
-// means the unlabeled pool is exhausted.
-func (l *loop) next(rng *rand.Rand) int {
+// means the unlabeled pool is exhausted. sel is the caller's open
+// select span, under which the sampler hangs its scoring spans.
+func (l *loop) next(sel obs.Span, rng *rand.Rand) int {
+	l.state.Span = sel
 	id := l.smp.Next(l.state, rng)
 	if id >= 0 {
 		l.state.Used[id] = true
@@ -221,11 +223,11 @@ func (l *loop) offer(keywords []string, label int) int {
 	return kept
 }
 
-// finish evaluates the accepted LF set and fills the run bookkeeping
+// finish evaluates the accepted LF set under sp and fills the run bookkeeping
 // every caller reports: method, failure counts, filter rejections and
 // the LLM usage.
-func (l *loop) finish(method string, usage llm.MeterSnapshot) (*Result, error) {
-	res, err := l.ev.evaluate(l.chain.Accepted())
+func (l *loop) finish(sp obs.Span, method string, usage llm.MeterSnapshot) (*Result, error) {
+	res, err := l.ev.evaluate(sp, l.chain.Accepted())
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/endmodel"
@@ -193,7 +192,7 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 		itSpan.SetInt("iteration", int64(it))
 
 		selSpan := itSpan.Child("select")
-		id := l.next(rng)
+		id := l.next(selSpan, rng)
 		if id < 0 {
 			selSpan.End()
 			itSpan.SetStr("stop", "pool exhausted")
@@ -231,17 +230,14 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 		// records the error, the log says which iteration degraded, and
 		// eval_interim_failures_total counts it.
 		if needsInterim && (it+1)%cfg.UncertainRefreshEvery == 0 {
-			interimSpan := itSpan.Child("interim")
-			if endProba, lmProba, err := l.ev.interimTrainProba(l.chain.Accepted(), rng); err == nil {
+			if endProba, lmProba, err := l.ev.interimTrainProba(itSpan, l.chain.Accepted(), rng); err == nil {
 				l.state.SetPosteriors(endProba, lmProba)
 			} else {
-				interimSpan.SetErr(err)
 				l.ev.em.interimFailures.Inc()
 				o.Logger.LogAttrs(ctx, slog.LevelWarn, "interim refresh failed",
 					slog.Int("iteration", it), slog.Int("query_id", id),
 					slog.String("error", err.Error()))
 			}
-			interimSpan.End()
 		}
 		itSpan.End()
 		if logDebug {
@@ -268,7 +264,7 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 	}
 
 	aggSpan := span.Child("aggregate")
-	res, err = l.finish(fmt.Sprintf("datasculpt-%s", cfg.Variant), meter.Snapshot())
+	res, err = l.finish(aggSpan, fmt.Sprintf("datasculpt-%s", cfg.Variant), meter.Snapshot())
 	if err != nil {
 		aggSpan.SetErr(err)
 		aggSpan.End()
@@ -304,7 +300,7 @@ func EvaluateLFSet(d *dataset.Dataset, lfs []lf.LabelFunction, cfg Config) (*Res
 		workers: cfg.Parallelism, em: newEvalMetrics(nil),
 	}
 	defer ev.close()
-	res, err := ev.evaluate(lfs)
+	res, err := ev.evaluate(noSpan, lfs)
 	if err != nil {
 		return nil, err
 	}
@@ -448,10 +444,11 @@ func (ev *evaluator) labelModel(lfs []lf.LabelFunction) (labelmodel.LabelModel, 
 // trainProba aggregates LF votes over the train split into per-example
 // posteriors; uncovered examples get nil. Vote columns come from the
 // evaluator's incremental matrix, and a MeTaL label model resumes EM
-// from the previous fit's parameters.
-func (ev *evaluator) trainProba(lfs []lf.LabelFunction) (*lf.VoteMatrix, [][]float64, error) {
-	start := time.Now()
-	defer func() { ev.em.trainProba.Observe(time.Since(start).Seconds()) }()
+// from the previous fit's parameters. The work runs under a train_proba
+// child of sp, whose duration eval_train_proba_seconds observes.
+func (ev *evaluator) trainProba(sp obs.Span, lfs []lf.LabelFunction) (*lf.VoteMatrix, [][]float64, error) {
+	sp = sp.Child("train_proba")
+	defer func() { sp.End(); ev.em.trainProba.Observe(obs.Elapsed(sp).Seconds()) }()
 	vm := ev.voteMatrix(lfs)
 	if len(lfs) == 0 || vm.TotalCoverage() == 0 {
 		return vm, make([][]float64, vm.NumExamples()), nil
@@ -552,11 +549,12 @@ func (ev *evaluator) trainingSet(proba [][]float64) (X []*textproc.SparseVector,
 	return X, Y, weights
 }
 
-// evaluate produces the final Result for an LF set.
-func (ev *evaluator) evaluate(lfs []lf.LabelFunction) (*Result, error) {
-	start := time.Now()
-	defer func() { ev.em.finalEval.Observe(time.Since(start).Seconds()) }()
-	vm, proba, err := ev.trainProba(lfs)
+// evaluate produces the final Result for an LF set, under an evaluate
+// child of sp whose duration eval_final_seconds observes.
+func (ev *evaluator) evaluate(sp obs.Span, lfs []lf.LabelFunction) (*Result, error) {
+	sp = sp.Child("evaluate")
+	defer func() { sp.End(); ev.em.finalEval.Observe(obs.Elapsed(sp).Seconds()) }()
+	vm, proba, err := ev.trainProba(sp, lfs)
 	if err != nil {
 		return nil, err
 	}
@@ -622,7 +620,18 @@ const interimTrainCap = 4000
 // samplers need rankings, not a polished classifier. The cap draws a
 // uniform subsample from the run's rng — a fixed prefix would skew
 // uncertainty/QBC scores toward whatever the early train indices cover.
-func (ev *evaluator) interimTrainProba(lfs []lf.LabelFunction, rng *rand.Rand) (endProba, lmProba [][]float64, err error) {
+// The refresh runs under an interim child of sp, which records its
+// error; eval_interim_seconds observes its duration on refits only.
+func (ev *evaluator) interimTrainProba(sp obs.Span, lfs []lf.LabelFunction, rng *rand.Rand) (endProba, lmProba [][]float64, err error) {
+	sp = sp.Child("interim")
+	refit := false
+	defer func() {
+		sp.SetErr(err)
+		sp.End()
+		if refit {
+			ev.em.interim.Observe(obs.Elapsed(sp).Seconds())
+		}
+	}()
 	if len(lfs) == 0 {
 		return nil, nil, fmt.Errorf("core: no LFs yet")
 	}
@@ -634,9 +643,8 @@ func (ev *evaluator) interimTrainProba(lfs []lf.LabelFunction, rng *rand.Rand) (
 		ev.em.interimHits.Inc()
 		return ev.interimEnd, ev.interimLM, nil
 	}
-	start := time.Now()
-	defer func() { ev.em.interim.Observe(time.Since(start).Seconds()) }()
-	_, lmProba, err = ev.trainProba(lfs)
+	refit = true
+	_, lmProba, err = ev.trainProba(sp, lfs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -192,7 +192,7 @@ func (p *Proposer) Step(ctx context.Context, iter int) (*ProposalStep, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: proposer iteration %d: %w", iter, err)
 	}
-	st := &ProposalStep{Iter: iter, QueryID: p.next(p.iterRNG(iter))}
+	st := &ProposalStep{Iter: iter, QueryID: p.next(noSpan, p.iterRNG(iter))}
 	if st.QueryID < 0 {
 		st.Exhausted = true
 		return st, nil
@@ -266,7 +266,7 @@ func (p *Proposer) NewCount() int { return len(p.chain.Accepted()) - p.frozen }
 // ready for bundle.New). Token accounting covers live and replayed
 // steps alike.
 func (p *Proposer) Evaluate() (*Result, error) {
-	return p.finish(fmt.Sprintf("datasculpt-%s-grown", p.cfg.Variant), p.usage)
+	return p.finish(noSpan, fmt.Sprintf("datasculpt-%s-grown", p.cfg.Variant), p.usage)
 }
 
 // Close releases the evaluator's vote matrix.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
+	"time"
 
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/llm"
@@ -105,4 +107,48 @@ func TestTimingSeriesCounts(t *testing.T) {
 			t.Errorf("sampler_seu_score_seconds count = %d, want %d batches that scored an instance", got, scored)
 		}
 	})
+}
+
+// checkStageClock requires stage_seconds to hold, for every span name,
+// one observation per recorded span, summing to their End-Start within
+// a microsecond.
+func checkStageClock(t *testing.T, reg *obs.Registry, spans []obs.SpanData) {
+	t.Helper()
+	count := make(map[string]uint64)
+	sum := make(map[string]time.Duration)
+	for _, s := range spans {
+		count[s.Name]++
+		sum[s.Name] += s.End.Sub(s.Start)
+	}
+	vec, _ := reg.Snapshot()["stage_seconds"].(map[string]any)
+	if len(vec) != len(count) {
+		t.Errorf("stage_seconds has %d stages, the trace %d span names", len(vec), len(count))
+	}
+	for name, n := range count {
+		h, _ := vec[`stage="`+name+`"`].(obs.HistogramSnapshot)
+		if h.Count != n || math.Abs(h.Sum-sum[name].Seconds()) > 1e-6 {
+			t.Errorf("stage_seconds{%s} = %d spans / %vs, the trace %d / %vs", name, h.Count, h.Sum, n, sum[name].Seconds())
+		}
+	}
+}
+
+// TestStageClockMatchesSpans: over the runs.golden configurations,
+// traced into memory with a registry, stage_seconds agrees with the
+// recorded spans name by name.
+func TestStageClockMatchesSpans(t *testing.T) {
+	load := goldenLoader(t, nil)
+	reg, mem := obs.NewRegistry(), obs.NewMemoryTracer()
+	ctx := obs.NewContext(context.Background(), obs.New(mem, reg, nil))
+	for _, r := range goldenRuns() {
+		if _, err := RunContext(ctx, load(r.dataset, r.scale), r.cfg); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+	}
+	spans := mem.Spans()
+	for _, name := range []string{"run", "select", "interim", "aggregate", "evaluate", "train_proba", "seu_score", "revise"} {
+		if len(mem.Named(name)) == 0 {
+			t.Errorf("no %s span recorded", name)
+		}
+	}
+	checkStageClock(t, reg, spans)
 }

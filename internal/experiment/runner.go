@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
-	"time"
 
 	"datasculpt/internal/baselines"
 	"datasculpt/internal/ckpt"
@@ -171,7 +170,6 @@ func Sweep(ctx context.Context, o Options, title string, methods []string, run C
 	cellsDone := reg.Counter("grid_cells_done_total", "cells completed (success or failure)")
 	cellsFailed := reg.Counter("grid_cells_failed_total", "cells that returned an error")
 	cellsResumed := reg.Counter("grid_cells_resumed_total", "cells restored from a checkpoint instead of re-run")
-	cellSeconds := reg.Histogram("grid_cell_seconds", "wall-clock per grid cell, seconds", obs.DurationBuckets)
 	workersBusy := reg.Gauge("grid_workers_busy", "workers currently executing a cell")
 	cellsTotal.Set(float64(len(cells)))
 
@@ -240,23 +238,20 @@ func Sweep(ctx context.Context, o Options, title string, methods []string, run C
 	// span nests beneath it via the span-carrying context.
 	runCell := func(i int) {
 		c := cells[i]
-		span := o.Obs.Tracer.StartSpan("cell")
+		span := o.Obs.StartTrace("", "cell")
 		span.SetStr("method", c.method)
 		span.SetStr("dataset", c.ds)
 		span.SetInt("seed", int64(c.seed))
 		cctx := obs.ContextWithSpan(ctx, span)
 
 		workersBusy.Add(1)
-		start := time.Now()
 		d, err := dataset.Load(c.ds, datasetSeed(c.seed), o.Scale)
 		if err == nil {
 			var res *core.Result
 			res, err = run(cctx, c.method, d, c.seed, baseConfig(o, c.method, c.ds, c.seed))
 			results[i] = checkpointForm(res)
 		}
-		dur := time.Since(start)
 		workersBusy.Add(-1)
-		cellSeconds.Observe(dur.Seconds())
 		cellsDone.Inc()
 
 		if err != nil {
@@ -280,7 +275,7 @@ func Sweep(ctx context.Context, o Options, title string, methods []string, run C
 		span.End()
 		o.Obs.Logger.LogAttrs(ctx, slog.LevelInfo, "cell done",
 			slog.String("method", c.method), slog.String("dataset", c.ds),
-			slog.Int("seed", c.seed), slog.Duration("dur", dur),
+			slog.Int("seed", c.seed), slog.Duration("dur", obs.Elapsed(span)),
 			slog.Int("done", int(cellsDone.Value())), slog.Int("total", len(cells)),
 			slog.Bool("failed", err != nil))
 	}

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"time"
 
 	"datasculpt/internal/bundle"
 	"datasculpt/internal/ckpt"
@@ -90,7 +89,6 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		}
 		span.End()
 	}()
-	start := time.Now()
 
 	cycleDir := filepath.Join(d.cfg.StateDir, "cycle")
 	man, err := d.loadOrStartCycle(cycleDir)
@@ -164,7 +162,6 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 	}
 	d.mCycles.With(d.cfg.Tenant, rec.Outcome).Inc()
 	d.mNewLFs.AddInt(rec.NewLFs)
-	d.mCycleSec.Observe(time.Since(start).Seconds())
 	span.SetStr("outcome", rec.Outcome)
 	span.SetInt("new_lfs", int64(rec.NewLFs))
 	d.o.Logger.LogAttrs(ctx, slog.LevelInfo, "growth cycle complete",

@@ -137,7 +137,6 @@ type Daemon struct {
 	mCaptured *obs.Counter
 	mCycles   *obs.CounterVec
 	mNewLFs   *obs.Counter
-	mCycleSec *obs.Histogram
 	mFill     *obs.Gauge
 }
 
@@ -218,7 +217,6 @@ func New(cfg Config) (*Daemon, error) {
 	d.mCaptured = reg.CounterVec("growth_captured_texts_total", "Served texts admitted to the growth reservoir.", "tenant").With(cfg.Tenant)
 	d.mCycles = reg.CounterVec("growth_cycles_total", "Completed growth cycles by outcome.", "tenant", "outcome")
 	d.mNewLFs = reg.CounterVec("growth_new_lfs_total", "Label functions proposed and accepted by growth cycles.", "tenant").With(cfg.Tenant)
-	d.mCycleSec = reg.HistogramVec("growth_cycle_seconds", "Growth cycle wall clock.", obs.LongDurationBuckets, "tenant").With(cfg.Tenant)
 	d.mFill = reg.GaugeVec("growth_reservoir_fill", "Texts currently held in the growth reservoir.", "tenant").With(cfg.Tenant)
 	return d, nil
 }

@@ -142,11 +142,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Bucket presets for the metrics this repo records.
 var (
 	// DurationBuckets spans 1ms..~65s, doubling — LLM call latency,
-	// rate-limit waits, grid-cell wall clock.
+	// rate-limit waits, request and evaluation wall clock.
 	DurationBuckets = ExpBuckets(0.001, 2, 17)
-	// LongDurationBuckets spans 100ms..~27h, doubling — growth-cycle
-	// wall clock, which covers a full propose→evaluate→promote pass.
-	LongDurationBuckets = ExpBuckets(0.1, 2, 20)
+	// StageBuckets spans 10µs..~168s, quadrupling — stage_seconds,
+	// whose spans run from one parse step to a whole growth cycle.
+	StageBuckets = ExpBuckets(0.00001, 4, 13)
 	// TokenBuckets spans 16..~32k tokens per call.
 	TokenBuckets = ExpBuckets(16, 2, 12)
 	// SmallCountBuckets covers per-iteration counts like LFs kept.

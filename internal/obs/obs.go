@@ -35,6 +35,8 @@ type Obs struct {
 	Metrics *Registry
 	// Logger is the shared structured logger; never nil after New.
 	Logger *slog.Logger
+	// stages is the stage clock's family, set by New when Metrics is.
+	stages *HistogramVec
 }
 
 // New assembles a bundle, substituting no-op implementations for nil
@@ -46,7 +48,8 @@ func New(t Tracer, m *Registry, l *slog.Logger) *Obs {
 	if l == nil {
 		l = NopLogger()
 	}
-	return &Obs{Tracer: t, Metrics: m, Logger: l}
+	return &Obs{Tracer: t, Metrics: m, Logger: l, stages: m.HistogramVec("stage_seconds",
+		"Wall clock of each ended span, by span name.", StageBuckets, "stage")}
 }
 
 // defaultObs is what FromContext hands out when no bundle was attached:
@@ -96,9 +99,16 @@ func SpanFromContext(ctx context.Context) Span {
 
 // StartSpan opens a span named name: as a child of the context's parent
 // span when one is attached, else as a root span of the bundle's tracer.
+// Either way the span runs the bundle's stage clock.
 func (o *Obs) StartSpan(ctx context.Context, name string) Span {
 	if parent := SpanFromContext(ctx); parent != nil {
-		return parent.Child(name)
+		return o.clock(parent.Child(name), name)
 	}
-	return o.Tracer.StartSpan(name)
+	return o.StartTrace("", name)
+}
+
+// StartTrace opens a root span under traceID (see the package-level
+// StartTrace) that runs the bundle's stage clock.
+func (o *Obs) StartTrace(traceID, name string) Span {
+	return o.clock(StartTrace(o.Tracer, traceID, name), name)
 }

@@ -14,8 +14,11 @@ import (
 // structure survives unbounded traffic without resizing. Quantiles come
 // from linear interpolation inside the log-spaced buckets — accurate to
 // a bucket's width, which at the default doubling bounds means p99
-// within ~2x, plenty for burn-rate alerting (exact latency
-// distributions live in the serve_request_seconds histogram vector).
+// within ~2x, plenty for burn-rate alerting. The gateway feeds it the
+// duration its gateway.request span took (obs.Elapsed), the same
+// reading stage_seconds{stage="gateway.request"} holds; exact
+// per-tenant latency distributions live in serve_request_seconds,
+// which reads the serve.label span the same way.
 
 // SLOOptions configures NewSLOTracker. The zero value gives 10s slices,
 // 1h retention, DurationBuckets bounds, a 99.9% objective and a

@@ -122,7 +122,9 @@ type spanSink interface {
 }
 
 type recSpan struct {
-	sink spanSink
+	sink   spanSink
+	stages *HistogramVec // the stage clock; nil when none runs
+	dur    atomic.Int64  // End-Start in nanoseconds, set by End
 
 	mu    sync.Mutex
 	data  SpanData
@@ -146,11 +148,14 @@ func startSpan(sink spanSink, trace, parent, name string) *recSpan {
 	}
 }
 
+// Child inherits the stage clock.
 func (s *recSpan) Child(name string) Span {
 	s.mu.Lock()
 	trace, parent := s.data.Trace, s.data.Span
 	s.mu.Unlock()
-	return startSpan(s.sink, trace, parent, name)
+	c := startSpan(s.sink, trace, parent, name)
+	c.stages = s.stages
+	return c
 }
 
 func (s *recSpan) setAttr(key string, v any) {
@@ -188,10 +193,69 @@ func (s *recSpan) End() {
 	}
 	s.ended = true
 	s.data.End = time.Now()
-	s.data.DurationMS = float64(s.data.End.Sub(s.data.Start)) / float64(time.Millisecond)
+	dur := s.data.End.Sub(s.data.Start)
+	s.data.DurationMS = float64(dur) / float64(time.Millisecond)
 	d := s.data
+	s.dur.Store(int64(dur))
 	s.mu.Unlock()
+	s.stages.With(d.Name).Observe(dur.Seconds())
 	s.sink.record(d)
+}
+
+// ---------------------------------------------------------------------
+// stage clock
+
+// clock attaches o's stage clock to s, a span just started for o: with
+// a registry, End takes the span's duration once and observes it in
+// stage_seconds{stage=<name>} before any sampling or sink sees the
+// span, so spans of dropped traces and of the no-op tracer count too.
+// A recording span keeps its own timestamps; any other is wrapped.
+func (o *Obs) clock(s Span, name string) Span {
+	switch c := s.(type) {
+	case *recSpan:
+		c.stages = o.stages
+	case *clockSpan:
+		c.stages = o.stages
+	default:
+		if o.stages != nil {
+			return &clockSpan{Span: s, stages: o.stages, name: name, start: time.Now()}
+		}
+	}
+	return s
+}
+
+// clockSpan times a span that keeps no timestamps of its own: the
+// no-op tracer's, or one from a tracer outside this package.
+type clockSpan struct {
+	Span
+	stages *HistogramVec
+	name   string
+	start  time.Time
+	dur    atomic.Int64 // nanoseconds; 0 until End
+}
+
+func (s *clockSpan) Child(name string) Span {
+	return &clockSpan{Span: s.Span.Child(name), stages: s.stages, name: name, start: time.Now()}
+}
+
+func (s *clockSpan) End() {
+	if d := max(time.Since(s.start), 1); s.dur.CompareAndSwap(0, int64(d)) {
+		s.stages.With(s.name).Observe(d.Seconds())
+		s.Span.End()
+	}
+}
+
+// Elapsed returns the duration the stage clock took when s ended — the
+// one reading stage_seconds observed, and End-Start of s's SpanData.
+// It is 0 while s is open and for a span no clock timed.
+func Elapsed(s Span) time.Duration {
+	switch s := s.(type) {
+	case *clockSpan:
+		return time.Duration(s.dur.Load())
+	case *recSpan:
+		return time.Duration(s.dur.Load())
+	}
+	return 0
 }
 
 // ---------------------------------------------------------------------

@@ -82,10 +82,14 @@ func (o GatewayOptions) withDefaults() GatewayOptions {
 // Every error is the uniform envelope {"error":{"code","message"}}
 // (plus "shard_hint" on 421) with a correct status code.
 type Gateway struct {
-	reg  *Registry
-	o    *obs.Obs
-	opts GatewayOptions
-	slo  *obs.SLOTracker
+	reg *Registry
+	o   *obs.Obs
+	// clock starts the request spans whose stage clock the SLO tracker
+	// and access log read: o, or when o has no metrics registry a bundle
+	// over a private one, so their latencies stay real.
+	clock *obs.Obs
+	opts  GatewayOptions
+	slo   *obs.SLOTracker
 
 	mMisdirected *obs.Counter
 	mHTTP        *obs.CounterVec
@@ -105,7 +109,10 @@ func NewGateway(reg *Registry, o *obs.Obs, opts GatewayOptions) *Gateway {
 	if o == nil {
 		o = obs.Default()
 	}
-	g := &Gateway{reg: reg, o: o, opts: opts.withDefaults()}
+	g := &Gateway{reg: reg, o: o, clock: o, opts: opts.withDefaults()}
+	if o.Metrics == nil {
+		g.clock = obs.New(o.Tracer, obs.NewRegistry(), o.Logger)
+	}
 	g.slo = obs.NewSLOTracker(obs.SLOOptions{Objective: g.opts.SLOObjective})
 	g.mMisdirected = o.Metrics.Counter("serve_misdirected_total",
 		"Requests for tenants owned by another shard (answered 421).")
@@ -251,7 +258,6 @@ func routeLabel(path string) string {
 //     accounting, and the optional rate-capped access log line.
 func (g *Gateway) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		rid := sanitizeRequestID(r.Header.Get("X-Request-Id"))
 		if rid == "" {
 			rid = obs.NewRequestID()
@@ -270,7 +276,7 @@ func (g *Gateway) instrument(next http.Handler) http.Handler {
 		}
 		w.Header().Set("Traceparent", obs.FormatTraceparent(traceID, parentID))
 
-		span := obs.StartTrace(g.o.Tracer, traceID, "gateway.request")
+		span := g.clock.StartTrace(traceID, "gateway.request")
 		span.SetStr("request_id", rid)
 
 		meta := &gwMeta{}
@@ -282,7 +288,6 @@ func (g *Gateway) instrument(next http.Handler) http.Handler {
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		dur := time.Since(start)
 		route := routeLabel(r.URL.Path)
 		span.SetStr("route", route)
 		span.SetInt("status", int64(sw.status))
@@ -296,6 +301,7 @@ func (g *Gateway) instrument(next http.Handler) http.Handler {
 			span.SetErr(fmt.Errorf("http %d", sw.status))
 		}
 		span.End()
+		dur := obs.Elapsed(span)
 
 		g.mHTTP.With(route, strconv.Itoa(sw.status)).Inc()
 		if meta.tenant != "" {

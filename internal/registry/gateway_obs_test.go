@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -215,6 +216,38 @@ func TestGatewayDefaultObsLatency(t *testing.T) {
 	}
 	if ws[0].P50MS <= 0 {
 		t.Errorf("p50_ms = %v, want > 0", ws[0].P50MS)
+	}
+}
+
+// TestGatewayStageClockMatchesSpans: a label request traced into memory
+// with a registry leaves, for each of its spans (gateway.request,
+// serve.label, serve.batch), one stage_seconds observation equal to
+// the span's End-Start within a microsecond.
+func TestGatewayStageClockMatchesSpans(t *testing.T) {
+	mem, mreg := obs.NewMemoryTracer(), obs.NewRegistry()
+	ts, _ := newObsGateway(t, obs.New(mem, mreg, nil), registry.GatewayOptions{})
+	if resp := postLabel(t, ts, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	// The middleware and the batch loop end their spans after the
+	// response is written.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(mem.Spans()) < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	spans := mem.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("recorded %d spans, want gateway.request, serve.label and serve.batch", len(spans))
+	}
+	vec, _ := mreg.Snapshot()["stage_seconds"].(map[string]any)
+	if len(vec) != 3 {
+		t.Errorf("stage_seconds has %d stages, want 3", len(vec))
+	}
+	for _, s := range spans {
+		h, _ := vec[`stage="`+s.Name+`"`].(obs.HistogramSnapshot)
+		if want := s.End.Sub(s.Start).Seconds(); h.Count != 1 || math.Abs(h.Sum-want) > 1e-6 {
+			t.Errorf("stage_seconds{%s} = %d / %vs, span lasted %vs", s.Name, h.Count, h.Sum, want)
+		}
 	}
 }
 

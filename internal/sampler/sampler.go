@@ -36,6 +36,9 @@ type State struct {
 	// Metrics receives sampler telemetry (sampler_seu_*); nil disables
 	// it for free.
 	Metrics *obs.Registry
+	// Span is the caller's open select span, under which scoring-heavy
+	// samplers open their own (nil: untraced).
+	Span obs.Span
 
 	// validGold caches the validation gold labels, which are immutable
 	// for the life of the run.

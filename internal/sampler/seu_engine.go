@@ -2,7 +2,6 @@ package sampler
 
 import (
 	"math"
-	"time"
 
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
@@ -134,7 +133,10 @@ func (e *seuEngine) scoreBatch(s *State, ids []int) {
 	if len(todo) == 0 {
 		return
 	}
-	start := time.Now()
+	sp := obs.NopTracer().StartSpan("")
+	if s.Span != nil {
+		sp = s.Span.Child("seu_score")
+	}
 	train := s.Dataset.Train
 	fresh := make([]map[string]kwUtil, len(todo))
 	par.For(s.Workers, len(todo), 4, func(pos int) {
@@ -151,7 +153,8 @@ func (e *seuEngine) scoreBatch(s *State, ids []int) {
 			}
 		}
 	}
-	e.m.seconds.Observe(time.Since(start).Seconds())
+	sp.End()
+	e.m.seconds.Observe(obs.Elapsed(sp).Seconds())
 }
 
 // scoreInstance computes one instance's expected LF utility using

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"datasculpt/internal/bundle"
 	"datasculpt/internal/dataset"
@@ -234,7 +233,6 @@ func (s *Server) Label(ctx context.Context, texts []string, explain bool) ([]Pre
 	if len(texts) == 0 {
 		return nil, errors.New("serve: empty request")
 	}
-	start := time.Now()
 	span := s.o.StartSpan(ctx, "serve.label")
 	span.SetInt("texts", int64(len(texts)))
 	defer span.End()
@@ -287,8 +285,9 @@ func (s *Server) Label(ctx context.Context, texts []string, explain bool) ([]Pre
 
 	select {
 	case <-req.done:
+		span.End()
 		s.mReqOK.Inc()
-		s.mLatency.Observe(time.Since(start).Seconds())
+		s.mLatency.Observe(obs.Elapsed(span).Seconds())
 		return req.preds, nil
 	case <-ctx.Done():
 		s.mReqCanceled.Inc()
@@ -385,7 +384,7 @@ func (s *Server) process(batch []segment, n int) {
 	}
 	s.mBatches.Inc()
 	s.mBatchSz.Observe(float64(n))
-	span := s.o.Tracer.StartSpan("serve.batch")
+	span := s.o.StartTrace("", "serve.batch")
 	span.SetInt("size", int64(n))
 	defer span.End()
 
