@@ -20,6 +20,7 @@
 package bundle
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -169,9 +170,14 @@ func Fingerprint(b *Bundle) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("bundle: fingerprinting: %w", err)
 	}
+	return fingerprint(data), nil
+}
+
+// fingerprint hashes a bundle's canonical (json.Marshal) encoding.
+func fingerprint(canonical []byte) string {
 	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	h.Write(canonical)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // New assembles a bundle from a finished run: the dataset it trained on,
@@ -339,14 +345,27 @@ func (b *Bundle) UnmarshalJSON(data []byte) error {
 
 // Save writes the bundle to path as JSON.
 func Save(path string, b *Bundle) error {
+	_, err := SaveFingerprint(path, b)
+	return err
+}
+
+// SaveFingerprint is Save returning the Fingerprint of the bytes it
+// wrote, with no second encoding: compacting the indented encoding
+// gives back json.Marshal's, so the value is Fingerprint's.
+func SaveFingerprint(path string, b *Bundle) (string, error) {
 	data, err := json.MarshalIndent(b, "", " ")
 	if err != nil {
-		return err
+		return "", err
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bundle: writing %s: %w", path, err)
+		return "", fmt.Errorf("bundle: writing %s: %w", path, err)
 	}
-	return nil
+	var canonical bytes.Buffer
+	canonical.Grow(len(data))
+	if err := json.Compact(&canonical, data); err != nil {
+		return "", fmt.Errorf("bundle: fingerprinting: %w", err)
+	}
+	return fingerprint(canonical.Bytes()), nil
 }
 
 // Load reads and validates a bundle from path.

@@ -52,6 +52,49 @@ func saveLoad(t *testing.T, b *bundle.Bundle) *bundle.Bundle {
 	return loaded
 }
 
+// TestSaveFingerprint: the fingerprint SaveFingerprint takes from the
+// bytes it wrote is Fingerprint's, of the saved bundle and of the bundle
+// loaded back from the file, and saving that loaded bundle again writes
+// the same bytes.
+func TestSaveFingerprint(t *testing.T) {
+	d, cfg, res := trainSmall(t)
+	b, err := bundle.New(d, cfg, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Provenance.CreatedUnix = 1_754_000_000
+	b.Provenance.Parent = "<parent & child>" // HTML-escaped by json
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	saved, err := bundle.SaveFingerprint(path, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bundle.Fingerprint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved != want {
+		t.Errorf("SaveFingerprint = %s, Fingerprint = %s", saved, want)
+	}
+	loaded, err := bundle.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bundle.Fingerprint(loaded); err != nil || got != saved {
+		t.Errorf("Fingerprint of the loaded bundle = %s, %v; saved %s", got, err, saved)
+	}
+	again := filepath.Join(dir, "again.json")
+	if got, err := bundle.SaveFingerprint(again, loaded); err != nil || got != saved {
+		t.Errorf("SaveFingerprint of the loaded bundle = %s, %v; saved %s", got, err, saved)
+	}
+	first, _ := os.ReadFile(path)
+	second, _ := os.ReadFile(again)
+	if string(first) != string(second) {
+		t.Error("saving the loaded bundle wrote different bytes")
+	}
+}
+
 // TestBundleDifferential is the bit-identity contract of the format: a
 // saved-then-loaded bundle predicts exactly — bit for bit — what the
 // in-memory model predicts, on the full validation split, at every

@@ -59,7 +59,6 @@ type evalMetrics struct {
 	interimFailures *obs.Counter
 	trainProba      *obs.Histogram
 	interim         *obs.Histogram
-	finalEval       *obs.Histogram
 }
 
 func newEvalMetrics(reg *obs.Registry) evalMetrics {
@@ -78,7 +77,6 @@ func newEvalMetrics(reg *obs.Registry) evalMetrics {
 			"interim refreshes that failed, degrading model-driven samplers to stale scores"),
 		trainProba: reg.Histogram("eval_train_proba_seconds", "train-split aggregation wall clock", obs.DurationBuckets),
 		interim:    reg.Histogram("eval_interim_seconds", "interim model refresh wall clock", obs.DurationBuckets),
-		finalEval:  reg.Histogram("eval_final_seconds", "final evaluation wall clock", obs.DurationBuckets),
 	}
 }
 
@@ -550,10 +548,10 @@ func (ev *evaluator) trainingSet(proba [][]float64) (X []*textproc.SparseVector,
 }
 
 // evaluate produces the final Result for an LF set, under an evaluate
-// child of sp whose duration eval_final_seconds observes.
+// child of sp, whose duration stage_seconds{stage="evaluate"} observes.
 func (ev *evaluator) evaluate(sp obs.Span, lfs []lf.LabelFunction) (*Result, error) {
 	sp = sp.Child("evaluate")
-	defer func() { sp.End(); ev.em.finalEval.Observe(obs.Elapsed(sp).Seconds()) }()
+	defer sp.End()
 	vm, proba, err := ev.trainProba(sp, lfs)
 	if err != nil {
 		return nil, err

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
 	"datasculpt/internal/llm"
+	"datasculpt/internal/par"
 	"datasculpt/internal/sampler"
 	"datasculpt/internal/textproc"
 )
@@ -83,15 +86,22 @@ type ProposerOptions struct {
 
 // Prefix is the part of a growing train split that every proposer over
 // it shares: its examples, their TF part (textproc.HashTF), their train
-// index and the valid split's index. NewProposer extends these with the
-// split's tail instead of rebuilding them, and every output is
-// bit-identical to a proposer built without a prefix. A Prefix is
-// read-only once built, so proposers may share it.
+// index, the valid split's index and the base columns of the frozen LF
+// set. NewProposer extends these with the split's tail instead of
+// rebuilding them, and every output is bit-identical to a proposer
+// built without a prefix. Everything but the column cache is read-only
+// once built; the cache is guarded by its own mutex, so proposers may
+// share a prefix.
 type Prefix struct {
 	train   []*dataset.Example
 	tf      *textproc.TF
 	trainIx *lf.Index
 	validIx *lf.Index
+
+	// mu guards cols: the column over train of each LF the last
+	// NewProposer seeded as frozen, keyed by LF name.
+	mu   sync.Mutex
+	cols map[string]lf.Column
 }
 
 // NewPrefix builds the prefix of train, with valid as the valid split,
@@ -112,6 +122,48 @@ func NewPrefix(train, valid []*dataset.Example, cfg Config) (*Prefix, error) {
 // Examples returns the prefix's train examples, the head of every split
 // a proposer over the prefix runs on. They must not be modified.
 func (p *Prefix) Examples() []*dataset.Example { return p.train }
+
+// columns returns each of lfs' column over ix, an extension of the
+// prefix's train index: the cached column over the prefix followed by
+// ix's tail, which is all this evaluates for an LF seen before. The
+// cache then holds exactly lfs. The returned columns may share the
+// cache's storage and must not be mutated.
+func (p *Prefix) columns(ix *lf.Index, lfs []lf.LabelFunction, workers int) []lf.Column {
+	names := make([]string, len(lfs))
+	base := make([]lf.Column, len(lfs))
+	p.mu.Lock()
+	cols := make(map[string]lf.Column, len(lfs))
+	var missing []int
+	for t, f := range lfs {
+		names[t] = f.Name()
+		c, ok := p.cols[names[t]]
+		if !ok {
+			missing = append(missing, t)
+		}
+		base[t] = c
+	}
+	par.For(workers, len(missing), 2, func(k int) {
+		t := missing[k]
+		ids, votes := p.trainIx.Eval(lfs[t])
+		base[t] = lf.Column{IDs: ids, Votes: votes}
+	})
+	for t, name := range names {
+		cols[name] = base[t]
+	}
+	p.cols = cols
+	p.mu.Unlock()
+
+	n := len(p.train)
+	out := make([]lf.Column, len(lfs))
+	par.For(workers, len(lfs), 2, func(t int) {
+		ids, votes := ix.EvalFrom(lfs[t], n)
+		out[t] = lf.Column{
+			IDs:   append(slices.Clip(base[t].IDs), ids...),
+			Votes: append(slices.Clip(base[t].Votes), votes...),
+		}
+	})
+	return out
+}
 
 // Proposer runs the select→prompt→parse→filter loop one resumable step
 // at a time. Not safe for concurrent use.
@@ -138,8 +190,15 @@ func NewProposer(d *dataset.Dataset, cfg Config, opts ProposerOptions) (*Propose
 	if err != nil {
 		return nil, err
 	}
-	l.chain.Seed(opts.Frozen)
-	if opts.Prefix != nil {
+	if opts.Prefix == nil {
+		l.chain.Seed(opts.Frozen, nil)
+	} else {
+		// The filter chain and the vote matrix share the frozen columns,
+		// so each frozen LF is evaluated over the tail once.
+		cols := opts.Prefix.columns(l.ev.trainIx, opts.Frozen, cfg.Parallelism)
+		l.chain.Seed(opts.Frozen, cols)
+		l.ev.vm = l.ev.newVoteMatrix()
+		l.ev.vm.AppendColumns(opts.Frozen, cols)
 		for i := range opts.Prefix.train {
 			l.state.Used[i] = true
 		}

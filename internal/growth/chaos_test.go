@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -156,5 +157,86 @@ func TestGrowthChaos(t *testing.T) {
 				t.Errorf("journal holds %d rows after kill+resume, want exactly 1", len(rows))
 			}
 		})
+	}
+}
+
+// TestGrowthInvalidUTF8Resume: a captured corpus holding texts that are
+// not valid UTF-8 gives the same journal row and candidate bytes when
+// the cycle runs straight through as when it is killed after the
+// snapshot and resumed from the corpus file, which holds that text with
+// U+FFFD in place of each invalid byte.
+func TestGrowthInvalidUTF8Resume(t *testing.T) {
+	_, d, path := trained(t)
+	texts := corpusTexts(d, 24)
+	// Every text carries invalid bytes, whichever the proposer queries.
+	// The pipeline reads captured text through the tokenizer, which
+	// treats an invalid byte and U+FFFD alike, so TestWriteCorpusMatchesRead
+	// is what pins the examples themselves.
+	for i := range texts {
+		texts[i] = "\xc3" + texts[i] + " caf\xe9 \xff\xfe\xfd\xfc"
+	}
+
+	run := func(dir string, hook func(string) error) (*CycleRecord, []byte) {
+		t.Helper()
+		dmn := chaosDaemon(t, dir, path, hook)
+		dmn.Capture("t", texts)
+		rec, err := dmn.RunCycle(context.Background())
+		if errors.Is(err, errKilled) {
+			rec, err = chaosDaemon(t, dir, path, nil).RunCycle(context.Background())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec == nil || rec.CandidateHash == "" {
+			t.Fatalf("cycle built no candidate: %+v", rec)
+		}
+		cand, err := os.ReadFile(filepath.Join(dir, "candidate-1.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec, cand
+	}
+	straight, straightCand := run(t.TempDir(), nil)
+	resumed, resumedCand := run(t.TempDir(), func(stage string) error {
+		if stage == "snapshot" {
+			return errKilled
+		}
+		return nil
+	})
+	if *straight != *resumed {
+		t.Errorf("journal row straight through %+v, after a kill at the snapshot %+v", *straight, *resumed)
+	}
+	if string(straightCand) != string(resumedCand) {
+		t.Errorf("candidate bytes differ straight through and after a kill at the snapshot (%d vs %d bytes)", len(straightCand), len(resumedCand))
+	}
+}
+
+// TestWriteCorpusMatchesRead: the examples writeCorpus returns are the
+// ones readCorpus decodes from its file, escapes and non-ASCII text
+// included; with a text that is not valid UTF-8 it returns none.
+func TestWriteCorpusMatchesRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.jsonl")
+	texts := []string{"plain text", "quote \" back\\slash\ttab\nnewline", "<b>&amp;</b>   \x00 café 日本 😀", " "}
+	got, err := writeCorpus(path, texts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := readCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("writeCorpus returned %d examples, the file holds %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := *got[i], *want[i]
+		g.EnsureTokens()
+		if g.ID != w.ID || g.Text != w.Text || g.Label != w.Label || g.E1Pos != w.E1Pos || g.E2Pos != w.E2Pos ||
+			!slices.Equal(g.Tokens, w.Tokens) {
+			t.Errorf("example %d: written %+v, read back %+v", i, g, w)
+		}
+	}
+	if got, err := writeCorpus(path, append(texts, "bad \xff byte")); err != nil || got != nil {
+		t.Errorf("corpus with invalid UTF-8: writeCorpus = %v, %v; want nil, nil", got, err)
 	}
 }

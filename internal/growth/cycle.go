@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"unicode/utf8"
 
 	"datasculpt/internal/bundle"
 	"datasculpt/internal/ckpt"
@@ -91,7 +92,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 	}()
 
 	cycleDir := filepath.Join(d.cfg.StateDir, "cycle")
-	man, err := d.loadOrStartCycle(cycleDir)
+	man, corpus, err := d.loadOrStartCycle(cycleDir)
 	if err != nil || man == nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 	}
 
 	prepSpan := span.Child("growth.prepare")
-	gd, tail, prop, err := d.prepare(man, cycleDir)
+	gd, tail, prop, err := d.prepare(man, corpus, cycleDir)
 	if err != nil {
 		prepSpan.SetErr(err)
 		prepSpan.End()
@@ -138,15 +139,12 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		rec.Outcome = OutcomeNoNewLFs
 	} else {
 		evalSpan := span.Child("growth.evaluate")
-		if cand, err = d.candidate(man, gd, prop, cycleDir); err != nil {
+		if cand, rec.CandidateHash, err = d.candidate(man, gd, prop, cycleDir); err != nil {
 			evalSpan.SetErr(err)
 			evalSpan.End()
 			return nil, err
 		}
 		evalSpan.End()
-		if rec.CandidateHash, err = bundle.Fingerprint(cand); err != nil {
-			return nil, err
-		}
 		rec.CandidateMetric = cand.Provenance.EndMetric
 		gateSpan := span.Child("growth.gate")
 		if err := d.decideOutcome(rec, cand, dataset.FeatureCorpus(tail)); err != nil {
@@ -173,26 +171,29 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 
 // loadOrStartCycle resumes the manifest of an interrupted cycle, or
 // snapshots the reservoir into a fresh workspace. A nil manifest with
-// nil error means the corpus is still too small.
-func (d *Daemon) loadOrStartCycle(cycleDir string) (*manifest, error) {
+// nil error means the corpus is still too small. A fresh cycle also
+// returns the examples of the corpus it wrote, when they are what
+// reading the file back gives (readCorpus); otherwise, and on resume,
+// corpus is nil.
+func (d *Daemon) loadOrStartCycle(cycleDir string) (man *manifest, corpus []*dataset.Example, err error) {
 	manifestPath := filepath.Join(cycleDir, "manifest.json")
 	if data, readErr := os.ReadFile(manifestPath); readErr == nil {
 		man := new(manifest)
 		if err := json.Unmarshal(data, man); err != nil {
-			return nil, fmt.Errorf("growth: corrupt cycle manifest: %w", err)
+			return nil, nil, fmt.Errorf("growth: corrupt cycle manifest: %w", err)
 		}
-		return man, nil
+		return man, nil, nil
 	} else if !os.IsNotExist(readErr) {
-		return nil, fmt.Errorf("growth: %w", readErr)
+		return nil, nil, fmt.Errorf("growth: %w", readErr)
 	}
 	// A workspace without a manifest is a cycle killed before its first
 	// checkpoint: nothing durable was promised, start over.
 	if err := os.RemoveAll(cycleDir); err != nil {
-		return nil, fmt.Errorf("growth: clearing stale workspace: %w", err)
+		return nil, nil, fmt.Errorf("growth: clearing stale workspace: %w", err)
 	}
 
 	if d.res.Len() < d.cfg.MinCorpus {
-		return nil, nil
+		return nil, nil, nil
 	}
 	texts := d.res.Snapshot()
 	d.mFill.Set(0)
@@ -201,7 +202,7 @@ func (d *Daemon) loadOrStartCycle(cycleDir string) (*manifest, error) {
 	if n := len(d.records); n > 0 {
 		cycle = d.records[n-1].Cycle + 1
 	}
-	man := &manifest{
+	man = &manifest{
 		Cycle:       cycle,
 		Seed:        d.cfg.Pipeline.Seed + 9973*int64(cycle),
 		CreatedUnix: d.cfg.now(),
@@ -210,34 +211,37 @@ func (d *Daemon) loadOrStartCycle(cycleDir string) (*manifest, error) {
 	}
 
 	if err := os.MkdirAll(cycleDir, 0o755); err != nil {
-		return nil, fmt.Errorf("growth: creating cycle workspace: %w", err)
+		return nil, nil, fmt.Errorf("growth: creating cycle workspace: %w", err)
 	}
-	if err := writeCorpus(filepath.Join(cycleDir, "corpus.jsonl"), texts); err != nil {
-		return nil, err
+	if corpus, err = writeCorpus(filepath.Join(cycleDir, "corpus.jsonl"), texts); err != nil {
+		return nil, nil, err
 	}
 	data, err := json.MarshalIndent(man, "", " ")
 	if err != nil {
-		return nil, fmt.Errorf("growth: encoding manifest: %w", err)
+		return nil, nil, fmt.Errorf("growth: encoding manifest: %w", err)
 	}
 	if err := os.WriteFile(manifestPath, append(data, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("growth: writing manifest: %w", err)
+		return nil, nil, fmt.Errorf("growth: writing manifest: %w", err)
 	}
 	if err := d.checkpoint("snapshot"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return man, nil
+	return man, corpus, nil
 }
 
-// prepare reads the cycle's corpus snapshot, assembles the cycle's
-// dataset view and builds its proposer over the parent's LF set. tail
-// is the view's captured examples, after the base prefix. The first
-// cycle of a daemon builds the prefix; it depends only on Base and the
-// pipeline's feature width, so it serves every later cycle, across
-// promotions too. The caller owns the proposer (Close).
-func (d *Daemon) prepare(man *manifest, cycleDir string) (gd *dataset.Dataset, tail []*dataset.Example, prop *core.Proposer, err error) {
-	corpus, err := readCorpus(filepath.Join(cycleDir, "corpus.jsonl"))
-	if err != nil {
-		return nil, nil, nil, err
+// prepare assembles the cycle's dataset view over corpus, the examples
+// of its snapshot — read back from the workspace when nil — and builds
+// its proposer over the parent's LF set. tail is the view's captured
+// examples, after the base prefix. The first cycle of a daemon builds
+// the prefix; it depends only on Base and the pipeline's feature width,
+// so it serves every later cycle, across promotions too, and it keeps
+// the parent LFs' columns over Base between cycles. The caller owns the
+// proposer (Close).
+func (d *Daemon) prepare(man *manifest, corpus []*dataset.Example, cycleDir string) (gd *dataset.Dataset, tail []*dataset.Example, prop *core.Proposer, err error) {
+	if corpus == nil {
+		if corpus, err = readCorpus(filepath.Join(cycleDir, "corpus.jsonl")); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	if d.prefix == nil {
 		if d.prefix, err = core.NewPrefix(unlabeled(d.cfg.Base.Train), d.cfg.Base.Valid, d.cfg.Pipeline); err != nil {
@@ -332,26 +336,27 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, prop
 // candidate loads the cycle's pinned candidate bundle, or builds and
 // pins it: evaluate the grown LF set, stamp the lineage (parent hash,
 // cycle counter, the manifest's timestamp), and save. After this
-// checkpoint the candidate's bytes never change.
-func (d *Daemon) candidate(man *manifest, gd *dataset.Dataset, prop *core.Proposer, cycleDir string) (*bundle.Bundle, error) {
+// checkpoint the candidate's bytes never change. hash is the
+// candidate's Fingerprint.
+func (d *Daemon) candidate(man *manifest, gd *dataset.Dataset, prop *core.Proposer, cycleDir string) (cand *bundle.Bundle, hash string, err error) {
 	candPath := filepath.Join(cycleDir, "candidate.json")
 	if cand, err := bundle.Load(candPath); err == nil {
-		return cand, nil
+		hash, err := bundle.Fingerprint(cand)
+		return cand, hash, err
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("growth: loading pinned candidate: %w", err)
+		return nil, "", fmt.Errorf("growth: loading pinned candidate: %w", err)
 	}
 
 	res, err := prop.Evaluate()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	pcfg, err := d.cycleConfig(man)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	cand, err := bundle.New(gd, pcfg, res)
-	if err != nil {
-		return nil, err
+	if cand, err = bundle.New(gd, pcfg, res); err != nil {
+		return nil, "", err
 	}
 	cand.Provenance.Parent = d.parentHash
 	cand.Provenance.GrowthCycle = d.parent.Provenance.GrowthCycle + 1
@@ -359,13 +364,13 @@ func (d *Daemon) candidate(man *manifest, gd *dataset.Dataset, prop *core.Propos
 	if d.cfg.mutateCandidate != nil {
 		d.cfg.mutateCandidate(cand)
 	}
-	if err := bundle.Save(candPath, cand); err != nil {
-		return nil, err
+	if hash, err = bundle.SaveFingerprint(candPath, cand); err != nil {
+		return nil, "", err
 	}
 	if err := d.checkpoint("candidate"); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return cand, nil
+	return cand, hash, nil
 }
 
 // decideOutcome runs the promotion state machine: quality gate →
@@ -433,28 +438,36 @@ func (d *Daemon) finalize(rec *CycleRecord, cand *bundle.Bundle, man *manifest, 
 }
 
 // writeCorpus persists the captured texts as a JSONL split (the PR-9
-// streaming format), one unlabeled example per line.
-func writeCorpus(path string, texts []string) error {
+// streaming format), one unlabeled example per line. It returns the
+// written examples when they equal what readCorpus decodes from the
+// file, and nil otherwise: JSON encodes each invalid UTF-8 byte as
+// U+FFFD, so a text that is not valid UTF-8 reads back changed.
+func writeCorpus(path string, texts []string) ([]*dataset.Example, error) {
 	split := make([]*dataset.Example, len(texts))
+	valid := true
 	for i, t := range texts {
 		split[i] = &dataset.Example{ID: i, Text: t, Label: dataset.NoLabel, E1Pos: -1, E2Pos: -1}
+		valid = valid && utf8.ValidString(t)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("growth: creating corpus: %w", err)
+		return nil, fmt.Errorf("growth: creating corpus: %w", err)
 	}
 	if err := dataset.WriteSplitJSONL(f, split); err != nil {
 		f.Close()
-		return fmt.Errorf("growth: writing corpus: %w", err)
+		return nil, fmt.Errorf("growth: writing corpus: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("growth: syncing corpus: %w", err)
+		return nil, fmt.Errorf("growth: syncing corpus: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("growth: closing corpus: %w", err)
+		return nil, fmt.Errorf("growth: closing corpus: %w", err)
 	}
-	return nil
+	if !valid {
+		return nil, nil
+	}
+	return split, nil
 }
 
 // readCorpus streams the cycle's corpus snapshot back into examples.

@@ -38,9 +38,10 @@ func TestGrowthGolden(t *testing.T) {
 	// depend on when the test binary trained it.
 	parent.Provenance.CreatedUnix = 1_754_200_000
 	reg := newTestRegistry(t, registry.Options{}, path)
+	stateDir := t.TempDir()
 	dmn, err := New(Config{
 		Tenant: "t", Registry: reg, Base: d, Parent: parent,
-		Pipeline: growthPipeline(), StateDir: t.TempDir(),
+		Pipeline: growthPipeline(), StateDir: stateDir,
 		Budget: 4, MinCorpus: 8,
 		now: func() int64 { return 1_754_200_000 },
 	})
@@ -58,6 +59,15 @@ func TestGrowthGolden(t *testing.T) {
 		}
 		if rec == nil || rec.CandidateHash == "" {
 			t.Fatalf("cycle built no candidate: %+v", rec)
+		}
+		// The journaled hash, taken from the bytes the cycle saved, is
+		// Fingerprint of the archived candidate.
+		cand, err := bundle.Load(filepath.Join(stateDir, fmt.Sprintf("candidate-%d.json", rec.Cycle)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp, err := bundle.Fingerprint(cand); err != nil || fp != rec.CandidateHash {
+			t.Errorf("cycle %d: archived candidate fingerprints %s (%v), journal says %s", rec.Cycle, fp, err, rec.CandidateHash)
 		}
 	}
 	dmn.Capture("t", corpusTexts(d, 3))

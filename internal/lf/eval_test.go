@@ -22,12 +22,14 @@ func applyScan(split []*dataset.Example, f LabelFunction) (ids []int32, votes []
 }
 
 // FuzzIndexEval builds a split from arbitrary corpus text (one document
-// per line) and keyword and entity-keyword LFs from raw, unnormalized
-// phrases — double spaces, upper case, 4-grams and empty phrases
-// included, the way a hand-edited bundle file can carry them — and
-// requires Index.Eval to equal the full Apply scan for each LF, both
+// per line) and keyword, entity-keyword and disjunction LFs from raw,
+// unnormalized phrases — double spaces, upper case, 4-grams and empty
+// phrases included, the way a hand-edited bundle file can carry them —
+// and requires Index.Eval to equal the full Apply scan for each LF, both
 // on NewIndex and on the index of the first k documents extended to
-// the whole split.
+// the whole split; and the column a prefix caches (Eval over the first
+// k documents) followed by EvalFrom(k) over the extension to equal it
+// too.
 func FuzzIndexEval(f *testing.F) {
 	f.Add("free cash now\nwin free  cash\nthe song is free", "free cash", "Free", byte(1), byte(0), byte(0), byte(2), byte(1))
 	f.Add("alpha beta gamma delta\nbeta gamma delta alpha\nalpha beta", "alpha beta gamma delta", "  beta  gamma ", byte(2), byte(3), byte(1), byte(3), byte(2))
@@ -49,7 +51,9 @@ func FuzzIndexEval(f *testing.F) {
 			}
 			split[i] = e
 		}
-		ext, err := NewIndex(split[:int(k)%(len(split)+1)]).Extend(split)
+		at := int(k) % (len(split) + 1)
+		head := NewIndex(split[:at])
+		ext, err := head.Extend(split)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,6 +63,8 @@ func FuzzIndexEval(f *testing.F) {
 			&KeywordLF{Keyword: phrase2, Class: int(class) % 3},
 			&EntityKeywordLF{Keyword: phrase1, Class: c, Window: int(window % 8)},
 			&EntityKeywordLF{Keyword: phrase2, Class: int(class) % 3},
+			&DisjunctionLF{LFName: "d", Keywords: []string{phrase1, phrase2}, Class: int(class) % 3},
+			&DisjunctionLF{LFName: "de", Keywords: []string{phrase2, phrase1}, Class: c, EntityAware: true, Window: int(window % 8)},
 			&PredicateLF{LFName: "even", Class: 1, Fire: func(e *dataset.Example) bool { return len(e.Tokens)%2 == 0 }},
 		}
 		for _, lf := range lfs {
@@ -69,8 +75,74 @@ func FuzzIndexEval(f *testing.F) {
 					t.Fatalf("%s over %s: Eval = %v %v, Apply scan = %v %v", lf.Name(), name, ids, votes, wantIDs, wantVotes)
 				}
 			}
+			if ids, votes := cachedThenTail(head, ext, lf); !slices.Equal(ids, wantIDs) || !slices.Equal(votes, wantVotes) {
+				t.Fatalf("%s split at %d: cached column + tail = %v %v, Apply scan = %v %v", lf.Name(), at, ids, votes, wantIDs, wantVotes)
+			}
 		}
 	})
+}
+
+// cachedThenTail is a column as a prefix cache assembles it: the LF's
+// column over head's documents followed by its column over ext's tail.
+func cachedThenTail(head, ext *Index, f LabelFunction) ([]int32, []int8) {
+	ids, votes := head.Eval(f)
+	tailIDs, tailVotes := ext.EvalFrom(f, head.Size())
+	return append(slices.Clone(ids), tailIDs...), append(slices.Clone(votes), tailVotes...)
+}
+
+// TestEvalFromEverySplit: at every split point of a small corpus, the
+// cached column followed by the tail column equals the Apply scan for
+// keyword (one- to three-word), entity-keyword and disjunction LFs, and
+// EvalFrom on the whole index holds exactly the Apply scan's ids from
+// the split point on.
+func TestEvalFromEverySplit(t *testing.T) {
+	texts := []string{
+		"free cash now", "win free cash", "the song is free", "", "cash cash cash prize",
+		"subscribe to my channel", "free cash free cash", "great song", "win free cash now",
+		"free free song now", "win a prize", "now", "my channel is free cash",
+	}
+	split := make([]*dataset.Example, len(texts))
+	for i, text := range texts {
+		e := &dataset.Example{ID: i, Text: text, E1Pos: -1, E2Pos: -1}
+		e.EnsureTokens()
+		if n := len(e.Tokens); n > 1 {
+			e.E1Pos, e.E2Pos = 0, n-1
+		}
+		split[i] = e
+	}
+	lfs := []LabelFunction{
+		&KeywordLF{Keyword: "free", Class: 1},
+		&KeywordLF{Keyword: "free cash", Class: 0},
+		&KeywordLF{Keyword: "win free cash", Class: 2},
+		&KeywordLF{Keyword: "cash free", Class: 1},
+		&KeywordLF{Keyword: "absent", Class: 1},
+		&KeywordLF{Keyword: "now", Class: Abstain},
+		&EntityKeywordLF{Keyword: "cash", Class: 1},
+		&EntityKeywordLF{Keyword: "free cash", Class: 0, Window: 1},
+		&DisjunctionLF{LFName: "d", Keywords: []string{"prize", "my channel"}, Class: 2},
+		&DisjunctionLF{LFName: "de", Keywords: []string{"song", "free cash"}, Class: 1, EntityAware: true, Window: 1},
+	}
+	whole := NewIndex(split)
+	for at := 0; at <= len(split); at++ {
+		head := NewIndex(split[:at])
+		ext, err := head.Extend(split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range lfs {
+			wantIDs, wantVotes := applyScan(split, f)
+			if ids, votes := cachedThenTail(head, ext, f); !slices.Equal(ids, wantIDs) || !slices.Equal(votes, wantVotes) {
+				t.Errorf("%s split at %d: cached column + tail = %v %v, Apply scan = %v %v", f.Name(), at, ids, votes, wantIDs, wantVotes)
+			}
+			from := 0
+			for from < len(wantIDs) && wantIDs[from] < int32(at) {
+				from++
+			}
+			if ids, votes := whole.EvalFrom(f, at); !slices.Equal(ids, wantIDs[from:]) || !slices.Equal(votes, wantVotes[from:]) {
+				t.Errorf("%s: EvalFrom(%d) = %v %v, want %v %v", f.Name(), at, ids, votes, wantIDs[from:], wantVotes[from:])
+			}
+		}
+	}
 }
 
 // postings snapshots every posting list of ix by token.

@@ -284,15 +284,22 @@ func (c *FilterChain) Offer(rawKeyword string, class int) (LabelFunction, Reject
 // accuracy and redundancy filters (they were accepted by an earlier
 // run and may score differently on a new corpus) but still feed the
 // duplicate and redundancy bookkeeping, so later Offer calls cannot
-// re-propose them.
-func (c *FilterChain) Seed(lfs []LabelFunction) {
-	for _, cand := range lfs {
-		if _, dup := c.names[cand.Name()]; dup {
+// re-propose them. cols, when non-nil, holds each LF's column over the
+// train index (Index.Eval's result), which the redundancy filter then
+// keeps instead of evaluating the LF itself.
+func (c *FilterChain) Seed(lfs []LabelFunction, cols []Column) {
+	for t, cand := range lfs {
+		name := cand.Name()
+		if _, dup := c.names[name]; dup {
 			continue
 		}
-		c.names[cand.Name()] = struct{}{}
+		c.names[name] = struct{}{}
 		c.accepted = append(c.accepted, cand)
-		if c.redundancy != nil {
+		switch {
+		case c.redundancy == nil:
+		case cols != nil:
+			c.redundancy.accepted = append(c.redundancy.accepted, activeSet{name: name, ids: cols[t].IDs, votes: cols[t].Votes})
+		default:
 			c.redundancy.Add(cand)
 		}
 	}

@@ -91,20 +91,34 @@ func (ix *Index) Size() int { return len(ix.split) }
 // Split returns the indexed examples.
 func (ix *Index) Split() []*dataset.Example { return ix.split }
 
+// postingFrom returns the ascending ids, from start on, of the
+// documents containing token: the posting list's tail, found by binary
+// search.
+func (ix *Index) postingFrom(token string, start int32) []int32 {
+	list := ix.posting(token)
+	if start <= 0 {
+		return list
+	}
+	return list[searchID(list, start):]
+}
+
 // Docs returns the ascending document ids whose tokens contain the
 // canonical phrase. Single-word phrases come straight from the posting
 // list; multi-word phrases intersect the words' posting lists and
 // verify contiguity on the survivors.
-func (ix *Index) Docs(phrase string) []int32 {
+func (ix *Index) Docs(phrase string) []int32 { return ix.docsFrom(phrase, 0) }
+
+// docsFrom is Docs restricted to the ids from start on.
+func (ix *Index) docsFrom(phrase string, start int32) []int32 {
 	words := textproc.SplitPhrase(phrase)
 	switch len(words) {
 	case 0:
 		return nil
 	case 1:
-		return ix.posting(words[0])
+		return ix.postingFrom(words[0], start)
 	}
 	var out []int32
-	ix.forEachPhraseDoc(words, func(id int32) { out = append(out, id) })
+	ix.forEachPhraseDoc(words, start, func(id int32) { out = append(out, id) })
 	return out
 }
 
@@ -121,7 +135,7 @@ func (ix *Index) CountDocs(phrase string) int {
 		return len(ix.posting(words[0]))
 	}
 	n := 0
-	ix.forEachPhraseDoc(words, func(int32) { n++ })
+	ix.forEachPhraseDoc(words, 0, func(int32) { n++ })
 	return n
 }
 
@@ -138,23 +152,24 @@ func (ix *Index) ForEachDoc(phrase string, fn func(id int32)) {
 		}
 		return
 	}
-	ix.forEachPhraseDoc(words, fn)
+	ix.forEachPhraseDoc(words, 0, fn)
 }
 
-// forEachPhraseDoc walks the documents containing a multi-word phrase in
-// ascending id order. A document can only contain the phrase if it
-// contains every word, so candidates are the intersection of the words'
-// posting lists — seeded from the rarest word, with membership in each
+// forEachPhraseDoc walks the documents from start on containing a
+// multi-word phrase in ascending id order. A document can only contain
+// the phrase if it contains every word, so candidates are the
+// intersection of the words' posting lists — seeded from the tail (ids
+// from start on) of the rarest word's list, with membership in each
 // other list checked by binary search — and only the intersection is
 // scanned for contiguity. The per-document token scan uses the pre-split
 // words (textproc.ContainsTokens), so nothing re-splits the phrase in
 // the loop. Typically the intersection is orders of magnitude smaller
 // than any single posting list, which is what makes per-keyword
 // coverage/precision queries (the SEU utility cache) cheap.
-func (ix *Index) forEachPhraseDoc(words []string, fn func(id int32)) {
-	seed, others := ix.posting(words[0]), make([][]int32, 0, len(words)-1)
+func (ix *Index) forEachPhraseDoc(words []string, start int32, fn func(id int32)) {
+	seed, others := ix.postingFrom(words[0], start), make([][]int32, 0, len(words)-1)
 	for _, w := range words[1:] {
-		list := ix.posting(w)
+		list := ix.postingFrom(w, start)
 		if len(list) == 0 {
 			return
 		}
@@ -179,8 +194,9 @@ candidates:
 	}
 }
 
-// containsID reports whether the ascending posting list contains id.
-func containsID(list []int32, id int32) bool {
+// searchID returns the position of the first id >= id in the ascending
+// posting list (len(list) when there is none).
+func searchID(list []int32, id int32) int {
 	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -190,7 +206,13 @@ func containsID(list []int32, id int32) bool {
 			hi = mid
 		}
 	}
-	return lo < len(list) && list[lo] == id
+	return lo
+}
+
+// containsID reports whether the ascending posting list contains id.
+func containsID(list []int32, id int32) bool {
+	i := searchID(list, id)
+	return i < len(list) && list[i] == id
 }
 
 // Eval evaluates the LF once over the indexed split: it returns the
@@ -201,20 +223,28 @@ func containsID(list []int32, id int32) bool {
 // keyword LF applies once per posting candidate; any other LF applies
 // once per document. The returned ids may alias index storage and must
 // not be mutated; votes is freshly allocated.
-func (ix *Index) Eval(f LabelFunction) (ids []int32, votes []int8) {
+func (ix *Index) Eval(f LabelFunction) (ids []int32, votes []int8) { return ix.EvalFrom(f, 0) }
+
+// EvalFrom is Eval over the documents from id start on: the ascending
+// ids >= start the LF votes on, with the aligned votes. Posting lists
+// are entered at start by binary search and other LFs apply to those
+// documents only, so the cost follows the tail, not the split. Every
+// posting list is ascending, so a column of the first start documents
+// followed by EvalFrom(f, start) is Eval(f).
+func (ix *Index) EvalFrom(f LabelFunction, start int) (ids []int32, votes []int8) {
 	switch t := f.(type) {
 	case *KeywordLF:
 		if t.Class == Abstain {
 			return nil, nil // an abstain "vote" is no vote
 		}
-		ids = ix.Docs(t.Keyword)
+		ids = ix.docsFrom(t.Keyword, int32(start))
 		votes = make([]int8, len(ids))
 		for i := range votes {
 			votes[i] = int8(t.Class)
 		}
 		return ids, votes
 	case *EntityKeywordLF:
-		for _, id := range ix.Docs(t.Keyword) {
+		for _, id := range ix.docsFrom(t.Keyword, int32(start)) {
 			if v := t.Apply(ix.split[id]); v != Abstain {
 				ids = append(ids, id)
 				votes = append(votes, int8(v))
@@ -222,8 +252,8 @@ func (ix *Index) Eval(f LabelFunction) (ids []int32, votes []int8) {
 		}
 		return ids, votes
 	default:
-		for i, e := range ix.split {
-			if v := f.Apply(e); v != Abstain {
+		for i := max(start, 0); i < len(ix.split); i++ {
+			if v := f.Apply(ix.split[i]); v != Abstain {
 				ids = append(ids, int32(i))
 				votes = append(votes, int8(v))
 			}

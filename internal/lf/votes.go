@@ -60,6 +60,14 @@ func BuildVoteMatrixParallel(ix *Index, lfs []LabelFunction, workers int) *VoteM
 	return vm
 }
 
+// Column is one LF's evaluation over a split, as Index.Eval returns it:
+// the ascending ids of the documents the LF votes on and the aligned
+// votes.
+type Column struct {
+	IDs   []int32
+	Votes []int8
+}
+
 // AppendLFs appends one evaluated column per LF, fanning evaluation over
 // at most workers goroutines. Existing columns are untouched — the
 // incremental path behind the pipeline's per-iteration re-aggregation.
@@ -68,6 +76,25 @@ func (vm *VoteMatrix) AppendLFs(ix *Index, lfs []LabelFunction, workers int) int
 	if ix.Size() != vm.n {
 		panic(fmt.Sprintf("lf: appending over a split of %d examples to a %d-example matrix", ix.Size(), vm.n))
 	}
+	return vm.appendColumns(lfs, workers, func(t int) Column {
+		ids, votes := ix.Eval(lfs[t])
+		return Column{IDs: ids, Votes: votes}
+	})
+}
+
+// AppendColumns appends lfs with their ready columns over the matrix's
+// examples (cols[t] is lfs[t]'s column), as AppendLFs would after
+// evaluating them. It returns the number of columns added.
+func (vm *VoteMatrix) AppendColumns(lfs []LabelFunction, cols []Column) int {
+	if len(cols) != len(lfs) {
+		panic(fmt.Sprintf("lf: appending %d columns for %d LFs", len(cols), len(lfs)))
+	}
+	return vm.appendColumns(lfs, 1, func(t int) Column { return cols[t] })
+}
+
+// appendColumns appends one column per LF, taking column t from col
+// over at most workers goroutines.
+func (vm *VoteMatrix) appendColumns(lfs []LabelFunction, workers int, col func(t int) Column) int {
 	if len(lfs) == 0 {
 		return 0
 	}
@@ -80,16 +107,15 @@ func (vm *VoteMatrix) AppendLFs(ix *Index, lfs []LabelFunction, workers int) int
 	// uneven (a rare keyword touches a handful of postings, a generic
 	// one thousands). Each index writes only its own column slots.
 	par.For(workers, len(lfs), 2, func(t int) {
-		f := lfs[t]
-		ids, votes := ix.Eval(f)
-		// Eval may return a posting list owned by the index, so the
+		c := col(t)
+		// A column may hold a posting list owned by an index, so the
 		// matrix keeps its own copy of the ids.
-		kept := make([]int32, len(ids))
-		copy(kept, ids)
+		kept := make([]int32, len(c.IDs))
+		copy(kept, c.IDs)
 		j := base + t
-		vm.names[j] = f.Name()
+		vm.names[j] = lfs[t].Name()
 		vm.active[j] = kept
-		vm.activeVotes[j] = votes
+		vm.activeVotes[j] = c.Votes
 		vm.counts[j] = int32(len(kept))
 	})
 	vm.m += len(lfs)
