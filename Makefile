@@ -130,9 +130,8 @@ bench-grid:
 	$(GO) test -bench=Grid -benchtime=1x -benchmem -run XXX .
 
 # out-of-core scale benchmarks: 100x Youtube (158,600 train documents)
-# through exact vs LSH KATE retrieval (per-query latency + recall@10),
-# materialized vs streamed JSONL ingestion (peak heap), and the resident
-# vs spilling vote matrix. The only producer of out-of-core numbers;
+# through exact vs LSH KATE retrieval (per-query latency + recall@10)
+# and the resident vs spilling vote matrix (peak heap). The only producer of out-of-core numbers;
 # writes BENCH_scale.json, whose floors TestScaleFloors enforces.
 bench-scale:
 	$(GO) test -bench=Scale -benchtime=1x -benchmem -run XXX . | tee BENCH_scale.json

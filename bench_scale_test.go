@@ -1,12 +1,10 @@
 // Out-of-core scale benchmarks: the 100x-scale corpus (Youtube grown to
-// 158,600 train / 12,000 validation documents) driven through the three
+// 158,600 train / 12,000 validation documents) driven through the two
 // memory-bounded subsystems this repo grew for million-document corpora:
 //
 //   - KATE retrieval: exact cosine scan vs the LSH shortlist with exact
 //     re-ranking (ns/query plus recall@10 of the ANN path against the
 //     exact top-10);
-//   - corpus ingestion: materialize-then-featurize vs the two-pass
-//     chunked StreamFeatures over a JSONL split (peak heap MB);
 //   - the vote matrix: fully resident dense columns vs the
 //     capacity-capped spill mode backed by an unlinked temp file
 //     (peak heap MB plus spill counts).
@@ -20,7 +18,6 @@ package datasculpt_test
 
 import (
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -41,8 +38,8 @@ import (
 )
 
 // scaleFactor grows every Youtube split 100x: large enough that the
-// exact KATE scan, full materialization, and the dense vote matrix all
-// hurt, small enough to benchmark in minutes.
+// exact KATE scan and the dense vote matrix both hurt, small enough to
+// benchmark in minutes.
 const scaleFactor = 100
 
 const scaleShots = 10
@@ -236,95 +233,6 @@ func peakHeapMB(f func()) float64 {
 		return 0
 	}
 	return float64(peak-base) / (1 << 20)
-}
-
-// scaleTrainJSONL writes the 100x train split as a JSONL file once per
-// process and returns its path.
-func scaleTrainJSONL(b *testing.B) string {
-	b.Helper()
-	d, _ := scaleCorpus(b)
-	path := filepath.Join(os.TempDir(), "datasculpt-bench-scale-train.jsonl")
-	if _, err := os.Stat(path); err == nil {
-		return path
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	werr := dataset.WriteSplitJSONL(f, d.Train)
-	cerr := f.Close()
-	if werr != nil {
-		b.Fatal(werr)
-	}
-	if cerr != nil {
-		b.Fatal(cerr)
-	}
-	return path
-}
-
-// BenchmarkScaleIngestMaterialized is the legacy ingestion shape: drain
-// the whole split into memory, fit, then hold every feature vector at
-// once. Peak heap grows linearly with the corpus.
-func BenchmarkScaleIngestMaterialized(b *testing.B) {
-	d, _ := scaleCorpus(b)
-	path := scaleTrainJSONL(b)
-	b.ResetTimer()
-	var peak float64
-	for i := 0; i < b.N; i++ {
-		peak = peakHeapMB(func() {
-			r, err := dataset.OpenJSONL(path, d.Task)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var exs []*dataset.Example
-			if err := dataset.ReadChunks(r, 1024, func(chunk []*dataset.Example) error {
-				exs = append(exs, chunk...)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			r.Close()
-			feat := textproc.NewFeaturizer(8192)
-			if err := feat.Fit(dataset.FeatureCorpus(exs)); err != nil {
-				b.Fatal(err)
-			}
-			vecs := feat.TransformAll(dataset.FeatureCorpus(exs))
-			if len(vecs) != len(d.Train) {
-				b.Fatalf("featurized %d docs, want %d", len(vecs), len(d.Train))
-			}
-		})
-	}
-	b.ReportMetric(peak, "peak-MB")
-}
-
-// BenchmarkScaleIngestStreamed featurizes the same split via the
-// two-pass chunked StreamFeatures: peak memory is one chunk of examples
-// plus its vectors, regardless of corpus size.
-func BenchmarkScaleIngestStreamed(b *testing.B) {
-	d, _ := scaleCorpus(b)
-	path := scaleTrainJSONL(b)
-	b.ResetTimer()
-	var peak float64
-	for i := 0; i < b.N; i++ {
-		peak = peakHeapMB(func() {
-			feat := textproc.NewFeaturizer(8192)
-			total := 0
-			err := dataset.StreamFeatures(
-				func() (dataset.Reader, error) { return dataset.OpenJSONL(path, d.Task) },
-				feat, 1024,
-				func(start int, vecs []*textproc.SparseVector) error {
-					total += len(vecs)
-					return nil
-				})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if total != len(d.Train) {
-				b.Fatalf("streamed %d docs, want %d", total, len(d.Train))
-			}
-		})
-	}
-	b.ReportMetric(peak, "peak-MB")
 }
 
 // scaleKeywordLFs derives m keyword LFs from the split's most frequent
@@ -547,8 +455,6 @@ func TestScaleFloors(t *testing.T) {
 		"BenchmarkScaleKATEExact ns/query",
 		"BenchmarkScaleKATEANN ns/query",
 		"BenchmarkScaleKATEANN recall@10",
-		"BenchmarkScaleIngestMaterialized peak-MB",
-		"BenchmarkScaleIngestStreamed peak-MB",
 		"BenchmarkScaleVoteMatrixResident peak-MB",
 		"BenchmarkScaleVoteMatrixSpill peak-MB",
 		"BenchmarkScaleVoteMatrixSpill spills",

@@ -41,8 +41,6 @@ func main() {
 	iterations := flag.Int("iterations", 50, "query iterations")
 	seeds := flag.Int("seeds", 1, "number of seeds to average")
 	scale := flag.Float64("scale", 1.0, "dataset scale: (0,1) shrinks, 1 is Table-1 size, >1 grows every split proportionally")
-	annThreshold := flag.Int("ann-threshold", 0, "KATE pool size at which retrieval switches to the LSH index (0 = default 16384, negative = always exact)")
-	annMultiplier := flag.Int("ann-multiplier", 0, "LSH shortlist size as a multiple of -shots (0 = default 16)")
 	voteSpillMB := flag.Int("vote-spill-mb", 0, "resident-memory budget for the train vote matrix in MB; cold columns spill to a temp file (0 = fully resident)")
 	noAccuracy := flag.Bool("no-accuracy-filter", false, "disable the accuracy filter")
 	noRedundancy := flag.Bool("no-redundancy-filter", false, "disable the redundancy filter")
@@ -80,8 +78,7 @@ func main() {
 		scale: *scale, noAccuracy: *noAccuracy, noRedundancy: *noRedundancy,
 		showLFs: *showLFs, analyze: *analyze, saveLFs: *saveLFs, saveBundle: *saveBundle, revise: *revise,
 		checkpoint: *checkpoint, resume: *resume, maxFailedIters: *maxFailedIters,
-		parallelism:  *parallelism,
-		annThreshold: *annThreshold, annMultiplier: *annMultiplier, voteSpillMB: *voteSpillMB,
+		parallelism: *parallelism, voteSpillMB: *voteSpillMB,
 		obs: o,
 	})
 	// The cleanup writes -metrics-out and flushes the trace sink, so it
@@ -105,8 +102,7 @@ type runOptions struct {
 	saveLFs, saveBundle                          string
 	checkpoint, resume                           string
 	maxFailedIters                               int
-	parallelism                                  int
-	annThreshold, annMultiplier, voteSpillMB     int
+	parallelism, voteSpillMB                     int
 	obs                                          *obs.Obs
 }
 
@@ -145,8 +141,6 @@ func run(ctx context.Context, o runOptions) error {
 			cfg.Filters = lf.FilterConfig{UseAccuracy: !o.noAccuracy, UseRedundancy: !o.noRedundancy}
 			cfg.ReviseRejected = o.revise
 			cfg.Parallelism = o.parallelism
-			cfg.ANNThreshold = o.annThreshold
-			cfg.ANNMultiplier = o.annMultiplier
 			cfg.VoteSpillMB = o.voteSpillMB
 			// A response cache in front of the endpoint the pipeline
 			// builds, so the summary can report hit rates (and repeated

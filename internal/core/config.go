@@ -92,15 +92,6 @@ type Config struct {
 	// revise.go). MaxRevisions bounds the extra prompts (default 10).
 	ReviseRejected bool
 	MaxRevisions   int
-	// ANNThreshold is the KATE demonstration-pool size at or above which
-	// retrieval goes through the LSH index with exact re-ranking instead
-	// of the full cosine scan. 0 selects prompt.DefaultANNThreshold
-	// (16384, above every Table-1 validation split, so small corpora stay
-	// bit-identical); negative disables ANN retrieval at any size.
-	ANNThreshold int
-	// ANNMultiplier sizes the LSH shortlist as multiplier × Shots exact-
-	// reranked candidates (default prompt.DefaultANNMultiplier, 16).
-	ANNMultiplier int
 	// VoteSpillMB, when positive, bounds the resident sparse bytes of the
 	// train-split vote matrix: columns beyond the budget spill LRU to an
 	// unlinked temp file and fault back in transparently

@@ -104,11 +104,9 @@ func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry, pre *Prefix) (*l
 	}
 	if cfg.usesKATE() {
 		l.sel, err = prompt.NewKATEWithOptions(d, feat, prompt.KATEOptions{
-			ANNThreshold:        cfg.ANNThreshold,
-			CandidateMultiplier: cfg.ANNMultiplier,
-			Seed:                cfg.Seed + 31,
-			Workers:             cfg.Parallelism,
-			Metrics:             reg,
+			Seed:    cfg.Seed + 31,
+			Workers: cfg.Parallelism,
+			Metrics: reg,
 		})
 	} else {
 		l.sel, err = prompt.NewClassBalanced(d, cfg.Shots, cfg.Seed+7)

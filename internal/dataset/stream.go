@@ -7,48 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"datasculpt/internal/textproc"
 )
 
-// This file implements streaming split access for corpora too large to
-// materialize: a JSONL interchange format whose records are written in id
+// This file implements the JSONL split format the growth cycle workspace
+// persists its corpus snapshots in: one record per line, written in id
 // order (the WRENCH map layout marshals keys lexicographically — "10"
-// sorts before "2" — so it cannot be consumed as a stream), an
-// iterator-style Reader over either format, and chunked featurization
-// that keeps peak memory proportional to the chunk size instead of the
-// corpus.
-
-// Reader iterates a split one example at a time. Next returns (nil,
-// io.EOF) after the last example; Close releases the underlying source.
-type Reader interface {
-	Next() (*Example, error)
-	Close() error
-}
-
-// SliceReader adapts an in-memory split to the Reader interface.
-type SliceReader struct {
-	split []*Example
-	pos   int
-}
-
-// NewSliceReader returns a Reader over the given examples.
-func NewSliceReader(split []*Example) *SliceReader {
-	return &SliceReader{split: split}
-}
-
-// Next implements Reader.
-func (r *SliceReader) Next() (*Example, error) {
-	if r.pos >= len(r.split) {
-		return nil, io.EOF
-	}
-	e := r.split[r.pos]
-	r.pos++
-	return e, nil
-}
-
-// Close implements Reader (no-op).
-func (r *SliceReader) Close() error { return nil }
+// sorts before "2" — so it cannot be read back in order line by line).
 
 // jsonlRecord is one line of a .jsonl split file.
 type jsonlRecord struct {
@@ -78,56 +42,6 @@ func WriteSplitJSONL(w io.Writer, split []*Example) error {
 	return bw.Flush()
 }
 
-// SaveDirJSONL writes the dataset's meta.json plus train/valid/test as
-// .jsonl files — the streamable counterpart of SaveDir.
-func (d *Dataset) SaveDirJSONL(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dataset: creating %s: %w", dir, err)
-	}
-	taskName := "text"
-	if d.Task == RelationClassification {
-		taskName = "relation"
-	}
-	meta := metaFile{
-		Name:            d.Name,
-		Task:            taskName,
-		Classes:         d.ClassNames,
-		Imbalanced:      d.Imbalanced,
-		TrainLabeled:    d.TrainLabeled,
-		TaskDescription: d.TaskDescription,
-		InstanceNoun:    d.InstanceNoun,
-	}
-	if d.DefaultClass != NoDefaultClass {
-		dc := d.DefaultClass
-		meta.DefaultClass = &dc
-	}
-	if err := writeJSON(filepath.Join(dir, "meta.json"), meta); err != nil {
-		return err
-	}
-	for _, split := range []struct {
-		file string
-		exs  []*Example
-	}{
-		{"train.jsonl", d.Train},
-		{"valid.jsonl", d.Valid},
-		{"test.jsonl", d.Test},
-	} {
-		f, err := os.Create(filepath.Join(dir, split.file))
-		if err != nil {
-			return fmt.Errorf("dataset: creating %s: %w", split.file, err)
-		}
-		werr := WriteSplitJSONL(f, split.exs)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return fmt.Errorf("dataset: closing %s: %w", split.file, cerr)
-		}
-	}
-	return nil
-}
-
 // JSONLReader streams a .jsonl split file.
 type JSONLReader struct {
 	f      *os.File
@@ -151,8 +65,9 @@ func OpenJSONL(path string, task TaskType) (*JSONLReader, error) {
 	return &JSONLReader{f: f, sc: sc, task: task, name: filepath.Base(path)}, nil
 }
 
-// Next implements Reader. Records must arrive in id order; ids are
-// re-based to the sequential slice position exactly as LoadDir does.
+// Next returns the next example, or (nil, io.EOF) after the last one.
+// Records must arrive in id order; ids are re-based to the sequential
+// slice position exactly as LoadDir does.
 func (r *JSONLReader) Next() (*Example, error) {
 	for r.sc.Scan() {
 		r.line++
@@ -202,92 +117,5 @@ func (r *JSONLReader) Next() (*Example, error) {
 	return nil, io.EOF
 }
 
-// Close implements Reader.
+// Close releases the underlying file.
 func (r *JSONLReader) Close() error { return r.f.Close() }
-
-// ReadChunks drains the reader in chunks of at most chunkSize examples,
-// invoking fn on each; the chunk slice is reused across calls, so fn must
-// not retain it. A non-positive chunkSize selects 1024.
-func ReadChunks(r Reader, chunkSize int, fn func(chunk []*Example) error) error {
-	if chunkSize <= 0 {
-		chunkSize = 1024
-	}
-	chunk := make([]*Example, 0, chunkSize)
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		chunk = append(chunk, e)
-		if len(chunk) == chunkSize {
-			if err := fn(chunk); err != nil {
-				return err
-			}
-			chunk = chunk[:0]
-		}
-	}
-	if len(chunk) > 0 {
-		return fn(chunk)
-	}
-	return nil
-}
-
-// StreamFeatures fits the featurizer and featurizes a corpus in two
-// streaming passes — pass 1 accumulates document frequencies chunk by
-// chunk (BeginFit/FitChunk/FinishFit), pass 2 transforms each chunk
-// through the featurizer's parallel TransformAll and hands the vectors to
-// emit with the absolute offset of the chunk's first document. open is
-// called once per pass; peak memory is one chunk of examples plus its
-// vectors, never the corpus. The produced vectors are bit-identical to
-// feat.TransformAll over the materialized corpus.
-func StreamFeatures(open func() (Reader, error), feat *textproc.Featurizer, chunkSize int, emit func(start int, vecs []*textproc.SparseVector) error) error {
-	r, err := open()
-	if err != nil {
-		return err
-	}
-	if err := feat.BeginFit(); err != nil {
-		r.Close()
-		return err
-	}
-	tokens := make([][]string, 0, chunkSize)
-	err = ReadChunks(r, chunkSize, func(chunk []*Example) error {
-		tokens = tokens[:0]
-		for _, e := range chunk {
-			tokens = append(tokens, e.FeatureTokens())
-		}
-		feat.FitChunk(tokens)
-		return nil
-	})
-	if cerr := r.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := feat.FinishFit(); err != nil {
-		return err
-	}
-
-	r, err = open()
-	if err != nil {
-		return err
-	}
-	start := 0
-	err = ReadChunks(r, chunkSize, func(chunk []*Example) error {
-		tokens = tokens[:0]
-		for _, e := range chunk {
-			tokens = append(tokens, e.FeatureTokens())
-		}
-		vecs := feat.TransformAll(tokens)
-		eerr := emit(start, vecs)
-		start += len(chunk)
-		return eerr
-	})
-	if cerr := r.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}

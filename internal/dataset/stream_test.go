@@ -2,16 +2,13 @@ package dataset
 
 import (
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"datasculpt/internal/textproc"
 )
 
-func drain(t *testing.T, r Reader) []*Example {
+func drain(t *testing.T, r *JSONLReader) []*Example {
 	t.Helper()
 	var out []*Example
 	for {
@@ -45,25 +42,38 @@ func sameExamples(t *testing.T, got, want []*Example) {
 	}
 }
 
-// TestJSONLRoundTrip: SaveDirJSONL + streaming read reproduces every
+// roundTrip writes split with WriteSplitJSONL and reads it back through
+// OpenJSONL, the pair the growth cycle persists its corpus with.
+func roundTrip(t *testing.T, split []*Example, task TaskType) []*Example {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "split.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	werr := WriteSplitJSONL(f, split)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	r, err := OpenJSONL(path, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return drain(t, r)
+}
+
+// TestJSONLRoundTrip: WriteSplitJSONL + streaming read reproduces every
 // split of a text dataset exactly, in id order.
 func TestJSONLRoundTrip(t *testing.T) {
 	d, err := Load("youtube", 3, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := d.SaveDirJSONL(dir); err != nil {
-		t.Fatal(err)
-	}
-	for split, want := range map[string][]*Example{
-		"train": d.Train, "valid": d.Valid, "test": d.Test,
-	} {
-		r, err := OpenJSONL(filepath.Join(dir, split+".jsonl"), d.Task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameExamples(t, drain(t, r), want)
+	for _, split := range [][]*Example{d.Train, d.Valid, d.Test} {
+		sameExamples(t, roundTrip(t, split, d.Task), split)
 	}
 }
 
@@ -74,15 +84,7 @@ func TestJSONLRoundTripRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := d.SaveDirJSONL(dir); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenJSONL(filepath.Join(dir, "train.jsonl"), d.Task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, r)
+	got := roundTrip(t, d.Train, d.Task)
 	sameExamples(t, got, d.Train)
 	found := false
 	for _, e := range got {
@@ -92,144 +94,6 @@ func TestJSONLRoundTripRelation(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no entity positions resolved from the jsonl stream")
-	}
-}
-
-// TestReadChunks: chunk boundaries cover the whole stream exactly once
-// and the callback sees the configured size except for the tail.
-func TestReadChunks(t *testing.T) {
-	d, err := Load("youtube", 1, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []*Example
-	calls := 0
-	err = ReadChunks(NewSliceReader(d.Train), 7, func(chunk []*Example) error {
-		calls++
-		if len(chunk) != 7 && calls != (len(d.Train)+6)/7 {
-			t.Fatalf("call %d: short chunk of %d before the tail", calls, len(chunk))
-		}
-		seen = append(seen, chunk...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (len(d.Train) + 6) / 7; calls != want {
-		t.Fatalf("callback ran %d times, want %d", calls, want)
-	}
-	sameExamples(t, seen, d.Train)
-}
-
-// TestIncrementalFitMatchesOneShot: BeginFit/FitChunk/FinishFit over any
-// chunking yields bit-identical vectors to one-shot Fit.
-func TestIncrementalFitMatchesOneShot(t *testing.T) {
-	d, err := Load("sms", 4, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := FeatureCorpus(d.Train)
-
-	oneShot := textproc.NewFeaturizer(2048)
-	if err := oneShot.Fit(corpus); err != nil {
-		t.Fatal(err)
-	}
-	chunked := textproc.NewFeaturizer(2048)
-	if err := chunked.BeginFit(); err != nil {
-		t.Fatal(err)
-	}
-	for lo := 0; lo < len(corpus); lo += 13 {
-		hi := lo + 13
-		if hi > len(corpus) {
-			hi = len(corpus)
-		}
-		chunked.FitChunk(corpus[lo:hi])
-	}
-	if err := chunked.FinishFit(); err != nil {
-		t.Fatal(err)
-	}
-	for i, tokens := range corpus {
-		a, b := oneShot.Transform(tokens), chunked.Transform(tokens)
-		if len(a.Idx) != len(b.Idx) {
-			t.Fatalf("doc %d: nnz differs", i)
-		}
-		for k := range a.Idx {
-			if a.Idx[k] != b.Idx[k] || math.Float32bits(a.Val[k]) != math.Float32bits(b.Val[k]) {
-				t.Fatalf("doc %d: vectors diverge at %d", i, k)
-			}
-		}
-	}
-}
-
-// TestIncrementalFitValidation: double Begin, Finish without Begin, and
-// empty streams are rejected; refitting after FinishFit is rejected.
-func TestIncrementalFitValidation(t *testing.T) {
-	f := textproc.NewFeaturizer(64)
-	if err := f.FinishFit(); err == nil {
-		t.Error("FinishFit without BeginFit accepted")
-	}
-	if err := f.BeginFit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.BeginFit(); err == nil {
-		t.Error("double BeginFit accepted")
-	}
-	if err := f.FinishFit(); err == nil {
-		t.Error("empty incremental fit accepted")
-	}
-	f.FitChunk([][]string{{"a", "b"}})
-	if err := f.FinishFit(); err != nil {
-		t.Fatal(err)
-	}
-	if !f.Fitted() {
-		t.Fatal("featurizer not fitted after FinishFit")
-	}
-	if err := f.BeginFit(); err == nil {
-		t.Error("BeginFit after a completed fit accepted")
-	}
-}
-
-// TestStreamFeaturesBitIdentical: the two-pass streaming featurization
-// equals materialized TransformAll bit for bit.
-func TestStreamFeaturesBitIdentical(t *testing.T) {
-	d, err := Load("youtube", 9, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := d.SaveDirJSONL(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	ref := textproc.NewFeaturizer(2048)
-	if err := ref.Fit(FeatureCorpus(d.Train)); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.TransformAll(FeatureCorpus(d.Train))
-
-	streamed := textproc.NewFeaturizer(2048)
-	got := make([]*textproc.SparseVector, len(want))
-	open := func() (Reader, error) { return OpenJSONL(filepath.Join(dir, "train.jsonl"), d.Task) }
-	err = StreamFeatures(open, streamed, 32, func(start int, vecs []*textproc.SparseVector) error {
-		copy(got[start:], vecs)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] == nil {
-			t.Fatalf("doc %d never emitted", i)
-		}
-		if len(got[i].Idx) != len(want[i].Idx) {
-			t.Fatalf("doc %d: nnz differs", i)
-		}
-		for k := range want[i].Idx {
-			if got[i].Idx[k] != want[i].Idx[k] ||
-				math.Float32bits(got[i].Val[k]) != math.Float32bits(want[i].Val[k]) {
-				t.Fatalf("doc %d diverges at component %d", i, k)
-			}
-		}
 	}
 }
 

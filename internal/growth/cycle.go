@@ -437,8 +437,8 @@ func (d *Daemon) finalize(rec *CycleRecord, cand *bundle.Bundle, man *manifest, 
 	return nil
 }
 
-// writeCorpus persists the captured texts as a JSONL split (the PR-9
-// streaming format), one unlabeled example per line. It returns the
+// writeCorpus persists the captured texts as a JSONL split
+// (dataset.WriteSplitJSONL), one unlabeled example per line. It returns the
 // written examples when they equal what readCorpus decodes from the
 // file, and nil otherwise: JSON encodes each invalid UTF-8 byte as
 // U+FFFD, so a text that is not valid UTF-8 reads back changed.

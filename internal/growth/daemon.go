@@ -19,6 +19,13 @@ import (
 	"datasculpt/internal/registry"
 )
 
+// The capture reservoir holds at most reservoirCap texts and drops any
+// text longer than maxTextBytes at capture.
+const (
+	reservoirCap = 512
+	maxTextBytes = 4096
+)
+
 // Config wires one growth daemon to its tenant.
 type Config struct {
 	// Tenant is the registry tenant the daemon grows.
@@ -51,10 +58,6 @@ type Config struct {
 	// MinCorpus is the smallest captured sample worth a cycle
 	// (default 16); below it the tick is skipped and capture continues.
 	MinCorpus int
-	// ReservoirCap bounds the captured sample (default 512);
-	// MaxTextBytes drops oversized texts at capture (default 4096).
-	ReservoirCap int
-	MaxTextBytes int
 	// MinVerifyAgreement is the offline verification floor: a candidate
 	// agreeing with its parent on less of the cycle corpus is rejected
 	// before it is served (default 0.9).
@@ -88,12 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinCorpus <= 0 {
 		c.MinCorpus = 16
-	}
-	if c.ReservoirCap <= 0 {
-		c.ReservoirCap = 512
-	}
-	if c.MaxTextBytes <= 0 {
-		c.MaxTextBytes = 4096
 	}
 	if c.MinVerifyAgreement <= 0 {
 		c.MinVerifyAgreement = 0.9
@@ -208,7 +205,7 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:        cfg,
 		o:          cfg.Obs,
-		res:        NewReservoir(cfg.Tenant, cfg.ReservoirCap, cfg.MaxTextBytes, cfg.Pipeline.Seed+53),
+		res:        NewReservoir(cfg.Tenant, reservoirCap, maxTextBytes, cfg.Pipeline.Seed+53),
 		parent:     parent,
 		parentHash: parentHash,
 		records:    records,

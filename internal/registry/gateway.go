@@ -17,6 +17,9 @@ import (
 	"datasculpt/internal/serve"
 )
 
+// maxBundleBytes bounds bundle uploads.
+const maxBundleBytes = 64 << 20
+
 // GatewayOptions configures the HTTP surface.
 type GatewayOptions struct {
 	// DefaultTenant answers the bare /v1/label alias (default "default").
@@ -28,10 +31,8 @@ type GatewayOptions struct {
 	Ring      *Ring
 	SelfShard int
 	Peers     []string
-	// MaxLabelBytes bounds label request bodies (default 1 MiB);
-	// MaxBundleBytes bounds bundle uploads (default 64 MiB).
-	MaxLabelBytes  int64
-	MaxBundleBytes int64
+	// MaxLabelBytes bounds label request bodies (default 1 MiB).
+	MaxLabelBytes int64
 	// AccessLog emits one structured log line per request (-access-log).
 	// Off by default: at thousands of requests per second the log
 	// stream itself becomes the bottleneck.
@@ -55,9 +56,6 @@ func (o GatewayOptions) withDefaults() GatewayOptions {
 	}
 	if o.MaxLabelBytes <= 0 {
 		o.MaxLabelBytes = 1 << 20
-	}
-	if o.MaxBundleBytes <= 0 {
-		o.MaxBundleBytes = 64 << 20
 	}
 	if o.AccessLogMaxPerSec <= 0 {
 		o.AccessLogMaxPerSec = 200
@@ -482,7 +480,7 @@ func (g *Gateway) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if !g.checkShard(w, tenant) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, g.opts.MaxBundleBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBundleBytes)
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError

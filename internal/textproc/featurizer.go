@@ -29,12 +29,6 @@ type Featurizer struct {
 	df   []int32
 	idf  []float32
 	docs int
-	// incremental-fit state (BeginFit/FitChunk/FinishFit). lastDoc[b]
-	// is the 1-based number of the last fed document that hit bucket b,
-	// so a bucket counts once per document without a per-document set.
-	fitting bool
-	pending int
-	lastDoc []int
 }
 
 // NewFeaturizer creates an unfitted featurizer with the given vector width.
@@ -82,46 +76,20 @@ func (f *Featurizer) Fit(corpus [][]string) error {
 	if len(corpus) == 0 {
 		return fmt.Errorf("featurizer: empty corpus")
 	}
-	if err := f.BeginFit(); err != nil {
-		return err
-	}
-	f.FitChunk(corpus)
-	return f.FinishFit()
-}
-
-// BeginFit starts an incremental fit for streaming corpora that never
-// materialize fully in memory: feed chunks through FitChunk and freeze
-// with FinishFit. Document-frequency accumulation commutes, so any
-// chunking of the same corpus yields exactly the statistics Fit computes
-// in one shot.
-func (f *Featurizer) BeginFit() error {
-	if f.docs > 0 {
-		return fmt.Errorf("featurizer: Fit called twice")
-	}
-	if f.fitting {
-		return fmt.Errorf("featurizer: BeginFit called twice")
-	}
-	f.fitting = true
-	f.lastDoc = make([]int, f.Dim)
-	return nil
-}
-
-// FitChunk accumulates document frequencies over one chunk. It panics if
-// called outside a BeginFit/FinishFit window (a programming error, like
-// Transform before Fit).
-func (f *Featurizer) FitChunk(corpus [][]string) {
-	if !f.fitting {
-		panic("featurizer: FitChunk outside BeginFit/FinishFit")
-	}
-	for _, tokens := range corpus {
-		f.pending++
+	// lastDoc[b] is the 1-based number of the last document that hit
+	// bucket b, so a bucket counts once per document without a
+	// per-document set.
+	lastDoc := make([]int, f.Dim)
+	for i, tokens := range corpus {
 		for _, t := range tokens {
-			if b, _ := hashTerm(f.Dim, t); f.lastDoc[b] != f.pending {
-				f.lastDoc[b] = f.pending
+			if b, _ := hashTerm(f.Dim, t); lastDoc[b] != i+1 {
+				lastDoc[b] = i + 1
 				f.df[b]++
 			}
 		}
 	}
+	f.freeze(len(corpus))
+	return nil
 }
 
 // FitTransform fits the featurizer on corpus and returns the corpus's
@@ -172,10 +140,10 @@ func HashTF(dim, workers int, corpus [][]string) *TF {
 
 // FitTF fits the featurizer on the concatenation of the parts' corpora:
 // it sums their document frequencies and freezes the IDF weights as
-// FinishFit does. Integer sums make the statistics exactly Fit's over
+// Fit does. Integer sums make the statistics exactly Fit's over
 // the concatenated corpus. The parts are not modified.
 func (f *Featurizer) FitTF(parts ...*TF) error {
-	if f.docs > 0 || f.fitting {
+	if f.docs > 0 {
 		return fmt.Errorf("featurizer: Fit called twice")
 	}
 	docs := 0
@@ -333,22 +301,6 @@ func tfMagnitude(tf int32) float32 {
 		mag = -mag
 	}
 	return mag
-}
-
-// FinishFit freezes the IDF weights accumulated since BeginFit. It
-// errors when no documents were fed, mirroring Fit's empty-corpus check.
-func (f *Featurizer) FinishFit() error {
-	if !f.fitting {
-		return fmt.Errorf("featurizer: FinishFit without BeginFit")
-	}
-	if f.pending == 0 {
-		return fmt.Errorf("featurizer: empty corpus")
-	}
-	f.fitting = false
-	f.lastDoc = nil
-	f.freeze(f.pending)
-	f.pending = 0
-	return nil
 }
 
 // freeze fixes the fit at docs documents and computes the IDF weights

@@ -275,8 +275,8 @@ func TestCandidateKeywordsBoundedAllocs(t *testing.T) {
 	}
 }
 
-// referenceDF counts document frequencies as FitChunk did before the
-// sorted-key dedupe: a per-document set of the buckets seen.
+// referenceDF counts document frequencies the plain way: a
+// per-document set of the buckets seen.
 func referenceDF(dim int, corpus [][]string) []int32 {
 	f := NewFeaturizer(dim)
 	df := make([]int32, dim)
@@ -295,10 +295,9 @@ func referenceDF(dim int, corpus [][]string) []int32 {
 }
 
 // TestFitTransformMatchesFitThenTransform: the one-pass FitTransform
-// freezes the same statistics as Fit (and as a chunked BeginFit/FitChunk
-// fit) and returns exactly the vectors TransformAll produces after it,
-// at every worker count. Narrow widths force cancelled buckets, which
-// still count toward DF.
+// freezes the same statistics as Fit and returns exactly the vectors
+// TransformAll produces after it, at every worker count. Narrow widths
+// force cancelled buckets, which still count toward DF.
 func TestFitTransformMatchesFitThenTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dim := range []int{1, 2, 7, 8192} {
@@ -307,19 +306,6 @@ func TestFitTransformMatchesFitThenTransform(t *testing.T) {
 		want := ref.TransformAll(docs)
 		if !slices.Equal(ref.df, referenceDF(dim, docs)) {
 			t.Fatalf("dim %d: Fit's document frequencies differ from the per-document set count", dim)
-		}
-		chunked := NewFeaturizer(dim)
-		if err := chunked.BeginFit(); err != nil {
-			t.Fatal(err)
-		}
-		for lo := 0; lo < len(docs); lo += 70 {
-			chunked.FitChunk(docs[lo:min(lo+70, len(docs))])
-		}
-		if err := chunked.FinishFit(); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(chunked.df, ref.df) || chunked.docs != ref.docs {
-			t.Fatalf("dim %d: chunked fit differs from Fit", dim)
 		}
 		for _, workers := range []int{1, 2, 5} {
 			f := NewFeaturizer(dim)
