@@ -76,10 +76,10 @@ stress:
 # cross a trust boundary: LLM completions, raw text and its feature
 # vectors, label and bundle-promote request bodies, bundle files, the
 # growth loop's on-disk step journal, grid checkpoint files, arbitrary
-# bytes as a ckpt journal reopened and appended to, and JSONL corpus
-# splits; raw keyword phrases (as a bundle file can carry them)
-# through the index's one-pass LF evaluation, which must match a full
-# Apply scan; plus arbitrary vote matrices through MeTaL's per-pattern
+# bytes as a ckpt journal reopened and appended to, JSONL corpus splits,
+# and the meta and train files of a dataset directory; raw keyword
+# phrases (as a bundle file can carry them) through the index's
+# one-pass LF evaluation, which must match a full Apply scan; plus arbitrary vote matrices through MeTaL's per-pattern
 # EM, which must match the row-by-row reference bit for bit; and
 # arbitrary label values through the metric families, whose Prometheus
 # and JSON exports must stay well-formed under a capped series count.
@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzGatewayPromote$$' -fuzztime 30s ./internal/registry/
 	$(GO) test -run XXX -fuzz '^FuzzProposerReplay$$' -fuzztime 30s ./internal/core/
 	$(GO) test -run XXX -fuzz '^FuzzJSONLReader$$' -fuzztime 30s ./internal/dataset/
+	$(GO) test -run XXX -fuzz '^FuzzLoadDir$$' -fuzztime 30s ./internal/dataset/
 	$(GO) test -run XXX -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s ./internal/experiment/
 	$(GO) test -run XXX -fuzz '^FuzzCkptOpen$$' -fuzztime 30s ./internal/ckpt/
 	$(GO) test -run XXX -fuzz '^FuzzIndexEval$$' -fuzztime 30s ./internal/lf/
@@ -130,9 +131,9 @@ bench-grid:
 	$(GO) test -bench=Grid -benchtime=1x -benchmem -run XXX .
 
 # out-of-core scale benchmarks: 100x Youtube (158,600 train documents)
-# through exact vs LSH KATE retrieval (per-query latency + recall@10)
-# and the resident vs spilling vote matrix (peak heap). The only producer of out-of-core numbers;
-# writes BENCH_scale.json, whose floors TestScaleFloors enforces.
+# through exact vs LSH KATE retrieval (per-query latency + recall@10).
+# The only producer of out-of-core numbers; writes BENCH_scale.json,
+# whose floors TestScaleFloors enforces.
 bench-scale:
 	$(GO) test -bench=Scale -benchtime=1x -benchmem -run XXX . | tee BENCH_scale.json
 

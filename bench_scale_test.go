@@ -1,45 +1,34 @@
 // Out-of-core scale benchmarks: the 100x-scale corpus (Youtube grown to
-// 158,600 train / 12,000 validation documents) driven through the two
-// memory-bounded subsystems this repo grew for million-document corpora:
+// 158,600 train / 12,000 validation documents) driven through KATE
+// retrieval, the memory-bounded subsystem this repo grew for
+// million-document corpora: the exact cosine scan vs the LSH shortlist
+// with exact re-ranking (ns/query plus recall@10 of the ANN path against
+// the exact top-10).
 //
-//   - KATE retrieval: exact cosine scan vs the LSH shortlist with exact
-//     re-ranking (ns/query plus recall@10 of the ANN path against the
-//     exact top-10);
-//   - the vote matrix: fully resident dense columns vs the
-//     capacity-capped spill mode backed by an unlinked temp file
-//     (peak heap MB plus spill counts).
-//
-// `make bench-scale` records all of it in BENCH_scale.json (standard Go
+// `make bench-scale` records it in BENCH_scale.json (standard Go
 // benchmark text). Two tests run on every `go test`: TestScaleSmoke
-// asserts the ANN and spill paths actually execute and that spill mode
-// stays bit-identical end to end, and TestScaleFloors holds the
+// asserts the ANN path actually executes, and TestScaleFloors holds the
 // committed BENCH_scale.json to the retrieval acceptance floors.
 package datasculpt_test
 
 import (
 	"os"
-	"runtime"
-	"runtime/debug"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"datasculpt"
 	"datasculpt/internal/ann"
 	"datasculpt/internal/dataset"
-	"datasculpt/internal/lf"
 	"datasculpt/internal/obs"
 	"datasculpt/internal/prompt"
 	"datasculpt/internal/textproc"
 )
 
 // scaleFactor grows every Youtube split 100x: large enough that the
-// exact KATE scan and the dense vote matrix both hurt, small enough to
-// benchmark in minutes.
+// exact KATE scan hurts, small enough to benchmark in minutes.
 const scaleFactor = 100
 
 const scaleShots = 10
@@ -189,147 +178,8 @@ func scaleRecallAt10(b *testing.B, d *datasculpt.Dataset, feat *textproc.Featuri
 	return float64(hit) / float64(want)
 }
 
-// peakHeapMB runs f and returns the peak live heap (MB above the
-// post-GC baseline) observed by a background sampler while it ran — a
-// coarse but honest proxy for the RSS the operation adds. The GC is
-// tightened while f runs so HeapAlloc tracks live memory instead of
-// floating garbage (the retained 100x corpus would otherwise push the
-// GC target high enough to drown the signal).
-func peakHeapMB(f func()) float64 {
-	defer debug.SetGCPercent(debug.SetGCPercent(10))
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	base := ms.HeapAlloc
-	peak := base
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				var s runtime.MemStats
-				runtime.ReadMemStats(&s)
-				if s.HeapAlloc > peak {
-					peak = s.HeapAlloc
-				}
-			}
-		}
-	}()
-	f()
-	close(stop)
-	<-done
-	var end runtime.MemStats
-	runtime.ReadMemStats(&end)
-	if end.HeapAlloc > peak {
-		peak = end.HeapAlloc
-	}
-	if peak < base {
-		return 0
-	}
-	return float64(peak-base) / (1 << 20)
-}
-
-// scaleKeywordLFs derives m keyword LFs from the split's most frequent
-// tokens, so the benchmark vote matrix has realistic per-column
-// coverage.
-func scaleKeywordLFs(tb testing.TB, split []*dataset.Example, m, numClasses int) []lf.LabelFunction {
-	tb.Helper()
-	sample := split
-	if len(sample) > 20000 {
-		sample = sample[:20000]
-	}
-	df := make(map[string]int)
-	for _, e := range sample {
-		e.EnsureTokens()
-		seen := make(map[string]bool, len(e.Tokens))
-		for _, tok := range e.Tokens {
-			if !seen[tok] {
-				seen[tok] = true
-				df[tok]++
-			}
-		}
-	}
-	toks := make([]string, 0, len(df))
-	for tok := range df {
-		toks = append(toks, tok)
-	}
-	sort.Slice(toks, func(i, j int) bool {
-		if df[toks[i]] != df[toks[j]] {
-			return df[toks[i]] > df[toks[j]]
-		}
-		return toks[i] < toks[j]
-	})
-	lfs := make([]lf.LabelFunction, 0, m)
-	for _, tok := range toks {
-		l, err := lf.NewKeywordLF(tok, len(lfs)%numClasses)
-		if err != nil {
-			continue
-		}
-		lfs = append(lfs, l)
-		if len(lfs) == m {
-			break
-		}
-	}
-	if len(lfs) < m {
-		tb.Fatalf("only %d keyword LFs derivable, want %d", len(lfs), m)
-	}
-	return lfs
-}
-
-const scaleLFCount = 120
-
-// voteMatrixBench builds a 158,600 x 120 vote matrix and runs the full
-// evaluation surface over it (stats, majority vote, coverage). budget 0
-// is the fully resident dense-column matrix; a positive budget caps the
-// resident sparse bytes and spills cold columns to the temp file.
-func voteMatrixBench(b *testing.B, budget int64) {
-	d, _ := scaleCorpus(b)
-	ix := lf.NewIndex(d.Train)
-	lfs := scaleKeywordLFs(b, d.Train, scaleLFCount, d.NumClasses())
-	gold := dataset.Labels(d.Train)
-	b.ResetTimer()
-	var peak float64
-	var spills int
-	for i := 0; i < b.N; i++ {
-		peak = peakHeapMB(func() {
-			vm := lf.NewVoteMatrix(ix.Size())
-			if budget > 0 {
-				if err := vm.EnableSpill(budget, "", nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			vm.AppendLFs(ix, lfs, 0)
-			vm.ComputeStats(gold, 0)
-			vm.MajorityVotes(d.NumClasses())
-			if budget > 0 {
-				spills = vm.SpillStats().Spills
-				if spills == 0 {
-					b.Fatal("spill budget never exceeded; shrink the budget")
-				}
-			}
-			vm.Close()
-		})
-	}
-	b.ReportMetric(peak, "peak-MB")
-	if budget > 0 {
-		b.ReportMetric(float64(spills), "spills")
-	}
-}
-
-func BenchmarkScaleVoteMatrixResident(b *testing.B) { voteMatrixBench(b, 0) }
-
-func BenchmarkScaleVoteMatrixSpill(b *testing.B) { voteMatrixBench(b, 1<<20) }
-
-// TestScaleSmoke proves the ANN retrieval path and the vote-matrix
-// spill path both actually execute (counters move, evictions happen)
-// and that a spill-enabled end-to-end pipeline run is bit-identical to
-// the fully resident run.
+// TestScaleSmoke proves the ANN retrieval path actually executes: every
+// Select returns its demos and the ANN query counter moves.
 func TestScaleSmoke(t *testing.T) {
 	d, err := datasculpt.LoadDataset("youtube", 11, 0.5)
 	if err != nil {
@@ -363,56 +213,6 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	if n := reg.CounterValue("kate_ann_queries_total"); n == 0 {
 		t.Fatal("no Select went through the ANN shortlist")
-	}
-
-	// Spill path: a 4KB budget over ~20 real-coverage columns forces
-	// evictions; every read must still match the resident oracle.
-	ix := lf.NewIndex(d.Train)
-	lfs := scaleKeywordLFs(t, d.Train, 20, d.NumClasses())
-	vm := lf.NewVoteMatrix(ix.Size())
-	if err := vm.EnableSpill(4<<10, "", reg); err != nil {
-		t.Fatal(err)
-	}
-	vm.AppendLFs(ix, lfs, 0)
-	oracle := lf.BuildVoteMatrixParallel(ix, lfs, 0)
-	for j := 0; j < vm.NumLFs(); j++ {
-		gi, gv := vm.Active(j)
-		wi, wv := oracle.Active(j)
-		if !slices.Equal(gi, wi) || !slices.Equal(gv, wv) {
-			t.Fatalf("spilled column %d diverges from the resident oracle", j)
-		}
-	}
-	gotMaj, wantMaj := vm.MajorityVotes(d.NumClasses()), oracle.MajorityVotes(d.NumClasses())
-	for i := range wantMaj {
-		if gotMaj[i] != wantMaj[i] {
-			t.Fatalf("spilled MajorityVotes[%d] = %d, want %d", i, gotMaj[i], wantMaj[i])
-		}
-	}
-	if st := vm.SpillStats(); st.Spills == 0 {
-		t.Fatalf("spill budget never exceeded: %+v", st)
-	}
-	vm.Close()
-
-	// End to end: the spill-enabled pipeline run must reproduce the
-	// resident run bit for bit (spilling changes storage, not votes).
-	run := func(spillMB int) *datasculpt.Result {
-		cfg := datasculpt.DefaultConfig(datasculpt.VariantKATE)
-		cfg.Iterations = 5
-		cfg.Seed = 11
-		cfg.VoteSpillMB = spillMB
-		res, err := datasculpt.Run(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	resident, spilled := run(0), run(1)
-	if resident.NumLFs != spilled.NumLFs ||
-		resident.LFCoverage != spilled.LFCoverage ||
-		resident.EndMetric != spilled.EndMetric {
-		t.Fatalf("spill-enabled run diverged: resident #LF=%d cov=%v end=%v, spilled #LF=%d cov=%v end=%v",
-			resident.NumLFs, resident.LFCoverage, resident.EndMetric,
-			spilled.NumLFs, spilled.LFCoverage, spilled.EndMetric)
 	}
 }
 
@@ -455,9 +255,6 @@ func TestScaleFloors(t *testing.T) {
 		"BenchmarkScaleKATEExact ns/query",
 		"BenchmarkScaleKATEANN ns/query",
 		"BenchmarkScaleKATEANN recall@10",
-		"BenchmarkScaleVoteMatrixResident peak-MB",
-		"BenchmarkScaleVoteMatrixSpill peak-MB",
-		"BenchmarkScaleVoteMatrixSpill spills",
 	} {
 		if _, ok := got[key]; !ok {
 			t.Fatalf("BENCH_scale.json has no %s", key)

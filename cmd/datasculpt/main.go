@@ -41,7 +41,6 @@ func main() {
 	iterations := flag.Int("iterations", 50, "query iterations")
 	seeds := flag.Int("seeds", 1, "number of seeds to average")
 	scale := flag.Float64("scale", 1.0, "dataset scale: (0,1) shrinks, 1 is Table-1 size, >1 grows every split proportionally")
-	voteSpillMB := flag.Int("vote-spill-mb", 0, "resident-memory budget for the train vote matrix in MB; cold columns spill to a temp file (0 = fully resident)")
 	noAccuracy := flag.Bool("no-accuracy-filter", false, "disable the accuracy filter")
 	noRedundancy := flag.Bool("no-redundancy-filter", false, "disable the redundancy filter")
 	showLFs := flag.Bool("lfs", false, "print the generated LF set with per-LF statistics")
@@ -78,8 +77,7 @@ func main() {
 		scale: *scale, noAccuracy: *noAccuracy, noRedundancy: *noRedundancy,
 		showLFs: *showLFs, analyze: *analyze, saveLFs: *saveLFs, saveBundle: *saveBundle, revise: *revise,
 		checkpoint: *checkpoint, resume: *resume, maxFailedIters: *maxFailedIters,
-		parallelism: *parallelism, voteSpillMB: *voteSpillMB,
-		obs: o,
+		parallelism: *parallelism, obs: o,
 	})
 	// The cleanup writes -metrics-out and flushes the trace sink, so it
 	// must run (and be checked) even when the run itself failed.
@@ -101,8 +99,7 @@ type runOptions struct {
 	showLFs, analyze, revise                     bool
 	saveLFs, saveBundle                          string
 	checkpoint, resume                           string
-	maxFailedIters                               int
-	parallelism, voteSpillMB                     int
+	maxFailedIters, parallelism                  int
 	obs                                          *obs.Obs
 }
 
@@ -141,7 +138,6 @@ func run(ctx context.Context, o runOptions) error {
 			cfg.Filters = lf.FilterConfig{UseAccuracy: !o.noAccuracy, UseRedundancy: !o.noRedundancy}
 			cfg.ReviseRejected = o.revise
 			cfg.Parallelism = o.parallelism
-			cfg.VoteSpillMB = o.voteSpillMB
 			// A response cache in front of the endpoint the pipeline
 			// builds, so the summary can report hit rates (and repeated
 			// prompts cost nothing against a real provider).

@@ -92,12 +92,6 @@ type Config struct {
 	// revise.go). MaxRevisions bounds the extra prompts (default 10).
 	ReviseRejected bool
 	MaxRevisions   int
-	// VoteSpillMB, when positive, bounds the resident sparse bytes of the
-	// train-split vote matrix: columns beyond the budget spill LRU to an
-	// unlinked temp file and fault back in transparently
-	// (eval_votematrix_spill_* metrics). 0 (default) keeps every column
-	// resident. The layout is the same either way, and so are the results.
-	VoteSpillMB int
 	// Parallelism bounds the worker goroutines the evaluation engine uses
 	// for vote-matrix column evaluation, the label model's EM steps,
 	// batch featurization and batch prediction. 0 (the default) selects

@@ -101,7 +101,7 @@ func goldenProposer(t *testing.T, buf *bytes.Buffer, d *dataset.Dataset, cfg Con
 			break
 		}
 	}
-	res, err := p.Evaluate()
+	res, err := p.Evaluate(noSpan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +204,14 @@ func TestRunsGolden(t *testing.T) {
 		}
 	}
 	frozen := append([]lf.LabelFunction(nil), first.Accepted()...)
-	first.Close()
 	buf.WriteString("== proposer/base/random/frozen\n")
 	goldenProposer(t, &buf, yt, goldenConfig(VariantBase, "random"),
-		ProposerOptions{Frozen: frozen, Prefix: mustPrefix(t, yt, len(yt.Train)/2, goldenConfig(VariantBase, "random"))}, 8).Close()
+		ProposerOptions{Frozen: frozen, Prefix: mustPrefix(t, yt, len(yt.Train)/2, goldenConfig(VariantBase, "random"))}, 8)
 
 	kate := goldenConfig(VariantKATE, "seu")
 	kate.WrapModel = faultWrap(9)
 	buf.WriteString("== proposer/kate/seu/faults\n")
-	goldenProposer(t, &buf, yt, kate, ProposerOptions{}, 8).Close()
+	goldenProposer(t, &buf, yt, kate, ProposerOptions{}, 8)
 
 	golden := filepath.Join("testdata", "runs.golden")
 	if *update {

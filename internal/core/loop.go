@@ -40,7 +40,6 @@ var noSpan = obs.NopTracer().StartSpan("")
 // d. reg, when non-nil, receives the sampler, KATE and evaluation-engine
 // metrics. pre, when non-nil, is the prefix d.Train starts with: only
 // the train tail is hashed and indexed, and the valid index is pre's.
-// The caller owns the returned loop's evaluator (ev.close).
 func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry, pre *Prefix) (*loop, error) {
 	smp, ok := sampler.ByName(cfg.Sampler)
 	if !ok {
@@ -98,7 +97,7 @@ func newLoop(d *dataset.Dataset, cfg Config, reg *obs.Registry, pre *Prefix) (*l
 		},
 		ev: &evaluator{
 			d: d, feat: feat, trainIx: trainIx, validIx: validIx, cfg: cfg,
-			workers: cfg.Parallelism, em: newEvalMetrics(reg), metrics: reg,
+			workers: cfg.Parallelism, em: newEvalMetrics(reg),
 			trainVecs: trainVecs, trainTF: tf,
 		},
 	}

@@ -156,7 +156,6 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 	if err != nil {
 		return nil, err
 	}
-	defer l.ev.close()
 	needsInterim := sampler.NeedsPosteriors(cfg.Sampler)
 	logDebug := o.Logger.Enabled(ctx, slog.LevelDebug)
 
@@ -297,7 +296,6 @@ func EvaluateLFSet(d *dataset.Dataset, lfs []lf.LabelFunction, cfg Config) (*Res
 		d: d, feat: feat, trainIx: lf.NewIndex(d.Train), cfg: cfg,
 		workers: cfg.Parallelism, em: newEvalMetrics(nil),
 	}
-	defer ev.close()
 	res, err := ev.evaluate(noSpan, lfs)
 	if err != nil {
 		return nil, err
@@ -323,9 +321,6 @@ type evaluator struct {
 	cfg     Config
 	workers int
 	em      evalMetrics
-	// metrics is the run's registry (nil outside instrumented runs); the
-	// spilling vote matrix streams eval_votematrix_spill_* into it.
-	metrics *obs.Registry
 
 	// trainVecs come from newLoop when it ran FitTransform or the
 	// coreset sampler needs them; otherwise trainVectors builds them on
@@ -355,7 +350,7 @@ type evaluator struct {
 // full rebuild, so correctness never depends on the invariant holding.
 func (ev *evaluator) voteMatrix(lfs []lf.LabelFunction) *lf.VoteMatrix {
 	if ev.vm == nil {
-		ev.vm = ev.newVoteMatrix()
+		ev.vm = lf.NewVoteMatrix(ev.trainIx.Size())
 	}
 	reused := ev.vm.NumLFs()
 	prefixOK := len(lfs) >= reused
@@ -370,8 +365,7 @@ func (ev *evaluator) voteMatrix(lfs []lf.LabelFunction) *lf.VoteMatrix {
 	}
 	if !prefixOK {
 		ev.em.vmRebuilds.Inc()
-		ev.vm.Close()
-		ev.vm = ev.newVoteMatrix()
+		ev.vm = lf.NewVoteMatrix(ev.trainIx.Size())
 		ev.vm.AppendLFs(ev.trainIx, lfs, ev.workers)
 		ev.em.colsBuilt.AddInt(len(lfs))
 		ev.invalidateInterim()
@@ -382,24 +376,6 @@ func (ev *evaluator) voteMatrix(lfs []lf.LabelFunction) *lf.VoteMatrix {
 	}
 	ev.em.colsReused.AddInt(reused)
 	return ev.vm
-}
-
-// newVoteMatrix creates an empty train-split matrix, memory-bounded when
-// Config.VoteSpillMB is set. A spill-file creation failure falls back to
-// the fully resident matrix — correctness never depends on the temp dir.
-func (ev *evaluator) newVoteMatrix() *lf.VoteMatrix {
-	vm := lf.NewVoteMatrix(ev.trainIx.Size())
-	if mb := ev.cfg.VoteSpillMB; mb > 0 {
-		_ = vm.EnableSpill(int64(mb)<<20, "", ev.metrics)
-	}
-	return vm
-}
-
-// close releases the vote matrix's spill file, if any.
-func (ev *evaluator) close() {
-	if ev.vm != nil {
-		ev.vm.Close()
-	}
 }
 
 func (ev *evaluator) invalidateInterim() {

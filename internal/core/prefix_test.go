@@ -11,6 +11,7 @@ import (
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
+	"datasculpt/internal/obs"
 )
 
 // growthView is a growth cycle's dataset: head, then label-stripped,
@@ -40,7 +41,6 @@ func proposeAndBundle(t *testing.T, p *core.Proposer, d *dataset.Dataset, cfg co
 
 // bundleOf is proposeAndBundle for goroutines: it returns its error.
 func bundleOf(p *core.Proposer, d *dataset.Dataset, cfg core.Config, budget int) ([]string, string, error) {
-	defer p.Close()
 	for it := 0; it < budget; it++ {
 		st, err := p.Step(context.Background(), it)
 		if err != nil {
@@ -51,7 +51,7 @@ func bundleOf(p *core.Proposer, d *dataset.Dataset, cfg core.Config, budget int)
 		}
 	}
 	names := lfNames(p.Accepted())
-	res, err := p.Evaluate()
+	res, err := p.Evaluate(obs.NopTracer().StartSpan(""))
 	if err != nil {
 		return nil, "", err
 	}

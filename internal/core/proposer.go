@@ -10,6 +10,7 @@ import (
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
 	"datasculpt/internal/llm"
+	"datasculpt/internal/obs"
 	"datasculpt/internal/par"
 	"datasculpt/internal/sampler"
 	"datasculpt/internal/textproc"
@@ -197,7 +198,7 @@ func NewProposer(d *dataset.Dataset, cfg Config, opts ProposerOptions) (*Propose
 		// so each frozen LF is evaluated over the tail once.
 		cols := opts.Prefix.columns(l.ev.trainIx, opts.Frozen, cfg.Parallelism)
 		l.chain.Seed(opts.Frozen, cols)
-		l.ev.vm = l.ev.newVoteMatrix()
+		l.ev.vm = lf.NewVoteMatrix(l.ev.trainIx.Size())
 		l.ev.vm.AppendColumns(opts.Frozen, cols)
 		for i := range opts.Prefix.train {
 			l.state.Used[i] = true
@@ -322,11 +323,8 @@ func (p *Proposer) NewCount() int { return len(p.chain.Accepted()) - p.frozen }
 
 // Evaluate aggregates the current LF set with the label model, trains
 // the end model, and returns the full Result (with trained artifacts,
-// ready for bundle.New). Token accounting covers live and replayed
-// steps alike.
-func (p *Proposer) Evaluate() (*Result, error) {
-	return p.finish(noSpan, fmt.Sprintf("datasculpt-%s-grown", p.cfg.Variant), p.usage)
+// ready for bundle.New). Its evaluate span nests under sp. Token
+// accounting covers live and replayed steps alike.
+func (p *Proposer) Evaluate(sp obs.Span) (*Result, error) {
+	return p.finish(sp, fmt.Sprintf("datasculpt-%s-grown", p.cfg.Variant), p.usage)
 }
-
-// Close releases the evaluator's vote matrix.
-func (p *Proposer) Close() { p.ev.close() }

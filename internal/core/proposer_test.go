@@ -76,9 +76,8 @@ func TestProposerReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	refSteps := runSteps(t, ref, 0, budget)
-	refRes, err := ref.Evaluate()
+	refRes, err := ref.Evaluate(noSpan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestProposerReplayEquivalence(t *testing.T) {
 				t.Fatalf("split %d: LF %d is %q, want %q", split, i, names[i], refNames[i])
 			}
 		}
-		res, err := p.Evaluate()
+		res, err := p.Evaluate(noSpan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +124,6 @@ func TestProposerReplayEquivalence(t *testing.T) {
 			t.Fatalf("split %d: result diverged: got metric=%v lfs=%d calls=%d, want metric=%v lfs=%d calls=%d",
 				split, res.EndMetric, res.NumLFs, res.Calls, refRes.EndMetric, refRes.NumLFs, refRes.Calls)
 		}
-		p.Close()
 	}
 }
 
@@ -140,7 +138,6 @@ func TestProposerFrozenSeedAndPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer first.Close()
 	runSteps(t, first, 0, 6)
 	frozen := append([]lf.LabelFunction(nil), first.Accepted()...)
 	if len(frozen) == 0 {
@@ -152,7 +149,6 @@ func TestProposerFrozenSeedAndPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	if got := len(p.Accepted()); got != len(frozen) {
 		t.Fatalf("seeded chain has %d LFs, want %d", got, len(frozen))
 	}
@@ -201,7 +197,6 @@ func TestProposerExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	var exhausted *ProposalStep
 	for it := 0; it < 10; it++ {
 		st, err := p.Step(context.Background(), it)
@@ -242,7 +237,6 @@ func TestProposerWrapModelHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
 	want := runSteps(t, plain, 0, 4)
 
 	var iters []int
@@ -262,7 +256,6 @@ func TestProposerWrapModelHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	got := runSteps(t, p, 0, 4)
 	if fmt.Sprint(iters) != "[0 1 2 3]" {
 		t.Errorf("hook saw iterations %v, want [0 1 2 3]", iters)

@@ -32,7 +32,6 @@ func liveJournal(tb testing.TB, d *dataset.Dataset, cfg Config, budget int) []by
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer p.Close()
 	path := filepath.Join(tb.TempDir(), "steps.jsonl")
 	w, err := ckpt.Open(path)
 	if err != nil {
@@ -81,7 +80,6 @@ func replayJournal(t *testing.T, d *dataset.Dataset, cfg Config, data []byte) ([
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	kept := 0
 	for i := range steps {
 		st := &steps[i]
@@ -98,7 +96,7 @@ func replayJournal(t *testing.T, d *dataset.Dataset, cfg Config, data []byte) ([
 	if p.NewCount() != kept {
 		t.Fatalf("clean replay accepted %d LFs, journal kept %d", p.NewCount(), kept)
 	}
-	if _, err := p.Evaluate(); err != nil {
+	if _, err := p.Evaluate(noSpan); err != nil {
 		t.Fatalf("evaluating a cleanly replayed journal: %v", err)
 	}
 	return steps, nil, nil

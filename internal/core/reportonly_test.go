@@ -84,7 +84,6 @@ func TestTestSplitReportOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
 		var journal strings.Builder
 		for it := 0; it < 8; it++ {
 			st, err := p.Step(context.Background(), it)
@@ -97,7 +96,7 @@ func TestTestSplitReportOnly(t *testing.T) {
 			}
 			fmt.Fprintf(&journal, "%s\n", line)
 		}
-		res, err := p.Evaluate()
+		res, err := p.Evaluate(noSpan)
 		if err != nil {
 			t.Fatal(err)
 		}

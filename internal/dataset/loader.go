@@ -20,7 +20,9 @@ import (
 //
 // Each example object carries the instance under "data"; relation tasks
 // add "entity1"/"entity2". Unlabeled splits use label -1. Example ids are
-// the JSON object keys (decimal strings), preserved as Example.ID.
+// the JSON object keys, canonical decimal strings ("7", never "07" or
+// "+7"), so no two keys name the same id; the loader orders examples by
+// them and renumbers them 0..n-1 as Example.ID.
 
 // metaFile mirrors meta.json.
 type metaFile struct {
@@ -140,6 +142,11 @@ func loadSplit(path string, task TaskType) ([]*Example, error) {
 		id, err := strconv.Atoi(key)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: %s: non-numeric id %q", filepath.Base(path), key)
+		}
+		// "1" and "01" parse to the same id; accepting both would keep
+		// whichever the map iteration met last.
+		if canon := strconv.Itoa(id); key != canon {
+			return nil, fmt.Errorf("dataset: %s: non-canonical id %q (want %q)", filepath.Base(path), key, canon)
 		}
 		ids = append(ids, id)
 		byID[id] = ef

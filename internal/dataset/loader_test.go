@@ -110,6 +110,17 @@ func TestLoadDirErrors(t *testing.T) {
 	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "non-numeric") {
 		t.Errorf("non-numeric id: %v", err)
 	}
+	// "1" and "01" are the same id: loading both would silently drop one.
+	write("train.json", `{"1": {"label": 0, "data": {"text": "first"}},
+		"01": {"label": 1, "data": {"text": "second"}},
+		"2": {"label": 0, "data": {"text": "third"}}}`)
+	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), `train.json: non-canonical id "01"`) {
+		t.Errorf("aliased ids: %v", err)
+	}
+	write("train.json", `{"+3": {"label": 0, "data": {"text": "hi there"}}}`)
+	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), `train.json: non-canonical id "+3"`) {
+		t.Errorf("signed id: %v", err)
+	}
 }
 
 func TestLoadDirRelationEntityMissing(t *testing.T) {

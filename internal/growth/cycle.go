@@ -117,7 +117,6 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		return nil, err
 	}
 	prepSpan.End()
-	defer prop.Close()
 
 	steps, err := d.propose(ctx, span, man, prop, cycleDir)
 	if err != nil {
@@ -139,7 +138,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		rec.Outcome = OutcomeNoNewLFs
 	} else {
 		evalSpan := span.Child("growth.evaluate")
-		if cand, rec.CandidateHash, err = d.candidate(man, gd, prop, cycleDir); err != nil {
+		if cand, rec.CandidateHash, err = d.candidate(evalSpan, man, gd, prop, cycleDir); err != nil {
 			evalSpan.SetErr(err)
 			evalSpan.End()
 			return nil, err
@@ -337,8 +336,8 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, prop
 // pins it: evaluate the grown LF set, stamp the lineage (parent hash,
 // cycle counter, the manifest's timestamp), and save. After this
 // checkpoint the candidate's bytes never change. hash is the
-// candidate's Fingerprint.
-func (d *Daemon) candidate(man *manifest, gd *dataset.Dataset, prop *core.Proposer, cycleDir string) (cand *bundle.Bundle, hash string, err error) {
+// candidate's Fingerprint. The evaluation's spans nest under sp.
+func (d *Daemon) candidate(sp obs.Span, man *manifest, gd *dataset.Dataset, prop *core.Proposer, cycleDir string) (cand *bundle.Bundle, hash string, err error) {
 	candPath := filepath.Join(cycleDir, "candidate.json")
 	if cand, err := bundle.Load(candPath); err == nil {
 		hash, err := bundle.Fingerprint(cand)
@@ -347,7 +346,7 @@ func (d *Daemon) candidate(man *manifest, gd *dataset.Dataset, prop *core.Propos
 		return nil, "", fmt.Errorf("growth: loading pinned candidate: %w", err)
 	}
 
-	res, err := prop.Evaluate()
+	res, err := prop.Evaluate(sp)
 	if err != nil {
 		return nil, "", err
 	}

@@ -308,6 +308,50 @@ func TestGrowthSmoke(t *testing.T) {
 	}
 }
 
+// TestGrowthEvaluateSpans checks that a cycle's candidate evaluation
+// traces under growth.evaluate: the pipeline's evaluate span is its
+// child, and train_proba nests under evaluate.
+func TestGrowthEvaluateSpans(t *testing.T) {
+	_, d, path := trained(t)
+	parent, err := bundle.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewMemoryTracer()
+	dmn, err := New(Config{
+		Tenant: "t", Registry: newTestRegistry(t, registry.Options{}, path), Base: d, Parent: parent,
+		Pipeline: growthPipeline(), StateDir: t.TempDir(),
+		Budget: 4, MinCorpus: 8, Obs: obs.New(tr, obs.NewRegistry(), nil),
+		now: func() int64 { return 1_754_000_000 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dmn.Capture("t", corpusTexts(d, 24))
+	rec, err := dmn.RunCycle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec == nil || rec.NewLFs == 0 {
+		t.Fatalf("cycle record %+v: the fixture must propose new LFs", rec)
+	}
+	only := func(name string) obs.SpanData {
+		t.Helper()
+		spans := tr.Named(name)
+		if len(spans) != 1 {
+			t.Fatalf("%d %s spans, want 1", len(spans), name)
+		}
+		return spans[0]
+	}
+	growthEval, eval, proba := only("growth.evaluate"), only("evaluate"), only("train_proba")
+	if eval.Parent != growthEval.Span {
+		t.Errorf("evaluate span's parent is %q, want growth.evaluate (%q)", eval.Parent, growthEval.Span)
+	}
+	if proba.Parent != eval.Span {
+		t.Errorf("train_proba span's parent is %q, want evaluate (%q)", proba.Parent, eval.Span)
+	}
+}
+
 // testLineageHead restarts copies of a state dir whose journal holds
 // promoted row rec: New must refuse a missing or mismatched archive,
 // and a later non-promoted row must not move the head off rec's

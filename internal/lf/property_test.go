@@ -92,8 +92,7 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 // TestVoteMatrixColumnRowConsistencyProperty: every sparse column must
 // list ascending ids with no abstains, the coverage statistics must
 // equal the active fractions, and the row view must agree with the
-// columns on the resident matrix and on a spilling copy whose budget
-// forces evictions.
+// columns.
 func TestVoteMatrixColumnRowConsistencyProperty(t *testing.T) {
 	vocab := []string{"alpha", "beta", "gamma", "delta", "free", "cash"}
 	prop := func(seed int64) bool {
@@ -118,12 +117,6 @@ func TestVoteMatrixColumnRowConsistencyProperty(t *testing.T) {
 		}
 		ix := NewIndex(split)
 		vm := BuildVoteMatrix(ix, lfs)
-		spilled := NewVoteMatrix(ix.Size())
-		if err := spilled.EnableSpill(16, t.TempDir(), nil); err != nil {
-			t.Fatal(err)
-		}
-		defer spilled.Close()
-		spilled.AppendLFs(ix, lfs, 2)
 		covSum := 0.0
 		for j := 0; j < vm.NumLFs(); j++ {
 			ids, votes := vm.Active(j)
@@ -140,7 +133,7 @@ func TestVoteMatrixColumnRowConsistencyProperty(t *testing.T) {
 		if vm.ComputeStats(nil, 1).MeanCoverage != covSum/float64(vm.NumLFs()) {
 			return false
 		}
-		return rowsMatchColumns(vm) && rowsMatchColumns(spilled)
+		return rowsMatchColumns(vm)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

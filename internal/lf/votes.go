@@ -19,23 +19,13 @@ import (
 // new columns, which is how the pipeline's evaluator amortizes matrix
 // construction across iterations (the LF set only ever grows during a
 // run).
-// With EnableSpill the matrix becomes memory-bounded: sparse columns are
-// evicted LRU to an unlinked temp file once resident bytes exceed the
-// budget, and accesses fault them back in transparently (see spill.go).
-// The layout is the same either way; only eviction differs.
 type VoteMatrix struct {
 	n, m  int
 	names []string
 	// active[j] lists the ascending doc ids LF j votes on;
-	// activeVotes[j] holds the aligned votes. In spill mode an evicted
-	// column has active[j] == nil and lives in the spill file.
+	// activeVotes[j] holds the aligned votes.
 	active      [][]int32
 	activeVotes [][]int8
-	// counts[j] is len(active[j]) recorded at append time, valid even
-	// while the column is evicted.
-	counts []int32
-
-	spill *spillState // nil unless EnableSpill was called
 }
 
 // NewVoteMatrix returns an empty (zero-LF) matrix over n examples; grow
@@ -44,19 +34,11 @@ func NewVoteMatrix(n int) *VoteMatrix {
 	return &VoteMatrix{n: n}
 }
 
-// BuildVoteMatrix evaluates every LF over the indexed split sequentially.
-// It is BuildVoteMatrixParallel with one worker.
+// BuildVoteMatrix evaluates every LF over the indexed split
+// sequentially; AppendLFs on a NewVoteMatrix fans the evaluation out.
 func BuildVoteMatrix(ix *Index, lfs []LabelFunction) *VoteMatrix {
-	return BuildVoteMatrixParallel(ix, lfs, 1)
-}
-
-// BuildVoteMatrixParallel evaluates every LF over the indexed split,
-// fanning column evaluation across at most workers goroutines (<= 1 is
-// sequential; columns are independent, so the result is identical for
-// every worker count).
-func BuildVoteMatrixParallel(ix *Index, lfs []LabelFunction, workers int) *VoteMatrix {
 	vm := NewVoteMatrix(ix.Size())
-	vm.AppendLFs(ix, lfs, workers)
+	vm.AppendLFs(ix, lfs, 1)
 	return vm
 }
 
@@ -102,7 +84,6 @@ func (vm *VoteMatrix) appendColumns(lfs []LabelFunction, workers int, col func(t
 	vm.names = append(vm.names, make([]string, len(lfs))...)
 	vm.active = append(vm.active, make([][]int32, len(lfs))...)
 	vm.activeVotes = append(vm.activeVotes, make([][]int8, len(lfs))...)
-	vm.counts = append(vm.counts, make([]int32, len(lfs))...)
 	// Dynamic scheduling with a small grain: column costs are wildly
 	// uneven (a rare keyword touches a handful of postings, a generic
 	// one thousands). Each index writes only its own column slots.
@@ -116,12 +97,8 @@ func (vm *VoteMatrix) appendColumns(lfs []LabelFunction, workers int, col func(t
 		vm.names[j] = lfs[t].Name()
 		vm.active[j] = kept
 		vm.activeVotes[j] = c.Votes
-		vm.counts[j] = int32(len(kept))
 	})
 	vm.m += len(lfs)
-	if vm.spill != nil {
-		vm.spillAdmitNew(base)
-	}
 	return len(lfs)
 }
 
@@ -133,11 +110,9 @@ func (vm *VoteMatrix) NumLFs() int { return vm.m }
 
 // Active returns LF j's sparse column: the ascending document ids it
 // votes on and the aligned votes (shared storage; callers must not
-// mutate). This is the O(active) view the label models iterate. In spill
-// mode an evicted column is faulted back in transparently; the returned
-// slices stay valid (immutable) even if the column is evicted again.
+// mutate). This is the O(active) view the label models iterate.
 func (vm *VoteMatrix) Active(j int) (ids []int32, votes []int8) {
-	return vm.activeCol(j)
+	return vm.active[j], vm.activeVotes[j]
 }
 
 // RowView is the row-major transpose of a vote matrix: for each example,
@@ -151,14 +126,10 @@ type RowView struct {
 }
 
 // Rows builds the row view in two O(nnz) passes over the sparse columns.
-// It is built per call and not cached, so in spill mode it adds nothing
-// to the resident columns beyond the call that uses it: the columns are
-// faulted in one at a time, and the view holds its own 5 bytes per vote
-// plus one offset per example.
+// It is built per call and not cached.
 func (vm *VoteMatrix) Rows() RowView {
 	start := make([]int, vm.n+1)
-	for j := 0; j < vm.m; j++ {
-		ids, _ := vm.activeCol(j)
+	for _, ids := range vm.active {
 		for _, id := range ids {
 			start[id+1]++
 		}
@@ -169,8 +140,8 @@ func (vm *VoteMatrix) Rows() RowView {
 	nnz := start[vm.n]
 	rv := RowView{start: start, lfs: make([]int32, nnz), votes: make([]int8, nnz)}
 	fill := append([]int(nil), start[:vm.n]...)
-	for j := 0; j < vm.m; j++ {
-		ids, votes := vm.activeCol(j)
+	for j, ids := range vm.active {
+		votes := vm.activeVotes[j]
 		for t, id := range ids {
 			p := fill[id]
 			rv.lfs[p] = int32(j)
@@ -229,9 +200,9 @@ func (vm *VoteMatrix) ComputeStats(gold []int, workers int) Stats {
 	perLF := make([]lfStat, vm.m)
 	par.Chunks(workers, vm.m, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			st := lfStat{active: vm.activeLen(j)}
+			ids, votes := vm.active[j], vm.activeVotes[j]
+			st := lfStat{active: len(ids)}
 			if gold != nil {
-				ids, votes := vm.activeCol(j)
 				for t, id := range ids {
 					if gold[id] == dataset.NoLabel {
 						continue
@@ -255,8 +226,7 @@ func (vm *VoteMatrix) ComputeStats(gold []int, workers int) Stats {
 			accSum += float64(st.correct) / float64(st.graded)
 			graded++
 		}
-		ids, _ := vm.activeCol(j)
-		for _, id := range ids {
+		for _, id := range vm.active[j] {
 			covered[id] = true
 		}
 	}
@@ -293,7 +263,7 @@ func (vm *VoteMatrix) LFAccuracy(j int, gold []int) (acc float64, active int) {
 		panic(fmt.Sprintf("lf: gold length %d != examples %d", len(gold), vm.n))
 	}
 	correct := 0
-	ids, votes := vm.activeCol(j)
+	ids, votes := vm.active[j], vm.activeVotes[j]
 	for t, id := range ids {
 		if gold[id] == dataset.NoLabel {
 			continue
@@ -317,8 +287,8 @@ func (vm *VoteMatrix) MajorityVotes(numClasses int) []int {
 	out := make([]int, vm.n)
 	counts := make([]int32, vm.n*numClasses)
 	covered := make([]bool, vm.n)
-	for j := 0; j < vm.m; j++ {
-		ids, votes := vm.activeCol(j)
+	for j, ids := range vm.active {
+		votes := vm.activeVotes[j]
 		for t, id := range ids {
 			counts[int(id)*numClasses+int(votes[t])]++
 			covered[id] = true

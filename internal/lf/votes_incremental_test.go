@@ -143,7 +143,8 @@ func TestBuildVoteMatrixParallelMatchesSequential(t *testing.T) {
 	ix := NewIndex(split)
 	want := BuildVoteMatrix(ix, lfs)
 	for _, workers := range []int{2, 3, 8, 0} {
-		got := BuildVoteMatrixParallel(ix, lfs, workers)
+		got := NewVoteMatrix(ix.Size())
+		got.AppendLFs(ix, lfs, workers)
 		if !matricesEqual(t, got, want) {
 			t.Fatalf("workers=%d: parallel build diverged from sequential", workers)
 		}
