@@ -16,11 +16,12 @@
 GO ?= go
 
 # Total statement coverage (as printed by `go tool cover -func`) must not
-# drop below this floor, set one point under the total measured after
-# the per-pattern EM and feature-major end-model kernels landed (85.5%
-# at the time). Raise it when coverage genuinely improves; never lower
-# it to make ci pass.
-COVERAGE_FLOOR = 84.5
+# drop below this floor. It was set one point under 85.5%, then raised
+# by the 1.5 points gained when the examples became golden tests and
+# the root facade's untested forwards were deleted (87.3% -> 88.8%).
+# Raise it when coverage genuinely improves; never lower it to make ci
+# pass.
+COVERAGE_FLOOR = 86.0
 
 .PHONY: ci fmt-check vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check bench-test bench bench-grid bench-scale clean
 

@@ -2,11 +2,11 @@
 // in the WRENCH-style JSON layout that dataset.LoadDir reads (and other
 // PWS tooling can consume):
 //
-//	datagen -out ./data                       # all six datasets, full size
+//	datagen -out ./data                       # all seven datasets, full size
 //	datagen -out ./data -datasets youtube,sms -scale 0.2 -seed 7
 //
-// Each dataset lands in <out>/<name>/ with meta.json plus
-// train/valid/test.json.
+// The seven are the paper's six plus trec. Each dataset lands in
+// <out>/<name>/ with meta.json plus train/valid/test.json.
 package main
 
 import (
@@ -21,7 +21,7 @@ import (
 
 func main() {
 	out := flag.String("out", "data", "output directory")
-	names := flag.String("datasets", "", "comma-separated subset (default: all six)")
+	names := flag.String("datasets", "", "comma-separated subset (default: all seven, the paper's six plus trec)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	scale := flag.Float64("scale", 1.0, "dataset scale: (0,1) shrinks, 1 is Table-1 size, >1 grows (e.g. 100 for the out-of-core benchmark)")
 	flag.Parse()

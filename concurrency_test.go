@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"datasculpt/internal/llm"
 )
 
 // stressConfig is a small but non-trivial pipeline configuration shared
@@ -70,7 +72,7 @@ func comparableOf(t testing.TB, r *Result) comparableResult {
 func TestConcurrentRunsSharedModel(t *testing.T) {
 	const goroutines = 8
 
-	sim, err := NewSimulatedLLM("gpt-3.5", stressDataset(t), stressConfig().Seed+101)
+	sim, err := llm.NewSimulated("gpt-3.5", stressDataset(t), stressConfig().Seed+101)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestConcurrentRunsIndependentModels(t *testing.T) {
 // stack fast while totals still reconcile.
 func TestRateLimitedSharedStack(t *testing.T) {
 	d := stressDataset(t)
-	sim, err := NewSimulatedLLM("gpt-3.5", d, stressConfig().Seed+101)
+	sim, err := llm.NewSimulated("gpt-3.5", d, stressConfig().Seed+101)
 	if err != nil {
 		t.Fatal(err)
 	}

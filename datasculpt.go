@@ -24,17 +24,12 @@ package datasculpt
 
 import (
 	"context"
-	"io"
-	"log/slog"
-	"time"
 
 	"datasculpt/internal/baselines"
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
-	"datasculpt/internal/experiment"
 	"datasculpt/internal/lf"
 	"datasculpt/internal/llm"
-	"datasculpt/internal/obs"
 )
 
 // Dataset is a labeled/unlabeled corpus with train/valid/test splits.
@@ -65,35 +60,18 @@ const (
 // LabelFunction is a weak supervision source.
 type LabelFunction = lf.LabelFunction
 
-// KeywordLF labels a passage by keyword containment; EntityKeywordLF is
-// its relation-task extension requiring the keyword to attach to the
-// target entity pair.
-type (
-	KeywordLF       = lf.KeywordLF
-	EntityKeywordLF = lf.EntityKeywordLF
-)
-
 // FilterConfig selects which LF filters the pipeline applies.
 type FilterConfig = lf.FilterConfig
 
-// ChatModel abstracts an LLM endpoint; Simulated is the deterministic
-// offline implementation used throughout this repo. Message and
-// Response are the chat request/reply types — exported so external
-// packages can call Chat and implement ChatModel without reaching into
-// internal/.
+// ChatModel abstracts an LLM endpoint; set Config.ChatModel to run the
+// pipeline on one. Message and Response are the chat request and reply
+// types, so a provider client outside this module can implement
+// ChatModel.
 type (
 	ChatModel = llm.ChatModel
-	Simulated = llm.Simulated
 	Message   = llm.Message
 	Response  = llm.Response
 )
-
-// ExperimentOptions parameterizes the multi-seed experiment sweeps that
-// regenerate the paper's tables and figures.
-type ExperimentOptions = experiment.Options
-
-// DatasetNames lists the six benchmark datasets in the paper's order.
-func DatasetNames() []string { return dataset.Names() }
 
 // LoadDataset generates the named synthetic dataset. Scale 1 reproduces
 // the paper's Table 1 split sizes; smaller scales shrink every split for
@@ -112,9 +90,9 @@ func DefaultConfig(v Variant) Config { return core.DefaultConfig(v) }
 func Run(d *Dataset, cfg Config) (*Result, error) { return core.Run(d, cfg) }
 
 // RunContext executes the full DataSculpt pipeline under a context:
-// cancellation (deadline, Ctrl-C, first error of a concurrent sweep)
-// aborts the run between prompts and propagates through the LLM client,
-// so no budget is spent after the caller gives up.
+// cancellation (deadline, Ctrl-C) aborts the run between prompts and
+// propagates through the LLM client, so no budget is spent after the
+// caller gives up.
 func RunContext(ctx context.Context, d *Dataset, cfg Config) (*Result, error) {
 	return core.RunContext(ctx, d, cfg)
 }
@@ -126,63 +104,25 @@ func EvaluateLFSet(d *Dataset, lfs []LabelFunction, cfg Config) (*Result, error)
 }
 
 // NewKeywordLF builds a keyword LF after validity checks (1-3 gram).
-func NewKeywordLF(phrase string, class int) (*KeywordLF, error) {
+func NewKeywordLF(phrase string, class int) (*lf.KeywordLF, error) {
 	return lf.NewKeywordLF(phrase, class)
 }
 
-// NewEntityKeywordLF builds an entity-aware keyword LF for relation tasks.
-func NewEntityKeywordLF(phrase string, class int) (*EntityKeywordLF, error) {
+// NewEntityKeywordLF builds an entity-aware keyword LF for relation
+// tasks: the keyword must attach to the target entity pair.
+func NewEntityKeywordLF(phrase string, class int) (*lf.EntityKeywordLF, error) {
 	return lf.NewEntityKeywordLF(phrase, class)
-}
-
-// NewSimulatedLLM builds the deterministic simulated chat model for a
-// dataset. Model accepts "gpt-3.5", "gpt-4", "llama2-7b", "llama2-13b",
-// "llama2-70b" or their full provider identifiers.
-func NewSimulatedLLM(model string, d *Dataset, seed int64) (*Simulated, error) {
-	return llm.NewSimulated(model, d, seed)
 }
 
 // WrenchLFs reconstructs the WRENCH benchmark's expert LF set for a
 // dataset (baseline of Table 2).
 func WrenchLFs(d *Dataset) ([]LabelFunction, error) { return baselines.Wrench(d) }
 
-// ScriptoriumLFs simulates the ScriptoriumWS code-generation baseline.
-// It returns the LF set and a usage meter billing the generation calls.
-func ScriptoriumLFs(d *Dataset, model string, seed int64) ([]LabelFunction, *llm.Meter, error) {
-	return baselines.Scriptorium(context.Background(), d, model, seed)
-}
-
-// PromptedLFs simulates the PromptedLF exhaustive-prompting baseline:
-// every train instance is annotated by every template. The returned meter
-// records the Θ(n·T) token cost.
-func PromptedLFs(d *Dataset, model string, seed int64) ([]LabelFunction, *llm.Meter, error) {
-	return baselines.PromptedLF(context.Background(), d, model, seed)
-}
-
-// MainResults runs the paper's Table 2 comparison (seven methods × six
-// datasets), which also yields the Figure 3/4 cost data. The grid cells
-// run over ExperimentOptions.Workers goroutines (default GOMAXPROCS) and
-// are byte-identical to a serial (Workers=1) sweep.
-func MainResults(o ExperimentOptions) (*experiment.Grid, error) {
-	return experiment.MainResultsContext(context.Background(), o)
-}
-
-// MainResultsContext is MainResults with cancellation: canceling ctx
-// aborts every in-flight cell and returns the context's error.
-func MainResultsContext(ctx context.Context, o ExperimentOptions) (*experiment.Grid, error) {
-	return experiment.MainResultsContext(ctx, o)
-}
-
-// LFSummary is the per-LF diagnostic record of AnalyzeLFs (coverage,
-// overlap, conflict, accuracy).
-type LFSummary = lf.Summary
-
-// AnalyzeLFs computes Snorkel-style per-LF diagnostics over a split.
-// gold may be nil for unlabeled splits.
-func AnalyzeLFs(split []*Example, lfs []LabelFunction, gold []int) []LFSummary {
-	ix := lf.NewIndex(split)
-	vm := lf.BuildVoteMatrix(ix, lfs)
-	return lf.Analyze(vm, lfs, gold)
+// AnalyzeLFs computes Snorkel-style per-LF diagnostics (coverage,
+// overlap, conflict, accuracy) over a split. gold may be nil for
+// unlabeled splits.
+func AnalyzeLFs(split []*Example, lfs []LabelFunction, gold []int) []lf.Summary {
+	return lf.Analyze(lf.BuildVoteMatrix(lf.NewIndex(split), lfs), lfs, gold)
 }
 
 // MarshalLFs serializes an LF set as JSON (keyword, entity-keyword and
@@ -205,23 +145,16 @@ func SaveDatasetDir(d *Dataset, dir string) error { return d.SaveDir(dir) }
 // chat-completions endpoint, so the identical pipeline can run on a real
 // provider instead of the offline simulator. Each Chat is one HTTP
 // exchange; compose NewRetry and NewRateLimiter over it for retries and
-// pacing. Options: WithPricing, WithHTTPClient.
-func NewOpenAI(baseURL, apiKey, model string, opts ...llm.Option) *llm.OpenAIClient {
-	return llm.NewOpenAI(baseURL, apiKey, model, opts...)
+// pacing. Set the returned client's PromptPrice and CompletionPrice (per
+// 1M tokens) for cost accounting, and its HTTPClient to change the
+// default 30 s timeout.
+func NewOpenAI(baseURL, apiKey, model string) *llm.OpenAIClient {
+	return llm.NewOpenAI(baseURL, apiKey, model)
 }
 
-// Client construction options, re-exported for NewOpenAI callers.
-var (
-	// WithPricing sets per-1M-token prompt/completion prices for cost
-	// accounting.
-	WithPricing = llm.WithPricing
-	// WithHTTPClient substitutes the HTTP client (timeouts, proxies, test
-	// doubles).
-	WithHTTPClient = llm.WithHTTPClient
-)
-
 // Sentinel errors returned (wrapped) by ChatModel implementations;
-// test with errors.Is.
+// test with errors.Is. NewRetry retries ErrRateLimited and
+// ErrUnavailable and fails fast on everything else.
 var (
 	// ErrRateLimited marks provider throttling (HTTP 429) or a canceled
 	// wait on the client-side rate limiter.
@@ -232,12 +165,6 @@ var (
 	// ErrUnavailable marks transport failures and 5xx statuses; retryable.
 	ErrUnavailable = llm.ErrUnavailable
 )
-
-// NewTranscript wraps any ChatModel so every call is appended as a JSON
-// line to w — the audit/replay record of a labeling run.
-func NewTranscript(inner ChatModel, w io.Writer) *llm.Transcript {
-	return llm.NewTranscript(inner, w)
-}
 
 // NewCache wraps a ChatModel with a concurrency-safe response cache:
 // identical (model, messages, temperature, n) requests are answered once
@@ -255,118 +182,11 @@ func NewRateLimiter(inner ChatModel, qps float64, burst int) *llm.RateLimiter {
 // NewMetered wraps a ChatModel with a mutex-guarded usage meter that
 // aggregates calls, tokens and dollar cost across every caller — the
 // spend ledger for a whole concurrent experiment. Read it with
-// Metered.Meter().
+// Meter().
 func NewMetered(inner ChatModel) *llm.Metered { return llm.NewMetered(inner) }
 
 // NewRetry wraps a ChatModel with capped, jittered exponential backoff
 // on retryable failures (ErrRateLimited, ErrUnavailable), honoring
-// provider Retry-After hints and failing fast on everything else. Tune
-// it with WithRetryAttempts, WithRetryBackoff and WithRetryJitter.
-func NewRetry(inner ChatModel, opts ...llm.RetryOption) *llm.Retry {
-	return llm.NewRetry(inner, opts...)
-}
-
-// Retry middleware options, re-exported for NewRetry callers.
-var (
-	// WithRetryAttempts sets the total attempt budget per call (>= 1).
-	WithRetryAttempts = llm.WithRetryAttempts
-	// WithRetryBackoff sets the base and maximum backoff delays.
-	WithRetryBackoff = llm.WithRetryBackoff
-	// WithRetryJitter sets the uniform jitter fraction in [0, 0.99].
-	WithRetryJitter = llm.WithRetryJitter
-)
-
-// Retryable reports whether an error is transient (wraps ErrRateLimited
-// or ErrUnavailable) and therefore worth retrying.
-func Retryable(err error) bool { return llm.Retryable(err) }
-
-// RetryAfter extracts a provider-supplied retry delay hint (an
-// llm.RetryAfterError anywhere in the chain), if present.
-func RetryAfter(err error) (time.Duration, bool) { return llm.RetryAfter(err) }
-
-// NewFaultInjector wraps a ChatModel with deterministic, seed-driven
-// fault injection (rate limits, timeouts, truncated responses, garbage
-// completions) for chaos-testing retry and degradation paths; rates
-// are per-call probabilities and must sum to at most 1.
-func NewFaultInjector(inner ChatModel, rates FaultRates, seed int64) *llm.FaultInjector {
-	return llm.NewFaultInjector(inner, rates, seed)
-}
-
-// Middleware and accounting types, re-exported so callers can hold them
-// without importing internal packages.
-type (
-	// OpenAIClient is the OpenAI-compatible ChatModel.
-	OpenAIClient = llm.OpenAIClient
-	// Cache is the response cache middleware.
-	Cache = llm.Cache
-	// RateLimiter is the QPS-bounding middleware.
-	RateLimiter = llm.RateLimiter
-	// Metered is the usage-metering middleware.
-	Metered = llm.Metered
-	// Meter accumulates calls, tokens and cost; safe for concurrent use.
-	Meter = llm.Meter
-	// MeterSnapshot is a consistent point-in-time copy of a Meter.
-	MeterSnapshot = llm.MeterSnapshot
-	// CacheStats is a consistent point-in-time copy of a Cache's
-	// hit/miss/entry counters, read with Cache.Stats.
-	CacheStats = llm.CacheStats
-	// Retry is the backoff-retry middleware.
-	Retry = llm.Retry
-	// RetryAfterError carries a provider retry-delay hint; test with
-	// errors.As or the RetryAfter helper.
-	RetryAfterError = llm.RetryAfterError
-	// FaultInjector is the chaos-testing middleware.
-	FaultInjector = llm.FaultInjector
-	// FaultRates sets per-call fault probabilities for NewFaultInjector.
-	FaultRates = llm.FaultRates
-)
-
-// Telemetry re-exports. An Obs bundle — tracer, metrics registry and
-// slog logger — attached to the context makes RunContext and
-// MainResultsContext emit hierarchical spans (run > iteration > stage),
-// llm_*/pipeline_*/grid_* metrics and structured logs without any
-// signature change; without one, every instrumentation point is a
-// zero-allocation no-op. See DESIGN.md §10 for the span and metric
-// inventory.
-type (
-	// Obs bundles the three telemetry pillars; build with NewObs or
-	// SetupTelemetry.
-	Obs = obs.Obs
-	// MetricsRegistry is the concurrency-safe counter/gauge/histogram
-	// registry with Prometheus, JSON and expvar exporters.
-	MetricsRegistry = obs.Registry
-	// TelemetryConfig mirrors the CLI telemetry flags for SetupTelemetry.
-	TelemetryConfig = obs.SetupConfig
-	// SpanData is one finished trace span, as stored by the memory
-	// tracer and written per line by the JSONL tracer.
-	SpanData = obs.SpanData
-	// Tracer starts root spans; Span is one live span. External code can
-	// implement Tracer to route spans into its own tracing system.
-	Tracer = obs.Tracer
-	Span   = obs.Span
-)
-
-// NewJSONLTracer streams one JSON object per finished span per line to
-// w; lines are written atomically, so w may be shared by concurrent
-// runs.
-func NewJSONLTracer(w io.Writer) *obs.JSONLTracer { return obs.NewJSONLTracer(w) }
-
-// NewMemoryTracer records finished spans in memory for inspection —
-// the test-friendly sink.
-func NewMemoryTracer() *obs.MemoryTracer { return obs.NewMemoryTracer() }
-
-// NewObs assembles a telemetry bundle, substituting no-ops for nil
-// fields (a nil registry is valid and disables metrics).
-func NewObs(t obs.Tracer, m *MetricsRegistry, l *slog.Logger) *Obs { return obs.New(t, m, l) }
-
-// NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// WithTelemetry attaches a bundle to a context; instrumented layers
-// downstream pick it up automatically.
-func WithTelemetry(ctx context.Context, o *Obs) context.Context { return obs.NewContext(ctx, o) }
-
-// SetupTelemetry opens the sinks named by cfg (trace file, metrics
-// file, debug server) exactly as the CLI flags do, returning the bundle
-// and a cleanup that flushes and closes them.
-func SetupTelemetry(cfg TelemetryConfig) (*Obs, func() error, error) { return obs.Setup(cfg) }
+// provider Retry-After hints and failing fast on everything else: 4
+// attempts in all, 500 ms base delay doubled per retry, 30 s cap.
+func NewRetry(inner ChatModel) *llm.Retry { return llm.NewRetry(inner) }

@@ -1,19 +1,26 @@
 package datasculpt_test
 
 import (
+	"bytes"
+	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"datasculpt"
 )
 
-// TestPublicAPIEndToEnd exercises the exported surface the examples use:
-// dataset loading, the pipeline, external LF evaluation and the baselines.
-func TestPublicAPIEndToEnd(t *testing.T) {
-	names := datasculpt.DatasetNames()
-	if len(names) != 7 || names[0] != "youtube" || names[6] != "trec" {
-		t.Fatalf("DatasetNames = %v", names)
-	}
+var update = flag.Bool("update", false, "rewrite testdata/api.golden with the package's current exported names")
 
+// TestPublicAPIEndToEnd exercises the exported surface the examples use:
+// dataset loading, the pipeline, external LF evaluation and the WRENCH
+// baseline.
+func TestPublicAPIEndToEnd(t *testing.T) {
 	d, err := datasculpt.LoadDataset("youtube", 9, 0.15)
 	if err != nil {
 		t.Fatal(err)
@@ -46,36 +53,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("manual set = %+v", manual)
 	}
 
-	// baselines
 	wr, err := datasculpt.WrenchLFs(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(wr) != 10 {
 		t.Errorf("wrench LFs = %d", len(wr))
-	}
-	_, meter, err := datasculpt.ScriptoriumLFs(d, "gpt-3.5", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meter.TotalTokens() == 0 {
-		t.Error("scriptorium meter empty")
-	}
-	_, meter, err = datasculpt.PromptedLFs(d, "gpt-3.5", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meter.Calls() != 10*len(d.Train) {
-		t.Errorf("promptedLF calls = %d", meter.Calls())
-	}
-
-	// simulated LLM directly
-	llmModel, err := datasculpt.NewSimulatedLLM("gpt-4", d, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if llmModel.ModelName() != "gpt-4-0613" {
-		t.Errorf("model name = %s", llmModel.ModelName())
 	}
 
 	// relation-task LF constructor
@@ -88,15 +71,65 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicExperimentSweep checks the exported experiment entry point.
-func TestPublicExperimentSweep(t *testing.T) {
-	g, err := datasculpt.MainResults(datasculpt.ExperimentOptions{
-		Seeds: 1, Scale: 0.08, Datasets: []string{"youtube"}, Iterations: 10,
-	})
+// TestPublicSurface pins the sorted exported names of package datasculpt
+// to testdata/api.golden, so any growth of the public surface shows up
+// as a diff. Each name must have a caller in examples/, a README code
+// block or example_test.go.
+func TestPublicSurface(t *testing.T) {
+	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Methods) != 7 {
-		t.Errorf("methods = %v", g.Methods)
+	var names []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil && decl.Name.IsExported() {
+					names = append(names, decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.IsExported() {
+							names = append(names, spec.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							if n.IsExported() {
+								names = append(names, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	got := []byte(strings.Join(names, "\n") + "\n")
+	golden := filepath.Join("testdata", "api.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("exported names drifted from %s (run with -update to regenerate):\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 }

@@ -17,8 +17,12 @@ import (
 
 func main() {
 	// 1. Materialize a corpus to disk. For your own data, write the same
-	// layout (meta.json + train/valid/test.json) from any source.
-	dir := filepath.Join(os.TempDir(), "datasculpt-custom-demo")
+	// layout (meta.json + train/valid/test.json) from any source. Each
+	// run gets its own directory, left in place for inspection.
+	dir, err := os.MkdirTemp("", "datasculpt-custom-")
+	if err != nil {
+		log.Fatal(err)
+	}
 	src, err := datasculpt.LoadDataset("sms", 11, 0.2)
 	if err != nil {
 		log.Fatal(err)

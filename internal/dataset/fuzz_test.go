@@ -96,6 +96,7 @@ func FuzzLoadDir(f *testing.F) {
 	meta, train, valid, test := read("meta.json"), read("train.json"), read("valid.json"), read("test.json")
 	f.Add(meta, train)
 	f.Add(meta, []byte(`{"1": {"label": 0, "data": {"text": "first"}}, "01": {"label": 1, "data": {"text": "second"}}}`))
+	f.Add(meta, []byte(`{"1": {"label": 0, "data": {"text": "first"}}, "1": {"label": 1, "data": {"text": "second"}}}`))
 	f.Add(meta, []byte(`{"-4": {"label": 1, "data": {"text": "a"}}, "4": {"label": 0, "data": {"text": "b"}}}`))
 	f.Add([]byte(`{"name": "r", "task": "relation", "classes": ["no", "yes"], "default_class": 0}`),
 		[]byte(`{"0": {"label": -1, "data": {"text": "Alice met Bob", "entity1": "alice", "entity2": "bob"}}}`))
@@ -114,8 +115,8 @@ func FuzzLoadDir(f *testing.F) {
 		if err := d.Validate(); err != nil {
 			t.Fatalf("loaded dataset does not validate: %v", err)
 		}
-		var entries map[string]exampleFile
-		if err := json.Unmarshal(train, &entries); err != nil {
+		entries, err := scanEntries(train)
+		if err != nil {
 			t.Fatalf("train.json loaded but does not parse: %v", err)
 		}
 		if len(d.Train) != len(entries) {
@@ -135,4 +136,26 @@ func FuzzLoadDir(f *testing.F) {
 			t.Fatalf("train texts %q, want each key's entry once: %q", got, want)
 		}
 	})
+}
+
+// scanEntries reads a split object's entries in file order with the
+// token reader, keeping a repeated key's every entry, so the oracle
+// counts the keys the file holds rather than the ones a map keeps.
+func scanEntries(raw []byte) ([]exampleFile, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if _, err := dec.Token(); err != nil {
+		return nil, err
+	}
+	var entries []exampleFile
+	for dec.More() {
+		if _, err := dec.Token(); err != nil {
+			return nil, err
+		}
+		var ef exampleFile
+		if err := dec.Decode(&ef); err != nil {
+			return nil, err
+		}
+		entries = append(entries, ef)
+	}
+	return entries, nil
 }

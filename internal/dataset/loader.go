@@ -3,6 +3,7 @@ package dataset
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -123,33 +124,55 @@ func LoadDir(dir string) (*Dataset, error) {
 }
 
 // loadSplit reads one split file and returns examples ordered by their
-// numeric ids.
+// numeric ids. The object is scanned key by key rather than decoded into
+// a map, so a key that appears twice is an error, not a silent overwrite
+// of the first entry.
 func loadSplit(path string, task TaskType) ([]*Example, error) {
-	raw, err := os.ReadFile(path)
+	name := filepath.Base(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: reading %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("dataset: reading %s: %w", name, err)
 	}
-	var entries map[string]exampleFile
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		return nil, fmt.Errorf("dataset: parsing %s: %w", filepath.Base(path), err)
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return nil, fmt.Errorf("dataset: parsing %s: want a JSON object of examples", name)
 	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("dataset: %s is empty", filepath.Base(path))
-	}
-	ids := make([]int, 0, len(entries))
-	byID := make(map[int]exampleFile, len(entries))
-	for key, ef := range entries {
+	var ids []int
+	byID := map[int]exampleFile{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, fmt.Errorf("dataset: parsing %s: %w", name, err)
+		}
+		key, _ := tok.(string)
 		id, err := strconv.Atoi(key)
 		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: non-numeric id %q", filepath.Base(path), key)
+			return nil, fmt.Errorf("dataset: %s: non-numeric id %q", name, key)
 		}
 		// "1" and "01" parse to the same id; accepting both would keep
-		// whichever the map iteration met last.
+		// whichever came last.
 		if canon := strconv.Itoa(id); key != canon {
-			return nil, fmt.Errorf("dataset: %s: non-canonical id %q (want %q)", filepath.Base(path), key, canon)
+			return nil, fmt.Errorf("dataset: %s: non-canonical id %q (want %q)", name, key, canon)
+		}
+		if _, dup := byID[id]; dup {
+			return nil, fmt.Errorf("dataset: %s: repeated id %q", name, key)
+		}
+		var ef exampleFile
+		if err := dec.Decode(&ef); err != nil {
+			return nil, fmt.Errorf("dataset: parsing %s: %w", name, err)
 		}
 		ids = append(ids, id)
 		byID[id] = ef
+	}
+	if _, err := dec.Token(); err != nil {
+		return nil, fmt.Errorf("dataset: parsing %s: %w", name, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("dataset: parsing %s: data after the examples object", name)
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("dataset: %s is empty", name)
 	}
 	sort.Ints(ids)
 	out := make([]*Example, 0, len(ids))
@@ -169,7 +192,7 @@ func loadSplit(path string, task TaskType) ([]*Example, error) {
 			e.E1Pos, e.E2Pos = locateEntities(e)
 			if e.E1Pos < 0 || e.E2Pos < 0 {
 				return nil, fmt.Errorf("dataset: %s id %d: entities %q/%q not found in text",
-					filepath.Base(path), id, ef.Data.Entity1, ef.Data.Entity2)
+					name, id, ef.Data.Entity1, ef.Data.Entity2)
 			}
 		}
 		out = append(out, e)

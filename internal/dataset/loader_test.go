@@ -121,6 +121,25 @@ func TestLoadDirErrors(t *testing.T) {
 	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), `train.json: non-canonical id "+3"`) {
 		t.Errorf("signed id: %v", err)
 	}
+	// A key repeated verbatim would otherwise overwrite its first entry.
+	write("train.json", `{"1": {"label": 0, "data": {"text": "first"}},
+		"1": {"label": 1, "data": {"text": "second"}},
+		"2": {"label": 0, "data": {"text": "third"}}}`)
+	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), `train.json: repeated id "1"`) {
+		t.Errorf("repeated key: %v", err)
+	}
+	for _, bad := range []string{
+		`null`,
+		`[{"label": 0, "data": {"text": "hi there"}}]`,
+		`{"0": {"label": 0, "data": {"text": "hi there"}}`,
+		`{"0": {"label": 0, "data": {"text": "hi there"}}} {}`,
+		`{"0": {"label": "zero", "data": {"text": "hi there"}}}`,
+	} {
+		write("train.json", bad)
+		if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "parsing train.json") {
+			t.Errorf("malformed split %s: %v", bad, err)
+		}
+	}
 }
 
 func TestLoadDirRelationEntityMissing(t *testing.T) {

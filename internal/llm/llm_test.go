@@ -62,6 +62,18 @@ func TestProfileOrdering(t *testing.T) {
 	}
 }
 
+// TestSimulatedModelName checks that a short model name resolves to the
+// provider identifier the simulator reports (and bills under).
+func TestSimulatedModelName(t *testing.T) {
+	m, err := NewSimulated("gpt-4", youtubeDS(t), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ModelName(); got != "gpt-4-0613" {
+		t.Errorf("ModelName = %s, want gpt-4-0613", got)
+	}
+}
+
 func TestSimulatedChatBasic(t *testing.T) {
 	d := youtubeDS(t)
 	m, err := NewSimulated("gpt-3.5", d, 42)

@@ -197,13 +197,16 @@ func (f *family) labelString(s *series) string {
 }
 
 // escapeLabelValue applies the Prometheus text-format label escapes.
+// It walks bytes, not runes: ranging over runes would turn every invalid
+// UTF-8 byte into U+FFFD, so two distinct values could render as one
+// series.
 func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
 	var b strings.Builder
-	for _, r := range v {
-		switch r {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -211,7 +214,7 @@ func escapeLabelValue(v string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
