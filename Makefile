@@ -77,8 +77,10 @@ stress:
 # cross a trust boundary: LLM completions, raw text and its feature
 # vectors, label and bundle-promote request bodies, bundle files, the
 # growth loop's on-disk step journal, grid checkpoint files, arbitrary
-# bytes as a ckpt journal reopened and appended to, JSONL corpus splits,
-# and the meta and train files of a dataset directory; raw keyword
+# bytes as a ckpt journal reopened and appended to, a growth cycle's
+# snapshot resumed by a fresh daemon (which must never promote a
+# candidate its journal row does not fingerprint), and the meta and
+# train files of a dataset directory; raw keyword
 # phrases (as a bundle file can carry them) through the index's
 # one-pass LF evaluation, which must match a full Apply scan; plus arbitrary vote matrices through MeTaL's per-pattern
 # EM, which must match the row-by-row reference bit for bit; and
@@ -95,7 +97,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzGatewayLabel$$' -fuzztime 30s ./internal/registry/
 	$(GO) test -run XXX -fuzz '^FuzzGatewayPromote$$' -fuzztime 30s ./internal/registry/
 	$(GO) test -run XXX -fuzz '^FuzzProposerReplay$$' -fuzztime 30s ./internal/core/
-	$(GO) test -run XXX -fuzz '^FuzzJSONLReader$$' -fuzztime 30s ./internal/dataset/
+	$(GO) test -run XXX -fuzz '^FuzzGrowthResume$$' -fuzztime 30s ./internal/growth/
 	$(GO) test -run XXX -fuzz '^FuzzLoadDir$$' -fuzztime 30s ./internal/dataset/
 	$(GO) test -run XXX -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s ./internal/experiment/
 	$(GO) test -run XXX -fuzz '^FuzzCkptOpen$$' -fuzztime 30s ./internal/ckpt/

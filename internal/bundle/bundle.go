@@ -24,9 +24,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"time"
 
+	"datasculpt/internal/ckpt"
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/endmodel"
@@ -343,7 +345,8 @@ func (b *Bundle) UnmarshalJSON(data []byte) error {
 	return b.Validate()
 }
 
-// Save writes the bundle to path as JSON.
+// Save writes the bundle to path as JSON, replacing the file in one
+// rename (ckpt.Replace), so a kill cannot leave a torn bundle.
 func Save(path string, b *Bundle) error {
 	_, err := SaveFingerprint(path, b)
 	return err
@@ -357,8 +360,11 @@ func SaveFingerprint(path string, b *Bundle) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("bundle: writing %s: %w", path, err)
+	if err := ckpt.Replace(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}); err != nil {
+		return "", fmt.Errorf("bundle: %w", err)
 	}
 	var canonical bytes.Buffer
 	canonical.Grow(len(data))

@@ -1,10 +1,17 @@
-// Package ckpt is the durable JSONL state machinery shared by every
-// subsystem that must survive a kill: the experiment grid checkpoints
-// (PR 3) and the online growth loop's cycle journals. One record is one
-// JSON line, appended with a single Write call and fsynced, so a crash
-// can at worst tear the final line — which Load skips, Open cuts off,
-// and the resumed process recomputes. A malformed line anywhere else is
-// reported as corruption, never silently skipped.
+// Package ckpt owns the two durable write shapes of every subsystem that
+// must survive a kill: appending a record to a journal, and replacing a
+// whole file.
+//
+// A journal (the experiment grid checkpoints, the growth loop's cycle
+// journals) is JSONL. One record is one JSON line, appended with a
+// single Write call and fsynced, so a crash can at worst tear the final
+// line — which Load skips, Open cuts off, and the resumed process
+// recomputes. A malformed line anywhere else is reported as corruption,
+// never silently skipped.
+//
+// A replaced file (bundles, the growth cycle snapshot) is written to a
+// temp file and renamed over its target (Replace), so a crash leaves
+// the old file or the new one, never a torn mix.
 package ckpt
 
 import (
@@ -13,12 +20,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
-// maxLine bounds one record on load; growth corpus snapshots embed raw
-// served texts, which can run long.
+// maxLine bounds one record on load. No record holds corpus text: the
+// largest, a grid cell's result, stays far below it.
 const maxLine = 4 * 1024 * 1024
 
 // Writer appends records to a JSONL file. Appends are mutex-serialized
@@ -155,4 +164,48 @@ func Load[T any](path string, valid func(*T) bool) ([]T, error) {
 		return nil, fmt.Errorf("ckpt: reading %s: %w", path, err)
 	}
 	return records, nil
+}
+
+// Replace writes a whole file through write and moves it over path in
+// one rename. write fills a temp file in path's directory through a
+// bufio.Writer, which is flushed and fsynced before the rename, and the
+// directory is fsynced after it. An error before the rename leaves the
+// target unchanged and removes the temp file. The file gets mode 0644.
+func Replace(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("ckpt: replacing %s: %w", path, err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			err = fmt.Errorf("ckpt: replacing %s: %w", path, err)
+		}
+	}()
+	bw := bufio.NewWriter(f)
+	if err = write(bw); err != nil {
+		return err
+	}
+	if err = bw.Flush(); err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }

@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -218,4 +220,69 @@ func TestOpenRejectsNonRegular(t *testing.T) {
 	if !strings.Contains(err.Error(), "not a regular file") {
 		t.Errorf("Open(%s): %v, want a not-a-regular-file error", os.DevNull, err)
 	}
+}
+
+// TestReplace: Replace writes the whole file, and a callback error or a
+// failed rename leaves the target unchanged with no temp file behind.
+func TestReplace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f.json")
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
+	}
+	onlyTarget := func(t *testing.T, want string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != want {
+			t.Fatalf("directory holds %v, want only %s", entries, want)
+		}
+	}
+
+	if err := Replace(path, write("old\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := Replace(path, write("new\n")); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "new\n" {
+		t.Fatalf("after two replaces: %q, %v", data, err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
+		t.Fatalf("replaced file mode %v, %v; want 0644", st.Mode(), err)
+	}
+
+	boom := errors.New("boom")
+	err := Replace(path, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("callback error: got %v", err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != "new\n" {
+		t.Fatalf("a failed callback changed the target to %q", data)
+	}
+	onlyTarget(t, "f.json")
+
+	// A rename onto a non-empty directory fails.
+	sub := filepath.Join(dir, "sub")
+	if err := os.MkdirAll(filepath.Join(sub, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := Replace(sub, write("x")); err == nil {
+		t.Fatal("Replace renamed a file over a non-empty directory")
+	}
+	if st, err := os.Stat(filepath.Join(sub, "keep")); err != nil || !st.IsDir() {
+		t.Fatalf("a failed rename changed the target: %v", err)
+	}
+	onlyTarget(t, "sub")
 }

@@ -412,7 +412,7 @@ func TestRunWrapModelWithRetryMatchesBaseline(t *testing.T) {
 	wrapped := smallRun(t, "youtube", func(c *Config) {
 		c.WrapModel = func(m llm.ChatModel) llm.ChatModel {
 			flaky := &failEveryNth{inner: m, n: 5}
-			return llm.NewRetry(flaky, llm.WithRetryAttempts(4), llm.WithRetryJitter(0),
+			return llm.NewRetry(flaky, llm.WithRetryAttempts(4),
 				llm.WithRetryBackoff(time.Microsecond, time.Millisecond))
 		}
 	})

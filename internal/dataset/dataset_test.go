@@ -118,6 +118,28 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateScaleAbove1: scale > 1 grows every split proportionally
+// from the same spec.
+func TestGenerateScaleAbove1(t *testing.T) {
+	small, err := Load("youtube", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := Load("youtube", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(big.Train), 3*len(small.Train); got != want {
+		t.Errorf("scale-3 train = %d, want %d", got, want)
+	}
+	if err := big.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load("youtube", 1, 0); err == nil {
+		t.Error("scale 0 accepted")
+	}
+}
+
 func TestTokensMatchTokenizer(t *testing.T) {
 	for _, name := range []string{"youtube", "spouse"} {
 		d, err := Load(name, 3, 0.02)

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,8 +31,7 @@ func chaosWrap(cycle, iter int, m llm.ChatModel) llm.ChatModel {
 	inj := llm.NewFaultInjector(m, llm.FaultRates{RateLimit: 0.15, Timeout: 0.1}, 977+100003*int64(cycle)+int64(iter))
 	return llm.NewRetry(inj,
 		llm.WithRetryAttempts(6),
-		llm.WithRetryBackoff(time.Microsecond, time.Millisecond),
-		llm.WithRetryJitter(0))
+		llm.WithRetryBackoff(time.Microsecond, time.Millisecond))
 }
 
 // chaosDaemon builds a daemon over stateDir with a fresh registry (a
@@ -163,15 +162,15 @@ func TestGrowthChaos(t *testing.T) {
 // TestGrowthInvalidUTF8Resume: a captured corpus holding texts that are
 // not valid UTF-8 gives the same journal row and candidate bytes when
 // the cycle runs straight through as when it is killed after the
-// snapshot and resumed from the corpus file, which holds that text with
-// U+FFFD in place of each invalid byte.
+// snapshot and resumed from the snapshot file, which holds that text
+// with U+FFFD in place of each invalid byte.
 func TestGrowthInvalidUTF8Resume(t *testing.T) {
 	_, d, path := trained(t)
 	texts := corpusTexts(d, 24)
 	// Every text carries invalid bytes, whichever the proposer queries.
 	// The pipeline reads captured text through the tokenizer, which
-	// treats an invalid byte and U+FFFD alike, so TestWriteCorpusMatchesRead
-	// is what pins the examples themselves.
+	// treats an invalid byte and U+FFFD alike, so TestSnapshotRoundTrip
+	// is what pins the texts themselves.
 	for i := range texts {
 		texts[i] = "\xc3" + texts[i] + " caf\xe9 \xff\xfe\xfd\xfc"
 	}
@@ -211,32 +210,151 @@ func TestGrowthInvalidUTF8Resume(t *testing.T) {
 	}
 }
 
-// TestWriteCorpusMatchesRead: the examples writeCorpus returns are the
-// ones readCorpus decodes from its file, escapes and non-ASCII text
-// included; with a text that is not valid UTF-8 it returns none.
-func TestWriteCorpusMatchesRead(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corpus.jsonl")
-	texts := []string{"plain text", "quote \" back\\slash\ttab\nnewline", "<b>&amp;</b>   \x00 café 日本 😀", " "}
-	got, err := writeCorpus(path, texts)
+// TestGrowthTornCandidateResume cuts cycle/candidate.json short after
+// the candidate checkpoint: the resumed cycle rebuilds the candidate
+// from its journaled steps, so its journal row and archive bytes equal
+// an uninterrupted run's.
+func TestGrowthTornCandidateResume(t *testing.T) {
+	_, d, path := trained(t)
+	texts := corpusTexts(d, 24)
+	refDir := t.TempDir()
+	ref := chaosDaemon(t, refDir, path, nil)
+	ref.Capture("t", texts)
+	refRec, err := ref.RunCycle(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := readCorpus(path)
+	if refRec == nil || refRec.CandidateHash == "" {
+		t.Fatalf("reference cycle built no candidate: %+v", refRec)
+	}
+	refCand, err := os.ReadFile(filepath.Join(refDir, "candidate-1.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("writeCorpus returned %d examples, the file holds %d", len(got), len(want))
+
+	for name, cut := range map[string]int{"empty": 0, "one-byte": 1, "half": len(refCand) / 2} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			victim := chaosDaemon(t, dir, path, func(s string) error {
+				if s == "candidate" {
+					return errKilled
+				}
+				return nil
+			})
+			victim.Capture("t", texts)
+			if _, err := victim.RunCycle(context.Background()); !errors.Is(err, errKilled) {
+				t.Fatalf("kill at candidate: err = %v", err)
+			}
+			if err := os.Truncate(filepath.Join(dir, "cycle", "candidate.json"), int64(cut)); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := chaosDaemon(t, dir, path, nil).RunCycle(context.Background())
+			if err != nil {
+				t.Fatalf("resume over a torn candidate: %v", err)
+			}
+			if *rec != *refRec {
+				t.Errorf("journal row %+v, uninterrupted %+v", *rec, *refRec)
+			}
+			cand, err := os.ReadFile(filepath.Join(dir, "candidate-1.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(cand) != string(refCand) {
+				t.Errorf("archive bytes diverged (%d vs %d bytes)", len(cand), len(refCand))
+			}
+		})
 	}
-	for i := range want {
-		g, w := *got[i], *want[i]
-		g.EnsureTokens()
-		if g.ID != w.ID || g.Text != w.Text || g.Label != w.Label || g.E1Pos != w.E1Pos || g.E2Pos != w.E2Pos ||
-			!slices.Equal(g.Tokens, w.Tokens) {
-			t.Errorf("example %d: written %+v, read back %+v", i, g, w)
+}
+
+// TestSnapshotRoundTrip: the texts a fresh cycle keeps in memory are the
+// texts a resumed cycle reads back from its snapshot, and both are what
+// encoding/json gives back — escapes, NUL, non-ASCII and invalid UTF-8
+// bytes included.
+func TestSnapshotRoundTrip(t *testing.T) {
+	_, _, path := trained(t)
+	texts := []string{
+		"plain text",
+		"quote \" back\\slash\ttab\nnewline",
+		"<b>&amp;</b>   \x00 café 日本 😀",
+		" ",
+		"line\u2028separator \ufffd kept",
+		"bad \xff byte",
+		"\xc3 \xed\xa0\x80 surrogate, \xf0\x9f\x98 cut rune",
+		"caf\xe9 \xff\xfe\xfd\xfc",
+	}
+	dmn := chaosDaemon(t, t.TempDir(), path, nil)
+	dmn.Capture("t", texts)
+	fresh, err := dmn.loadOrStartCycle(context.Background())
+	if err != nil || fresh == nil {
+		t.Fatalf("fresh cycle: %v, %v", fresh, err)
+	}
+	resumed, err := dmn.loadOrStartCycle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, resumed) {
+		t.Fatalf("fresh manifest %+v, read back %+v", fresh, resumed)
+	}
+	for i, text := range texts {
+		data, err := json.Marshal(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want string
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		if fresh.Texts[i] != want {
+			t.Errorf("text %d: fresh cycle holds %q, encoding/json gives back %q", i, fresh.Texts[i], want)
 		}
 	}
-	if got, err := writeCorpus(path, append(texts, "bad \xff byte")); err != nil || got != nil {
-		t.Errorf("corpus with invalid UTF-8: writeCorpus = %v, %v; want nil, nil", got, err)
+}
+
+// TestSnapshotValidation: a workspace whose snapshot does not parse or
+// does not fit the journal, or that has none, is discarded and the
+// cycle restarts from the reservoir (empty here, so no cycle runs).
+func TestSnapshotValidation(t *testing.T) {
+	_, _, path := trained(t)
+	header := func(cycle, corpusLen, budget int) string {
+		return fmt.Sprintf(`{"cycle":%d,"seed":1,"created_unix":1,"corpus_len":%d,"budget":%d}`+"\n", cycle, corpusLen, budget)
+	}
+	for name, files := range map[string]map[string]string{
+		"not-json":        {"snapshot.jsonl": "{not json\n"},
+		"empty":           {"snapshot.jsonl": ""},
+		"text-not-string": {"snapshot.jsonl": header(1, 1, 2) + "7\n"},
+		"null-text":       {"snapshot.jsonl": header(1, 1, 2) + "null\n"},
+		"truncated-line":  {"snapshot.jsonl": header(1, 2, 2) + "\"a\"\n\"b"},
+		"trailing-value":  {"snapshot.jsonl": header(1, 1, 2) + "\"a\"\n]"},
+		"corpus-len":      {"snapshot.jsonl": header(1, 2, 2) + "\"a\"\n"},
+		"no-texts":        {"snapshot.jsonl": header(1, 0, 2)},
+		"no-budget":       {"snapshot.jsonl": header(1, 1, 0) + "\"a\"\n"},
+		"no-timestamp":    {"snapshot.jsonl": `{"cycle":1,"seed":1,"corpus_len":1,"budget":2}` + "\n\"a\"\n"},
+		"future-cycle":    {"snapshot.jsonl": header(2, 1, 2) + "\"a\"\n"},
+		"cycle-zero":      {"snapshot.jsonl": header(0, 1, 2) + "\"a\"\n"},
+		"no-snapshot":     {"steps.jsonl": "{}\n"},
+		"old-layout": {
+			"manifest.json": header(1, 1, 2),
+			"corpus.jsonl":  `{"id":0,"label":-1,"text":"a"}` + "\n",
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ws := filepath.Join(dir, "cycle")
+			if err := os.Mkdir(ws, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for file, data := range files {
+				if err := os.WriteFile(filepath.Join(ws, file), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec, err := chaosDaemon(t, dir, path, nil).RunCycle(context.Background())
+			if rec != nil || err != nil {
+				t.Fatalf("RunCycle = %+v, %v; want the workspace discarded and no cycle", rec, err)
+			}
+			if _, err := os.Stat(ws); !os.IsNotExist(err) {
+				t.Fatalf("workspace kept: %v", err)
+			}
+		})
 	}
 }

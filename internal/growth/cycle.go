@@ -24,9 +24,9 @@ import (
 // journaled before the next begins, so a kill at any point resumes to
 // the identical candidate:
 //
-//	snapshot   cycle/corpus.jsonl + cycle/manifest.json written —
-//	           the captured sample and the cycle's pinned (seed,
-//	           timestamp, budget) exist on disk
+//	snapshot   cycle/snapshot.jsonl written — the cycle's pinned
+//	           manifest (seed, timestamp, budget) and the captured
+//	           sample exist on disk
 //	step-i     cycle/steps.jsonl extended with iteration i's
 //	           ProposalStep (resume replays these without LLM calls)
 //	proposed   the proposer loop is complete
@@ -46,14 +46,69 @@ import (
 // re-promotion is idempotent in effect.
 
 // manifest pins everything about a cycle that must not drift across a
-// kill: its number, derived seed, timestamp, corpus size, and budget
-// (so a config change cannot reshape a cycle already in flight).
+// kill: its number, derived seed, timestamp, captured texts, and budget
+// (so a config change cannot reshape a cycle already in flight). The
+// cycle's snapshot.jsonl holds it: the header on the first line, then
+// one text a line as a JSON string.
 type manifest struct {
-	Cycle       int   `json:"cycle"`
-	Seed        int64 `json:"seed"`
-	CreatedUnix int64 `json:"created_unix"`
-	CorpusLen   int   `json:"corpus_len"`
-	Budget      int   `json:"budget"`
+	Cycle       int      `json:"cycle"`
+	Seed        int64    `json:"seed"`
+	CreatedUnix int64    `json:"created_unix"`
+	CorpusLen   int      `json:"corpus_len"`
+	Budget      int      `json:"budget"`
+	Texts       []string `json:"-"`
+}
+
+// errBadSnapshot marks a snapshot that does not parse or does not fit
+// the journal: derived state, so the workspace is discarded.
+var errBadSnapshot = errors.New("growth: bad cycle snapshot")
+
+// write streams the snapshot, one Encode a line.
+func (m *manifest) write(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(m); err != nil {
+		return err
+	}
+	for _, t := range m.Texts {
+		if err := enc.Encode(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readSnapshot reads a snapshot back. A missing file is an
+// os.ErrNotExist error; one that does not parse, holds a text that is
+// not a string, or whose header miscounts its texts or lacks a budget
+// or a timestamp is errBadSnapshot. (A candidate saved without a
+// timestamp is stamped at save time, so its bytes would no longer be
+// those of the bundle the cycle promotes.)
+func readSnapshot(path string) (*manifest, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	man := new(manifest)
+	err = dec.Decode(man)
+	for err == nil {
+		var t *string
+		switch err = dec.Decode(&t); {
+		case err == nil && t == nil:
+			err = errors.New("text is null")
+		case err == nil:
+			man.Texts = append(man.Texts, *t)
+		}
+	}
+	if err != io.EOF {
+		return nil, fmt.Errorf("%w: %v", errBadSnapshot, err)
+	}
+	if man.CorpusLen != len(man.Texts) || man.CorpusLen == 0 || man.Budget < 1 || man.CreatedUnix < 1 {
+		return nil, fmt.Errorf("%w: corpus_len %d over %d texts, budget %d, created_unix %d",
+			errBadSnapshot, man.CorpusLen, len(man.Texts), man.Budget, man.CreatedUnix)
+	}
+	return man, nil
 }
 
 func (d *Daemon) checkpoint(stage string) error {
@@ -91,8 +146,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		span.End()
 	}()
 
-	cycleDir := filepath.Join(d.cfg.StateDir, "cycle")
-	man, corpus, err := d.loadOrStartCycle(cycleDir)
+	man, err := d.loadOrStartCycle(ctx)
 	if err != nil || man == nil {
 		return nil, err
 	}
@@ -103,14 +157,14 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 	// lost: finish it and return the recorded outcome.
 	if n := len(d.records); n > 0 && d.records[n-1].Cycle == man.Cycle {
 		last := d.records[n-1]
-		if err := os.RemoveAll(cycleDir); err != nil {
+		if err := os.RemoveAll(d.cycleDir); err != nil {
 			return nil, fmt.Errorf("growth: cleaning finished cycle: %w", err)
 		}
 		return &last, nil
 	}
 
 	prepSpan := span.Child("growth.prepare")
-	gd, tail, prop, err := d.prepare(man, corpus, cycleDir)
+	gd, tail, prop, err := d.prepare(man)
 	if err != nil {
 		prepSpan.SetErr(err)
 		prepSpan.End()
@@ -118,7 +172,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 	}
 	prepSpan.End()
 
-	steps, err := d.propose(ctx, span, man, prop, cycleDir)
+	steps, err := d.propose(ctx, span, man, prop)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +192,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		rec.Outcome = OutcomeNoNewLFs
 	} else {
 		evalSpan := span.Child("growth.evaluate")
-		if cand, rec.CandidateHash, err = d.candidate(evalSpan, man, gd, prop, cycleDir); err != nil {
+		if cand, rec.CandidateHash, err = d.candidate(evalSpan, man, gd, prop); err != nil {
 			evalSpan.SetErr(err)
 			evalSpan.End()
 			return nil, err
@@ -154,7 +208,7 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 		gateSpan.End()
 	}
 
-	if err := d.finalize(rec, cand, man, cycleDir); err != nil {
+	if err := d.finalize(rec, cand, man); err != nil {
 		return nil, err
 	}
 	d.mCycles.With(d.cfg.Tenant, rec.Outcome).Inc()
@@ -168,86 +222,83 @@ func (d *Daemon) RunCycle(ctx context.Context) (rec *CycleRecord, err error) {
 	return rec, nil
 }
 
-// loadOrStartCycle resumes the manifest of an interrupted cycle, or
+// loadOrStartCycle resumes the snapshot of an interrupted cycle, or
 // snapshots the reservoir into a fresh workspace. A nil manifest with
-// nil error means the corpus is still too small. A fresh cycle also
-// returns the examples of the corpus it wrote, when they are what
-// reading the file back gives (readCorpus); otherwise, and on resume,
-// corpus is nil.
-func (d *Daemon) loadOrStartCycle(cycleDir string) (man *manifest, corpus []*dataset.Example, err error) {
-	manifestPath := filepath.Join(cycleDir, "manifest.json")
-	if data, readErr := os.ReadFile(manifestPath); readErr == nil {
-		man := new(manifest)
-		if err := json.Unmarshal(data, man); err != nil {
-			return nil, nil, fmt.Errorf("growth: corrupt cycle manifest: %w", err)
-		}
-		return man, nil, nil
-	} else if !os.IsNotExist(readErr) {
-		return nil, nil, fmt.Errorf("growth: %w", readErr)
+// nil error means the corpus is still too small.
+func (d *Daemon) loadOrStartCycle(ctx context.Context) (*manifest, error) {
+	next := 1
+	if n := len(d.records); n > 0 {
+		next = d.records[n-1].Cycle + 1
 	}
-	// A workspace without a manifest is a cycle killed before its first
-	// checkpoint: nothing durable was promised, start over.
-	if err := os.RemoveAll(cycleDir); err != nil {
-		return nil, nil, fmt.Errorf("growth: clearing stale workspace: %w", err)
+	path := filepath.Join(d.cycleDir, "snapshot.jsonl")
+	man, err := readSnapshot(path)
+	// A snapshot is of the journal's next cycle, or of its last one when
+	// only that cycle's workspace cleanup was lost.
+	if err == nil && man.Cycle != next && (man.Cycle != next-1 || next == 1) {
+		err = fmt.Errorf("%w: cycle %d, the journal's next is %d", errBadSnapshot, man.Cycle, next)
+	}
+	switch {
+	case err == nil:
+		return man, nil
+	case errors.Is(err, errBadSnapshot):
+		d.o.Logger.LogAttrs(ctx, slog.LevelWarn, "growth: discarding cycle workspace",
+			slog.String("tenant", d.cfg.Tenant), slog.String("error", err.Error()))
+	case !errors.Is(err, os.ErrNotExist):
+		return nil, fmt.Errorf("growth: %w", err)
+	}
+	// A workspace without a valid snapshot — a cycle killed before its
+	// first checkpoint, a corrupt one, or an older layout — holds only
+	// derived state: start over.
+	if err := os.RemoveAll(d.cycleDir); err != nil {
+		return nil, fmt.Errorf("growth: clearing stale workspace: %w", err)
 	}
 
 	if d.res.Len() < d.cfg.MinCorpus {
-		return nil, nil, nil
+		return nil, nil
 	}
 	texts := d.res.Snapshot()
 	d.mFill.Set(0)
-
-	cycle := 1
-	if n := len(d.records); n > 0 {
-		cycle = d.records[n-1].Cycle + 1
+	for i, t := range texts {
+		// encoding/json writes each invalid UTF-8 byte as U+FFFD, as
+		// the []rune conversion does: a fresh cycle sees the texts a
+		// resumed one reads back.
+		if !utf8.ValidString(t) {
+			texts[i] = string([]rune(t))
+		}
 	}
 	man = &manifest{
-		Cycle:       cycle,
-		Seed:        d.cfg.Pipeline.Seed + 9973*int64(cycle),
+		Cycle:       next,
+		Seed:        d.cfg.Pipeline.Seed + 9973*int64(next),
 		CreatedUnix: d.cfg.now(),
 		CorpusLen:   len(texts),
 		Budget:      d.cfg.Budget,
+		Texts:       texts,
 	}
-
-	if err := os.MkdirAll(cycleDir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("growth: creating cycle workspace: %w", err)
+	if err := os.MkdirAll(d.cycleDir, 0o755); err != nil {
+		return nil, fmt.Errorf("growth: creating cycle workspace: %w", err)
 	}
-	if corpus, err = writeCorpus(filepath.Join(cycleDir, "corpus.jsonl"), texts); err != nil {
-		return nil, nil, err
-	}
-	data, err := json.MarshalIndent(man, "", " ")
-	if err != nil {
-		return nil, nil, fmt.Errorf("growth: encoding manifest: %w", err)
-	}
-	if err := os.WriteFile(manifestPath, append(data, '\n'), 0o644); err != nil {
-		return nil, nil, fmt.Errorf("growth: writing manifest: %w", err)
+	if err := ckpt.Replace(path, man.write); err != nil {
+		return nil, fmt.Errorf("growth: writing snapshot: %w", err)
 	}
 	if err := d.checkpoint("snapshot"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return man, corpus, nil
+	return man, nil
 }
 
-// prepare assembles the cycle's dataset view over corpus, the examples
-// of its snapshot — read back from the workspace when nil — and builds
-// its proposer over the parent's LF set. tail is the view's captured
-// examples, after the base prefix. The first cycle of a daemon builds
-// the prefix; it depends only on Base and the pipeline's feature width,
-// so it serves every later cycle, across promotions too, and it keeps
-// the parent LFs' columns over Base between cycles. The caller owns the
-// proposer (Close).
-func (d *Daemon) prepare(man *manifest, corpus []*dataset.Example, cycleDir string) (gd *dataset.Dataset, tail []*dataset.Example, prop *core.Proposer, err error) {
-	if corpus == nil {
-		if corpus, err = readCorpus(filepath.Join(cycleDir, "corpus.jsonl")); err != nil {
-			return nil, nil, nil, err
-		}
-	}
+// prepare assembles the cycle's dataset view over the manifest's texts
+// and builds its proposer over the parent's LF set. tail is the view's
+// captured examples, after the base prefix. The first cycle of a daemon
+// builds the prefix; it depends only on Base and the pipeline's feature
+// width, so it serves every later cycle, across promotions too, and it
+// keeps the parent LFs' columns over Base between cycles.
+func (d *Daemon) prepare(man *manifest) (gd *dataset.Dataset, tail []*dataset.Example, prop *core.Proposer, err error) {
 	if d.prefix == nil {
 		if d.prefix, err = core.NewPrefix(unlabeled(d.cfg.Base.Train), d.cfg.Base.Valid, d.cfg.Pipeline); err != nil {
 			return nil, nil, nil, err
 		}
 	}
-	if gd, err = growthDataset(d.cfg.Base, d.prefix.Examples(), corpus); err != nil {
+	if gd, err = growthDataset(d.cfg.Base, d.prefix.Examples(), man.Texts); err != nil {
 		return nil, nil, nil, err
 	}
 	pcfg, err := d.cycleConfig(man)
@@ -280,8 +331,8 @@ func (d *Daemon) cycleConfig(man *manifest) (core.Config, error) {
 // propose replays the journaled steps of this cycle, then runs live
 // iterations up to the manifest budget, journaling each before moving
 // on.
-func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, prop *core.Proposer, cycleDir string) ([]core.ProposalStep, error) {
-	stepsPath := filepath.Join(cycleDir, "steps.jsonl")
+func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, prop *core.Proposer) ([]core.ProposalStep, error) {
+	stepsPath := filepath.Join(d.cycleDir, "steps.jsonl")
 	steps, err := ckpt.Load[core.ProposalStep](stepsPath, nil)
 	if err != nil {
 		return nil, err
@@ -337,14 +388,14 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, prop
 // cycle counter, the manifest's timestamp), and save. After this
 // checkpoint the candidate's bytes never change. hash is the
 // candidate's Fingerprint. The evaluation's spans nest under sp.
-func (d *Daemon) candidate(sp obs.Span, man *manifest, gd *dataset.Dataset, prop *core.Proposer, cycleDir string) (cand *bundle.Bundle, hash string, err error) {
-	candPath := filepath.Join(cycleDir, "candidate.json")
+func (d *Daemon) candidate(sp obs.Span, man *manifest, gd *dataset.Dataset, prop *core.Proposer) (cand *bundle.Bundle, hash string, err error) {
+	candPath := filepath.Join(d.cycleDir, "candidate.json")
 	if cand, err := bundle.Load(candPath); err == nil {
 		hash, err := bundle.Fingerprint(cand)
 		return cand, hash, err
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, "", fmt.Errorf("growth: loading pinned candidate: %w", err)
 	}
+	// A pinned candidate that does not load is derived state: rebuilding
+	// it from the journaled steps gives the same bytes, saved over it.
 
 	res, err := prop.Evaluate(sp)
 	if err != nil {
@@ -409,13 +460,13 @@ func (d *Daemon) decideOutcome(rec *CycleRecord, cand *bundle.Bundle, corpus [][
 // finalize archives the candidate, journals the outcome — the cycle's
 // commit point — and removes the workspace. A promoted cand becomes the
 // lineage head only once its row is durable.
-func (d *Daemon) finalize(rec *CycleRecord, cand *bundle.Bundle, man *manifest, cycleDir string) error {
+func (d *Daemon) finalize(rec *CycleRecord, cand *bundle.Bundle, man *manifest) error {
 	// A rename moves the pinned bytes into place atomically. A kill
 	// after it but before the row leaves the workspace without
 	// candidate.json, so the resumed cycle rebuilds the identical
 	// candidate from its journaled steps.
 	archive := filepath.Join(d.cfg.StateDir, fmt.Sprintf("candidate-%d.json", man.Cycle))
-	if err := os.Rename(filepath.Join(cycleDir, "candidate.json"), archive); err != nil && !os.IsNotExist(err) {
+	if err := os.Rename(filepath.Join(d.cycleDir, "candidate.json"), archive); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("growth: archiving candidate: %w", err)
 	}
 	if err := ckpt.Append(filepath.Join(d.cfg.StateDir, "growth.jsonl"), rec); err != nil {
@@ -430,63 +481,10 @@ func (d *Daemon) finalize(rec *CycleRecord, cand *bundle.Bundle, man *manifest, 
 	if err := d.checkpoint("recorded"); err != nil {
 		return err
 	}
-	if err := os.RemoveAll(cycleDir); err != nil {
+	if err := os.RemoveAll(d.cycleDir); err != nil {
 		return fmt.Errorf("growth: cleaning workspace: %w", err)
 	}
 	return nil
-}
-
-// writeCorpus persists the captured texts as a JSONL split
-// (dataset.WriteSplitJSONL), one unlabeled example per line. It returns the
-// written examples when they equal what readCorpus decodes from the
-// file, and nil otherwise: JSON encodes each invalid UTF-8 byte as
-// U+FFFD, so a text that is not valid UTF-8 reads back changed.
-func writeCorpus(path string, texts []string) ([]*dataset.Example, error) {
-	split := make([]*dataset.Example, len(texts))
-	valid := true
-	for i, t := range texts {
-		split[i] = &dataset.Example{ID: i, Text: t, Label: dataset.NoLabel, E1Pos: -1, E2Pos: -1}
-		valid = valid && utf8.ValidString(t)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("growth: creating corpus: %w", err)
-	}
-	if err := dataset.WriteSplitJSONL(f, split); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("growth: writing corpus: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("growth: syncing corpus: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("growth: closing corpus: %w", err)
-	}
-	if !valid {
-		return nil, nil
-	}
-	return split, nil
-}
-
-// readCorpus streams the cycle's corpus snapshot back into examples.
-func readCorpus(path string) ([]*dataset.Example, error) {
-	r, err := dataset.OpenJSONL(path, dataset.TextClassification)
-	if err != nil {
-		return nil, fmt.Errorf("growth: %w", err)
-	}
-	defer r.Close()
-	var out []*dataset.Example
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("growth: reading corpus: %w", err)
-		}
-		out = append(out, e)
-	}
 }
 
 // unlabeled returns label-stripped copies of split: growth treats every
@@ -502,19 +500,19 @@ func unlabeled(split []*dataset.Example) []*dataset.Example {
 }
 
 // growthDataset assembles the cycle's training view: head, the
-// label-stripped base train split shared by every cycle, followed by
-// label-stripped copies of the captured corpus, with the base's labeled
+// label-stripped base train split shared by every cycle, followed by an
+// unlabeled example for each captured text, with the base's labeled
 // valid/test splits intact for filtering and the quality gate. The view
 // shares head's examples, which are read-only once tokenized.
-func growthDataset(base *dataset.Dataset, head, captured []*dataset.Example) (*dataset.Dataset, error) {
-	train := make([]*dataset.Example, len(head), len(head)+len(captured))
+func growthDataset(base *dataset.Dataset, head []*dataset.Example, texts []string) (*dataset.Dataset, error) {
+	train := make([]*dataset.Example, len(head), len(head)+len(texts))
 	copy(train, head)
 	maxID := -1
 	for _, e := range head {
 		maxID = max(maxID, e.ID)
 	}
-	for i, e := range unlabeled(captured) {
-		e.ID = maxID + 1 + i
+	for i, t := range texts {
+		e := &dataset.Example{ID: maxID + 1 + i, Text: t, Label: dataset.NoLabel, E1Pos: -1, E2Pos: -1}
 		e.EnsureTokens()
 		train = append(train, e)
 	}

@@ -47,7 +47,10 @@ type Config struct {
 	Pipeline core.Config
 	// StateDir holds the durable state: growth.jsonl (cycle journal),
 	// parent.json (boot pin), candidate-<n>.json archives (the newest
-	// promoted one is the lineage head), the cycle/ workspace. Required.
+	// promoted one is the lineage head), and the cycle/ workspace of the
+	// cycle in flight: snapshot.jsonl (manifest and captured texts),
+	// steps.jsonl (journaled proposer steps) and candidate.json.
+	// Required.
 	StateDir string
 	// Interval is the Start loop's cycle period (0 disables the loop;
 	// RunCycle can still be driven manually).
@@ -115,6 +118,8 @@ type Daemon struct {
 	cfg Config
 	o   *obs.Obs
 	res *Reservoir
+	// cycleDir is StateDir's cycle/ workspace.
+	cycleDir string
 
 	// cycleMu serializes cycles and guards prefix; mu guards the
 	// fields Status reads. A cycle writes those holding both, so it
@@ -206,6 +211,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:        cfg,
 		o:          cfg.Obs,
 		res:        NewReservoir(cfg.Tenant, reservoirCap, maxTextBytes, cfg.Pipeline.Seed+53),
+		cycleDir:   filepath.Join(cfg.StateDir, "cycle"),
 		parent:     parent,
 		parentHash: parentHash,
 		records:    records,

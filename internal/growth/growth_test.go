@@ -40,7 +40,7 @@ func TestMain(m *testing.M) {
 // trained runs the offline pipeline once per test binary and hands
 // every test the same parent artifact (the registry tests' pattern).
 // Tests that need a private bundle load a fresh copy from the path.
-func trained(t *testing.T) (*bundle.Bundle, *dataset.Dataset, string) {
+func trained(t testing.TB) (*bundle.Bundle, *dataset.Dataset, string) {
 	t.Helper()
 	trainOnce.Do(func() {
 		d, err := dataset.Load("youtube", 11, 0.4)

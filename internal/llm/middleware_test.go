@@ -307,16 +307,13 @@ func TestOpenAIContextCancelsBackoff(t *testing.T) {
 }
 
 func TestOpenAIOptions(t *testing.T) {
-	h := &http.Client{Timeout: time.Second}
-	c := NewOpenAI("http://x", "k", "m", WithPricing(1.5, 2.5), WithHTTPClient(h))
-	if p, cp := c.Pricing(); p != 1.5 || cp != 2.5 {
-		t.Errorf("pricing = %v/%v", p, cp)
-	}
-	if c.HTTPClient != h || c.ModelName() != "m" {
-		t.Errorf("options not applied: %+v", c)
-	}
-	if NewOpenAI("http://x", "k", "m").HTTPClient == nil {
+	c := NewOpenAI("http://x", "k", "m")
+	if c.HTTPClient == nil {
 		t.Error("default HTTP client not installed")
+	}
+	c.PromptPrice, c.CompletionPrice = 1.5, 2.5
+	if p, cp := c.Pricing(); p != 1.5 || cp != 2.5 || c.ModelName() != "m" {
+		t.Errorf("pricing = %v/%v, model %q", p, cp, c.ModelName())
 	}
 }
 

@@ -41,39 +41,20 @@ type OpenAIClient struct {
 	HTTPClient *http.Client
 }
 
-// Option configures an OpenAIClient at construction.
-type Option func(*OpenAIClient)
-
-// WithPricing sets the USD cost per 1M prompt/completion tokens used by
-// Meter accounting.
-func WithPricing(promptPer1M, completionPer1M float64) Option {
-	return func(c *OpenAIClient) {
-		c.PromptPrice, c.CompletionPrice = promptPer1M, completionPer1M
-	}
-}
-
-// WithHTTPClient substitutes the transport (proxies, custom TLS,
-// test servers).
-func WithHTTPClient(h *http.Client) Option {
-	return func(c *OpenAIClient) { c.HTTPClient = h }
-}
-
-// NewOpenAI constructs a client for an OpenAI-compatible endpoint.
+// NewOpenAI constructs a client for an OpenAI-compatible endpoint with
+// the default HTTP client. Set PromptPrice/CompletionPrice for Meter
+// cost accounting, and HTTPClient to substitute the transport.
 //
-//	llm.NewRetry(llm.NewRateLimiter(
-//	    llm.NewOpenAI(url, key, "gpt-4o-mini", llm.WithPricing(0.15, 0.60)),
-//	    2, 4))
-func NewOpenAI(baseURL, apiKey, model string, opts ...Option) *OpenAIClient {
-	c := &OpenAIClient{
+//	c := llm.NewOpenAI(url, key, "gpt-4o-mini")
+//	c.PromptPrice, c.CompletionPrice = 0.15, 0.60
+//	llm.NewRetry(llm.NewRateLimiter(c, 2, 4))
+func NewOpenAI(baseURL, apiKey, model string) *OpenAIClient {
+	return &OpenAIClient{
 		BaseURL:    baseURL,
 		APIKey:     apiKey,
 		Model:      model,
 		HTTPClient: &http.Client{Timeout: 30 * time.Second},
 	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
 }
 
 // ModelName implements ChatModel.

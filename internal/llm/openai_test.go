@@ -53,7 +53,8 @@ func TestOpenAIClientChat(t *testing.T) {
 		json.NewEncoder(w).Encode(okResponse(
 			[]string{"Keywords: free\nLabel: 1", "Keywords: cash\nLabel: 1"}, 120, 21))
 	})
-	c := NewOpenAI(srv.URL+"/v1", "sk-test", "gpt-3.5-turbo", WithPricing(1.5, 2.0))
+	c := NewOpenAI(srv.URL+"/v1", "sk-test", "gpt-3.5-turbo")
+	c.PromptPrice, c.CompletionPrice = 1.5, 2.0
 	resp, err := c.Chat(context.Background(), []Message{
 		{Role: System, Content: "task"},
 		{Role: User, Content: "Query: free cash"},

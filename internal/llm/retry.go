@@ -117,20 +117,6 @@ func WithRetryBackoff(base, max time.Duration) RetryOption {
 	}
 }
 
-// WithRetryJitter sets the fraction of each delay randomized away
-// (clamped to [0, 1)); 0 disables jitter for deterministic tests.
-func WithRetryJitter(frac float64) RetryOption {
-	return func(r *Retry) {
-		if frac < 0 {
-			frac = 0
-		}
-		if frac >= 1 {
-			frac = 0.99
-		}
-		r.backoff.jitter = frac
-	}
-}
-
 // NewRetry wraps a model with the retry middleware (defaults: 4 total
 // attempts, 500ms base delay doubled per retry, 30s cap, 20% jitter).
 func NewRetry(inner ChatModel, opts ...RetryOption) *Retry {

@@ -46,9 +46,10 @@ func TestRetryRecoversTransient(t *testing.T) {
 		inner := &flakyModel{failUntil: 2, err: fmt.Errorf("%w: transient", kind)}
 		reg := obs.NewRegistry()
 		var delays []time.Duration
-		r := NewRetry(inner, WithRetryAttempts(4), WithRetryJitter(0),
+		r := NewRetry(inner, WithRetryAttempts(4),
 			WithRetryBackoff(time.Millisecond, 10*time.Millisecond)).Instrument(reg)
 		r.sleep = noSleep(&delays)
+		r.backoff.jitter = 0
 		resp, err := r.Chat(context.Background(), msg("x"), 0, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -81,9 +82,10 @@ func TestRetryExhausted(t *testing.T) {
 	inner := &flakyModel{failUntil: 100, err: fmt.Errorf("%w: storm", ErrRateLimited)}
 	reg := obs.NewRegistry()
 	var delays []time.Duration
-	r := NewRetry(inner, WithRetryAttempts(3), WithRetryJitter(0),
+	r := NewRetry(inner, WithRetryAttempts(3),
 		WithRetryBackoff(time.Millisecond, 2*time.Millisecond)).Instrument(reg)
 	r.sleep = noSleep(&delays)
+	r.backoff.jitter = 0
 	_, err := r.Chat(context.Background(), msg("x"), 0, 1)
 	if !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("err = %v, want ErrRateLimited", err)
@@ -103,9 +105,10 @@ func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	}
 	inner := &flakyModel{failUntil: 1, err: hinted}
 	var delays []time.Duration
-	r := NewRetry(inner, WithRetryAttempts(3), WithRetryJitter(0.5),
+	r := NewRetry(inner, WithRetryAttempts(3),
 		WithRetryBackoff(time.Millisecond, time.Second))
 	r.sleep = noSleep(&delays)
+	r.backoff.jitter = 0.5
 	if _, err := r.Chat(context.Background(), msg("x"), 0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +121,10 @@ func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	hinted.After = time.Hour
 	inner = &flakyModel{failUntil: 1, err: hinted}
 	delays = nil
-	r = NewRetry(inner, WithRetryAttempts(3), WithRetryJitter(0),
+	r = NewRetry(inner, WithRetryAttempts(3),
 		WithRetryBackoff(time.Millisecond, 250*time.Millisecond))
 	r.sleep = noSleep(&delays)
+	r.backoff.jitter = 0
 	if _, err := r.Chat(context.Background(), msg("x"), 0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +289,10 @@ func TestRetryAbsorbsInjectedFaults(t *testing.T) {
 	reg := obs.NewRegistry()
 	fi := NewFaultInjector(inner, FaultRates{RateLimit: 0.25, Timeout: 0.25}, 7).Instrument(reg)
 	var delays []time.Duration
-	r := NewRetry(fi, WithRetryAttempts(20), WithRetryJitter(0),
+	r := NewRetry(fi, WithRetryAttempts(20),
 		WithRetryBackoff(time.Microsecond, time.Millisecond)).Instrument(reg)
 	r.sleep = noSleep(&delays)
+	r.backoff.jitter = 0
 	for i := 0; i < 40; i++ {
 		prompt := fmt.Sprintf("p%d", i)
 		resp, err := r.Chat(context.Background(), msg(prompt), 0, 1)
